@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DimMismatch,
     NoRealizableFrame,
-    NotCommuting,
     SingularFrame,
 )
 from .information import vn_entropy_and_purity
@@ -29,6 +28,7 @@ from .spectral import (
     HermitianObservable,
     LabSystem,
     commutator_norm,
+    commuting_eigenframe,  # noqa: F401  re-exported; lives next to the spectral core
 )
 
 RESIDUAL_TOL = 1e-9
@@ -111,6 +111,17 @@ def _matrix_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
+def _condition(name: str, tol: float, gaps) -> ConditionReport:
+    """Fold ``(gap, witness)`` pairs into one report: the worst gap with its
+    witness, passing when every gap is within ``tol``."""
+    worst, witness, ok = 0.0, "", True
+    for gap, label in gaps:
+        if gap > worst:
+            worst, witness = gap, label
+        ok = ok and gap <= tol
+    return ConditionReport(name, ok, worst, witness)
+
+
 def arba_validate(
     alg: Algebraization,
     relations: Optional[DeclaredRelations] = None,
@@ -125,51 +136,29 @@ def arba_validate(
     pairs must commute).
     """
     relations = relations or DeclaredRelations()
-    reports = []
 
-    worst, witness, ok = 0.0, "", True
-    for base, n, power_label in relations.powers:
-        image = alg.image(base).matrix
-        gap = _matrix_gap(alg.image(power_label).matrix, np.linalg.matrix_power(image, n))
-        if gap > worst:
-            worst, witness = gap, f"{base}^{n} vs {power_label}"
-        ok = ok and gap <= tol
-    reports.append(ConditionReport("polynomial", ok, worst, witness))
+    def image(label):
+        return alg.image(label).matrix
 
-    worst, witness, ok = 0.0, "", True
-    for a, b, c in relations.sums:
-        gap = _matrix_gap(alg.image(c).matrix, alg.image(a).matrix + alg.image(b).matrix)
-        if gap > worst:
-            worst, witness = gap, f"{a}+{b} vs {c}"
-        ok = ok and gap <= tol
-    reports.append(ConditionReport("sum-on-compatibility", ok, worst, witness))
-
-    worst, witness, ok = 0.0, "", True
-    for label, factor, scaled in relations.scalings:
-        gap = _matrix_gap(alg.image(scaled).matrix, float(factor) * alg.image(label).matrix)
-        if gap > worst:
-            worst, witness = gap, f"{factor}*{label} vs {scaled}"
-        ok = ok and gap <= tol
-    reports.append(ConditionReport("scalar-homogeneity", ok, worst, witness))
-
-    worst, witness, ok = 0.0, "", True
-    for state_label, obs_label in alg.system.suitable_pairs():
-        declared = alg.system.expectation(state_label, obs_label)
-        represented = alg.state_image(state_label).expectation(alg.image(obs_label))
-        gap = abs(represented - declared)
-        if gap > worst:
-            worst, witness = gap, f"<{obs_label}>_{state_label}"
-        ok = ok and gap <= tol
-    reports.append(ConditionReport("expectation-matching", ok, worst, witness))
-
-    worst, witness, ok = 0.0, "", True
-    for a, b in relations.all_compatible_pairs():
-        gap = commutator_norm(alg.image(a).matrix, alg.image(b).matrix)
-        if gap > worst:
-            worst, witness = gap, f"[{a},{b}]"
-        ok = ok and gap <= COMMUTATOR_TOL
-    reports.append(ConditionReport("multiplicative-condition", ok, worst, witness))
-    return tuple(reports)
+    return (
+        _condition("polynomial", tol, (
+            (_matrix_gap(image(p), np.linalg.matrix_power(image(base), n)), f"{base}^{n} vs {p}")
+            for base, n, p in relations.powers)),
+        _condition("sum-on-compatibility", tol, (
+            (_matrix_gap(image(c), image(a) + image(b)), f"{a}+{b} vs {c}")
+            for a, b, c in relations.sums)),
+        _condition("scalar-homogeneity", tol, (
+            (_matrix_gap(image(scaled), float(factor) * image(label)),
+             f"{factor}*{label} vs {scaled}")
+            for label, factor, scaled in relations.scalings)),
+        _condition("expectation-matching", tol, (
+            (abs(alg.state_image(st).expectation(alg.image(obs))
+                 - alg.system.expectation(st, obs)), f"<{obs}>_{st}")
+            for st, obs in alg.system.suitable_pairs())),
+        _condition("multiplicative-condition", COMMUTATOR_TOL, (
+            (commutator_norm(image(a), image(b)), f"[{a},{b}]")
+            for a, b in relations.all_compatible_pairs())),
+    )
 
 
 @dataclass(frozen=True)
@@ -226,31 +215,19 @@ def center_check(
     unknown = [z for z in center_labels if z not in alg.observable_images]
     if unknown:
         raise KeyError(f"center labels not in the system: {unknown}")
-    reports = []
-    worst, witness, ok = 0.0, "", True
-    for z in center_labels:
-        zm = alg.image(z).matrix
-        for label in sorted(alg.observable_images):
-            gap = commutator_norm(zm, alg.image(label).matrix)
-            if gap > worst:
-                worst, witness = gap, f"[{z},{label}]"
-            ok = ok and gap <= tol
-    reports.append(ConditionReport("center-commutation", ok, worst, witness))
 
-    worst, witness, ok = 0.0, "", True
+    def image(label):
+        return alg.image(label).matrix
+
     centers = set(center_labels)
-    for a, b, product_label in relations.products:
-        if a not in centers and b not in centers:
-            continue
-        gap = _matrix_gap(
-            alg.image(product_label).matrix,
-            alg.image(a).matrix @ alg.image(b).matrix,
-        )
-        if gap > worst:
-            worst, witness = gap, f"{a}*{b} vs {product_label}"
-        ok = ok and gap <= RESIDUAL_TOL
-    reports.append(ConditionReport("center-products", ok, worst, witness))
-    return tuple(reports)
+    return (
+        _condition("center-commutation", tol, (
+            (commutator_norm(image(z), image(label)), f"[{z},{label}]")
+            for z in center_labels for label in sorted(alg.observable_images))),
+        _condition("center-products", RESIDUAL_TOL, (
+            (_matrix_gap(image(c), image(a) @ image(b)), f"{a}*{b} vs {c}")
+            for a, b, c in relations.products if a in centers or b in centers)),
+    )
 
 
 def purity_preservation_check(
@@ -264,8 +241,6 @@ def purity_preservation_check(
     declared-extremal state whose image has purity below one.  A nonempty
     list is a finding, not a failure.
     """
-    from .information import vn_entropy_and_purity
-
     lost = []
     for label in extremal_state_labels:
         if label not in alg.state_images:
@@ -421,38 +396,6 @@ def tomography_reconstruct(
         for obs, yk in zip(problem.observables, problem.expectations)
     )
     return TomographyResult(weights=weights, state=state, residuals=residuals)
-
-
-def commuting_eigenframe(observables: Sequence[HermitianObservable]) -> np.ndarray:
-    """Joint eigenbasis of a commuting family, columns orthonormal.
-
-    Diagonalizes the first observable, then refines inside every degenerate
-    block with the next one, and so on.
-    """
-    observables = list(observables)
-    if not observables:
-        raise ValueError("need at least one observable")
-    dim = observables[0].dim
-    for a in observables:
-        for b in observables:
-            if a is not b and commutator_norm(a.matrix, b.matrix) > COMMUTATOR_TOL:
-                raise NotCommuting("family is not mutually commuting")
-    frame = np.eye(dim, dtype=complex)
-    blocks = [list(range(dim))]
-    for obs in observables:
-        next_blocks = []
-        for block in blocks:
-            sub = frame[:, block]
-            restricted = sub.conj().T @ obs.matrix @ sub
-            evals, evecs = np.linalg.eigh(restricted)
-            frame[:, block] = sub @ evecs
-            start = 0
-            for k in range(1, len(block) + 1):
-                if k == len(block) or evals[k] - evals[start] > obs.dedup_tol:
-                    next_blocks.append([block[i] for i in range(start, k)])
-                    start = k
-        blocks = next_blocks
-    return frame
 
 
 def purity_selection(

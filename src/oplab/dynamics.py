@@ -158,8 +158,10 @@ def decompose_evolution(trace: EvolutionTrace) -> DissipationReport:
     for t, measure in zip(trace.times, trace.measures):
         dec = lebesgue_decompose(measure, initial)
         chi = dec.continuous_mass
-        surviving = dec.normalized_continuous() if chi != 0 else None
-        escaped = dec.normalized_singular() if chi != 1 else None
+        # Decided by atoms, not by chi: a float mass of 1 + rounding makes
+        # chi != 1 although nothing escaped.
+        surviving = dec.normalized_continuous() if dec.absolutely_continuous.atoms else None
+        escaped = dec.normalized_singular() if dec.singular.atoms else None
         kernel = {}
         if surviving is not None:
             for s, w in initial.atoms:

@@ -9,6 +9,7 @@ immutable after construction; eigendecompositions happen once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -46,16 +47,33 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return _max_abs(a @ b - b @ a)
 
 
+def _group_eigenvalues(evals: np.ndarray, tol: float):
+    """Contiguous slices of ascending eigenvalues that count as one point."""
+    groups = []
+    start = 0
+    for k in range(1, len(evals) + 1):
+        if k == len(evals) or evals[k] - evals[start] > tol:
+            groups.append(slice(start, k))
+            start = k
+    return groups
+
+
+def _frame_diagonal(frame: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Real diagonal of ``F^* M F`` from the single product ``M F``."""
+    return np.einsum("ij,ij->j", frame.conj(), matrix @ frame).real
+
+
 class HermitianObservable:
     """A d x d Hermitian matrix with eigendecomposition and deduped spectrum.
 
     Eigenvalues closer than ``1e-8 * max(1, spectral radius)`` are treated as
     one spectral point; the stored spectrum is the tuple of group means in
-    ascending order.
+    ascending order.  Each spectral point owns one contiguous slice of
+    eigenvector columns; projectors are built from it only on request.
     """
 
     __slots__ = ("matrix", "dim", "eigenvalues", "eigenvectors", "spectrum",
-                 "_projectors", "dedup_tol")
+                 "_groups", "dedup_tol")
 
     def __init__(self, matrix):
         m = _square_complex(matrix)
@@ -71,47 +89,41 @@ class HermitianObservable:
         self.eigenvectors = evecs
         radius = float(np.max(np.abs(evals))) if evals.size else 0.0
         self.dedup_tol = DEDUP_REL_TOL * max(1.0, radius)
-        groups = self._group_eigenvalues(evals, self.dedup_tol)
-        self.spectrum = tuple(float(np.mean(evals[idx])) for idx in groups)
-        projectors = {}
-        for rep, idx in zip(self.spectrum, groups):
-            block = evecs[:, idx]
-            projectors[rep] = block @ block.conj().T
-        self._projectors = projectors
-
-    @staticmethod
-    def _group_eigenvalues(evals: np.ndarray, tol: float):
-        groups = []
-        start = 0
-        for k in range(1, len(evals) + 1):
-            if k == len(evals) or evals[k] - evals[start] > tol:
-                groups.append(list(range(start, k)))
-                start = k
-        return groups
+        self._groups = _group_eigenvalues(evals, self.dedup_tol)
+        self.spectrum = tuple(float(np.mean(evals[g])) for g in self._groups)
 
     # -- spectral projectors ---------------------------------------------------
 
+    def _group(self, point: float) -> slice:
+        """Eigenvector columns of the first spectral point within tolerance."""
+        k = bisect_left(self.spectrum, point - self.dedup_tol)
+        if k < len(self.spectrum) and abs(self.spectrum[k] - point) <= self.dedup_tol:
+            return self._groups[k]
+        raise DomainError(f"{point} is not a spectral point")
+
+    def _projector(self, columns) -> np.ndarray:
+        block = self.eigenvectors[:, columns]
+        return block @ block.conj().T
+
     def eigenprojector(self, point: float) -> np.ndarray:
         """Projector onto the eigenspace of the deduped spectral point."""
-        for rep, proj in self._projectors.items():
-            if abs(rep - point) <= self.dedup_tol:
-                return proj
-        raise DomainError(f"{point} is not a spectral point")
+        return self._projector(self._group(point))
 
     def spectral_projector(self, delta: BorelSet) -> np.ndarray:
         """Projection-valued measure evaluated on a Borel set."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for rep, proj in self._projectors.items():
+        mask = np.zeros(self.dim, dtype=bool)
+        for rep, group in zip(self.spectrum, self._groups):
             if delta.contains(rep, singleton_tol=self.dedup_tol):
-                out += proj
-        return out
+                mask[group] = True
+        return self._projector(mask)
 
     @property
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
     def multiplicity(self, point: float) -> int:
-        return int(round(np.trace(self.eigenprojector(point)).real))
+        group = self._group(point)
+        return group.stop - group.start
 
     def commutes_with(self, other: "HermitianObservable", tol: float = COMMUTATOR_TOL) -> bool:
         self._require_same_dim(other)
@@ -216,13 +228,15 @@ def spectral_measure(observable: HermitianObservable, state: DensityState) -> Di
     """Outcome distribution of the observable in the state.
 
     Atoms sit at the deduped spectral points; the weight at ``s`` is the
-    expectation of the spectral projector of ``{s}``.
+    expectation of the spectral projector of ``{s}``, summed from the
+    diagonal of the state in the eigenbasis.
     """
     observable._require_same_dim(state)
-    atoms = []
-    for rep in observable.spectrum:
-        w = float(np.trace(state.matrix @ observable.eigenprojector(rep)).real)
-        atoms.append((rep, max(w, 0.0)))
+    diagonal = _frame_diagonal(observable.eigenvectors, state.matrix)
+    atoms = [
+        (rep, max(float(np.sum(diagonal[group])), 0.0))
+        for rep, group in zip(observable.spectrum, observable._groups)
+    ]
     return DiscreteMeasure(atoms, mode=FLOAT)
 
 
@@ -326,45 +340,83 @@ def question_times(q: Question, observable: HermitianObservable, state: DensityS
     return spectral_measure(product, state)
 
 
+def commuting_eigenframe(observables: Sequence[HermitianObservable]) -> np.ndarray:
+    """Joint eigenbasis of a commuting family, columns orthonormal.
+
+    Starts from the eigenbasis of the first observable, then refines inside
+    every degenerate block with the next one, and so on.
+    """
+    observables = list(observables)
+    if not observables:
+        raise ValueError("need at least one observable")
+    for i, a in enumerate(observables):
+        for b in observables[i + 1:]:
+            if commutator_norm(a.matrix, b.matrix) > COMMUTATOR_TOL:
+                raise NotCommuting("family is not mutually commuting")
+    return _refine_frame(observables)
+
+
+def _refine_frame(observables: Sequence[HermitianObservable]) -> np.ndarray:
+    """Joint eigenbasis of a family already known to commute."""
+    frame = observables[0].eigenvectors.copy()
+    blocks = observables[0]._groups
+    for obs in observables[1:]:
+        next_blocks = []
+        for block in blocks:
+            sub = frame[:, block]
+            evals, evecs = np.linalg.eigh(sub.conj().T @ obs.matrix @ sub)
+            frame[:, block] = sub @ evecs
+            next_blocks.extend(
+                slice(block.start + g.start, block.start + g.stop)
+                for g in _group_eigenvalues(evals, obs.dedup_tol)
+            )
+        blocks = next_blocks
+    return frame
+
+
+def _joint_frame(a: HermitianObservable, b: HermitianObservable):
+    """Joint eigenframe of a commuting pair, with each column labeled by the
+    indices of its nearest deduped spectral points ``(s, t)``."""
+    a._require_same_dim(b)
+    if not a.commutes_with(b):
+        raise NotCommuting(
+            f"commutator norm {commutator_norm(a.matrix, b.matrix):.3e} exceeds gate"
+        )
+    frame = _refine_frame([a, b])
+    nearest = [
+        np.abs(_frame_diagonal(frame, obs.matrix)[:, None]
+               - np.asarray(obs.spectrum)[None, :]).argmin(axis=1)
+        for obs in (a, b)
+    ]
+    return frame, [(int(i), int(j)) for i, j in zip(*nearest)]
+
+
 def joint_spectral_measure(
     a: HermitianObservable, b: HermitianObservable, state: DensityState
 ) -> JointMeasure:
     """Two-variable outcome distribution for a commuting pair.
 
     Incompatible pairs (nonzero commutator) are rejected: no joint
-    distribution exists for them.
+    distribution exists for them.  The weight of ``(s, t)`` is the state's
+    diagonal in the joint frame summed over the columns labeled ``(s, t)``.
     """
-    a._require_same_dim(b)
     a._require_same_dim(state)
-    if not a.commutes_with(b):
-        raise NotCommuting(
-            f"commutator norm {commutator_norm(a.matrix, b.matrix):.3e} exceeds gate"
-        )
-    atoms = []
-    for s in a.spectrum:
-        ps = a.eigenprojector(s)
-        for t in b.spectrum:
-            qt = b.eigenprojector(t)
-            w = float(np.trace(state.matrix @ ps @ qt).real)
-            if w > 0.0:
-                atoms.append(((s, t), w))
+    frame, labels = _joint_frame(a, b)
+    totals = {}
+    for label, w in zip(labels, _frame_diagonal(frame, state.matrix)):
+        totals[label] = totals.get(label, 0.0) + float(w)
+    atoms = [
+        ((a.spectrum[i], b.spectrum[j]), w)
+        for (i, j), w in sorted(totals.items()) if w > 0.0
+    ]
     return JointMeasure(atoms, mode=FLOAT)
 
 
 def joint_spectrum(a: HermitianObservable, b: HermitianObservable):
-    """Pairs of spectral points whose projectors overlap; a subset of the
-    Cartesian product of the two spectra."""
-    a._require_same_dim(b)
-    if not a.commutes_with(b):
-        raise NotCommuting("joint spectrum requires a commuting pair")
-    points = []
-    for s in a.spectrum:
-        ps = a.eigenprojector(s)
-        for t in b.spectrum:
-            qt = b.eigenprojector(t)
-            if float(np.trace(ps @ qt).real) > 0.5:
-                points.append((s, t))
-    return tuple(points)
+    """Pairs of spectral points whose joint eigenspace is nonzero; a subset
+    of the Cartesian product of the two spectra."""
+    _, labels = _joint_frame(a, b)
+    return tuple((a.spectrum[i], b.spectrum[j]) for i, j in sorted(set(labels)))
 
 
 class JointOperator:

@@ -65,6 +65,20 @@ class TestDecomposeEvolution:
         assert entry.surviving is None
         assert entry.escaped == gone
 
+    def test_float_mass_one_plus_rounding_does_not_escape(self):
+        # The weights sum to 1.0000000000000002: a probability within the
+        # float mass tolerance, with nothing outside the initial support.
+        m = DiscreteMeasure(
+            [(0.0, 0.44444444444444453), (1.0, 0.055555555555555566),
+             (2.0, 0.2777777777777778), (3.0, 0.22222222222222227)],
+            mode="float",
+        )
+        assert m.mass > 1.0 and m.is_probability()
+        entry = decompose_evolution(EvolutionTrace([0.0], [m])).at(0.0)
+        assert entry.escaped is None
+        assert entry.surviving.is_probability()
+        assert all(v == pytest.approx(1.0) for v in entry.kernel.values())
+
     def test_dirac_start_formula(self):
         trace, r, _ = dirac_start_trace()
         report = decompose_evolution(trace)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplab.errors import (
     DimMismatch,
@@ -335,6 +338,94 @@ class TestJointMeasures:
         for s, t in pts:
             assert any(abs(s - u) < 1e-9 for u in a.spectrum)
             assert any(abs(t - u) < 1e-9 for u in b.spectrum)
+
+
+def _reference_projector(obs, point):
+    """Reference eigenprojector ``V_g V_g^*`` over the eigenvalues within
+    the dedup tolerance of the point, built densely."""
+    block = obs.eigenvectors[:, np.abs(obs.eigenvalues - point) <= obs.dedup_tol]
+    return block @ block.conj().T
+
+
+def _planted(seed, dim, width):
+    """A random observable whose eigenvalues are rounded to multiples of
+    ``width``, so that most spectral points are degenerate."""
+    nprng = np.random.default_rng(seed)
+    base = random_hermitian(nprng, dim)
+    obs = functional_calc(base, lambda t: width * round(t / width))
+    return base, obs, random_density(nprng, dim)
+
+
+class TestSpectralCore:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12),
+           width=st.sampled_from([0.5, 1.0, 3.0]))
+    def test_measure_matches_projector_formula(self, seed, dim, width):
+        _, obs, rho = _planted(seed, dim, width)
+        weights = dict(spectral_measure(obs, rho).atoms)
+        total = np.zeros((dim, dim), dtype=complex)
+        for s in obs.spectrum:
+            ref = _reference_projector(obs, s)
+            expected = max(float(np.trace(rho.matrix @ ref).real), 0.0)
+            assert abs(weights.get(s, 0.0) - expected) <= 1e-12
+            assert obs.multiplicity(s) == round(np.trace(ref).real)
+            assert np.max(np.abs(obs.eigenprojector(s) - ref)) < 1e-12
+            total += obs.eigenprojector(s)
+        assert np.max(np.abs(total - np.eye(dim))) < 1e-9
+        assert sum(obs.multiplicity(s) for s in obs.spectrum) == dim
+
+    @staticmethod
+    def _check_joint(a, b, rho):
+        refs_a = [_reference_projector(a, s) for s in a.spectrum]
+        refs_b = [_reference_projector(b, t) for t in b.spectrum]
+        old_atoms = {}
+        old_spectrum = []
+        for s, ps in zip(a.spectrum, refs_a):
+            for t, qt in zip(b.spectrum, refs_b):
+                w = float(np.trace(rho.matrix @ ps @ qt).real)
+                if w > 0.0:
+                    old_atoms[(s, t)] = w
+                if float(np.trace(ps @ qt).real) > 0.5:
+                    old_spectrum.append((s, t))
+        new_atoms = dict(joint_spectral_measure(a, b, rho).atoms)
+        for pair in set(old_atoms) | set(new_atoms):
+            old, new = old_atoms.get(pair, 0.0), new_atoms.get(pair, 0.0)
+            assert abs(old - new) <= 1e-12 or max(old, new) <= 1e-12
+        assert joint_spectrum(a, b) == tuple(old_spectrum)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12),
+           width=st.sampled_from([0.5, 1.0, 3.0]))
+    def test_joint_matches_projector_formula(self, seed, dim, width):
+        base, a, rho = _planted(seed, dim, width)
+        b = functional_calc(base, lambda t: round(t * t / 4.0))
+        self._check_joint(a, b, rho)
+        self._check_joint(b, a, rho)
+
+    @pytest.mark.parametrize("sides", [(2, 2), (2, 3), (3, 3)])
+    def test_joint_on_degenerate_kron_pairs(self, nprng, sides):
+        m, n = sides
+        a = random_hermitian(nprng, m)
+        b = random_hermitian(nprng, n)
+        big_a = HermitianObservable(np.kron(a.matrix, np.eye(n)))
+        big_b = HermitianObservable(np.kron(np.eye(m), b.matrix))
+        rho = random_density(nprng, m * n)
+        self._check_joint(big_a, big_b, rho)
+        assert len(joint_spectrum(big_a, big_b)) == m * n
+
+    def test_memory_stays_quadratic(self):
+        nprng = np.random.default_rng(7)
+        dim = 256
+        g = nprng.normal(size=(dim, dim)) + 1j * nprng.normal(size=(dim, dim))
+        matrix = (g + g.conj().T) / 2
+        rho = random_density(nprng, dim)
+        tracemalloc.start()
+        try:
+            spectral_measure(HermitianObservable(matrix), rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestJointOperator:
