@@ -87,5 +87,6 @@ from .kolmogorov import (
     KolmogorovResult,
     MarginalConstraint,
     kolmogorov_check,
+    verify_farkas,
     verify_joint,
 )

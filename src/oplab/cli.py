@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .dynamics import EvolutionTrace, decompose_evolution
 from .ensembles import estimate_probability, min_trials, run_ensemble
-from .errors import NoRealizableFrame, OplabError, SingularFrame
+from .errors import CapacityError, NoRealizableFrame, OplabError, SingularFrame
 from .information import shannon_entropy, vn_entropy_and_purity
 from .kolmogorov import (
     ConditionalConstraint,
@@ -124,6 +124,14 @@ def _resolve_mode(args, config) -> str:
     return mode
 
 
+def _ensemble(inputs, truth, target, seed: int):
+    trials = int(_field(inputs, "trials", "inputs"))
+    try:
+        return run_ensemble(truth, target, trials, seed)
+    except CapacityError as exc:
+        raise ConfigError(f"inputs.trials: {exc}") from exc
+
+
 def _out_path(args, config, default_name: str) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -142,8 +150,7 @@ def _cmd_simulate(args, config, footer):
     footer["seed"] = seed
     truth = measure_from_json(_field(inputs, "truth", "inputs"), mode)
     target = borel_from_json(_field(inputs, "target", "inputs"))
-    trials = int(_field(inputs, "trials", "inputs"))
-    log = run_ensemble(truth, target, trials, seed)
+    log = _ensemble(inputs, truth, target, seed)
     path = _out_path(args, config, "simulate.csv")
     _write_csv(path, ["i", "X_i", "xi_i", "f_i", "w_i"],
                ([i, x, xi, repr(f), repr(w)] for i, x, xi, f, w in log.rows()),
@@ -158,9 +165,8 @@ def _cmd_estimate(args, config, footer):
     footer["seed"] = seed
     truth = measure_from_json(_field(inputs, "truth", "inputs"), mode)
     target = borel_from_json(_field(inputs, "target", "inputs"))
-    trials = int(_field(inputs, "trials", "inputs"))
     alpha = float(inputs.get("alpha", 0.01))
-    trace = run_ensemble(truth, target, trials, seed).trace()
+    trace = _ensemble(inputs, truth, target, seed).trace()
     report = estimate_probability(trace)
     stabilization = min_trials(trace, alpha)
     rows = [

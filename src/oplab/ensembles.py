@@ -16,13 +16,17 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HorizonExceeded, NotProbability, TooShort
+from .errors import CapacityError, HorizonExceeded, NotProbability, TooShort
 from .measures import BorelSet, DiscreteMeasure
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _WORD = 2 ** 64
+
+# Largest ensemble run_ensemble allocates; its 64-bit generator words alone
+# take 800 MB at this size.
+MAX_TRIALS = 10 ** 8
 
 
 def _mix64(state: np.ndarray) -> np.ndarray:
@@ -94,6 +98,8 @@ def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) ->
     """
     if n < 1:
         raise ValueError("need at least one trial")
+    if n > MAX_TRIALS:
+        raise CapacityError(f"{n} trials exceed MAX_TRIALS = {MAX_TRIALS}")
     if not truth.is_probability():
         raise NotProbability("truth measure must be a probability")
     p = truth.measure_of(target)

@@ -4,7 +4,7 @@ Given finite outcome lists per observable and a set of linear statistical
 constraints (marginals, joint cells, Bayes conditionals, correlations), decide
 whether one joint probability distribution over the product outcome space
 reproduces them all.  Nonexistence is established by an exact phase-one
-simplex and reported together with a minimal infeasible constraint subset.
+simplex and reported with a Farkas vector and a minimal infeasible core.
 """
 
 from __future__ import annotations
@@ -14,19 +14,10 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import CapacityError
+from .measures import RATIONAL, to_scalar
 from .simplex import find_feasible_point
 
 DEFAULT_CELL_BOUND = 10_000
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"cannot convert {value!r} to an exact rational")
 
 
 @dataclass(frozen=True)
@@ -91,11 +82,17 @@ class KolmogorovResult:
     """Minimal infeasible constraint subset when infeasible."""
     deficit: Fraction
     observables: tuple
+    farkas: Optional[tuple] = None
+    """When infeasible, multipliers of the total-mass row and each constraint."""
+    solves: int = 1
+    """Phase-one LP solves spent on the verdict and the certificate."""
 
 
-def _cells(outcome_spaces: Mapping[str, Sequence], bound: int):
+def _system(outcome_spaces: Mapping[str, Sequence], constraints, bound: int):
+    """Names, cells, and the rows and right-hand sides of total mass one and
+    of each constraint, each row built once in one pass over the cells."""
     names = tuple(outcome_spaces.keys())
-    spaces = [tuple(_frac(v) for v in outcome_spaces[name]) for name in names]
+    spaces = [tuple(to_scalar(v, RATIONAL) for v in outcome_spaces[name]) for name in names]
     size = 1
     for space in spaces:
         if not space:
@@ -106,60 +103,46 @@ def _cells(outcome_spaces: Mapping[str, Sequence], bound: int):
     cells = [()]
     for space in spaces:
         cells = [prev + (v,) for prev in cells for v in space]
-    return names, cells
-
-
-def _matches(cell, names, events) -> bool:
     index = {name: k for k, name in enumerate(names)}
-    return all(cell[index[name]] == _frac(value) for name, value in events)
+    rows, rhs = [[1] * len(cells)], [1]
+    for constraint in constraints:
+        row, target = _constraint_row(constraint, index, cells)
+        rows.append(row)
+        rhs.append(target)
+    return names, cells, rows, rhs
 
 
-def _constraint_row(constraint, names, cells):
+def _hits(cells, index, events) -> list:
+    """Per cell, whether it takes every listed value."""
+    wanted = [(index[name], to_scalar(value, RATIONAL)) for name, value in events]
+    return [all(cell[k] == v for k, v in wanted) for cell in cells]
+
+
+def _constraint_row(constraint, index, cells):
     """Coefficient vector and right-hand side of one linear constraint."""
-    index = {name: k for k, name in enumerate(names)}
-    row = [Fraction(0)] * len(cells)
     if isinstance(constraint, MarginalConstraint):
-        value = _frac(constraint.value)
-        k = index[constraint.observable]
-        for c, cell in enumerate(cells):
-            if cell[k] == value:
-                row[c] = Fraction(1)
-        return row, _frac(constraint.prob)
+        constraint = JointConstraint(((constraint.observable, constraint.value),), constraint.prob)
     if isinstance(constraint, JointConstraint):
-        for c, cell in enumerate(cells):
-            if _matches(cell, names, constraint.events):
-                row[c] = Fraction(1)
-        return row, _frac(constraint.prob)
+        hits = _hits(cells, index, constraint.events)
+        return [int(h) for h in hits], to_scalar(constraint.prob, RATIONAL)
     if isinstance(constraint, ConditionalConstraint):
-        prob = _frac(constraint.prob)
-        for c, cell in enumerate(cells):
-            if _matches(cell, names, constraint.given):
-                row[c] -= prob
-                if _matches(cell, names, constraint.event):
-                    row[c] += Fraction(1)
-        return row, Fraction(0)
+        prob = to_scalar(constraint.prob, RATIONAL)
+        event, given = _hits(cells, index, constraint.event), _hits(cells, index, constraint.given)
+        return [int(e) - prob if g else 0 for e, g in zip(event, given)], 0
     if isinstance(constraint, CorrelationConstraint):
-        i = index[constraint.observables[0]]
-        j = index[constraint.observables[1]]
-        for c, cell in enumerate(cells):
-            row[c] = cell[i] * cell[j]
-        return row, _frac(constraint.value)
+        i, j = index[constraint.observables[0]], index[constraint.observables[1]]
+        return [cell[i] * cell[j] for cell in cells], to_scalar(constraint.value, RATIONAL)
     if isinstance(constraint, ExpectationConstraint):
         k = index[constraint.observable]
-        for c, cell in enumerate(cells):
-            row[c] = cell[k]
-        return row, _frac(constraint.value)
+        return [cell[k] for cell in cells], to_scalar(constraint.value, RATIONAL)
     raise TypeError(f"unknown constraint type {type(constraint).__name__}")
 
 
-def _solve(names, cells, constraints):
-    rows = [[Fraction(1)] * len(cells)]
-    rhs = [Fraction(1)]
-    for constraint in constraints:
-        row, target = _constraint_row(constraint, names, cells)
-        rows.append(row)
-        rhs.append(target)
-    return find_feasible_point(rows, rhs)
+def _farkas_holds(farkas, rows, rhs) -> bool:
+    """``yᵀA <= 0`` on every cell and ``yᵀb > 0``, exactly."""
+    support = [(y, row) for y, row in zip(farkas, rows) if y != 0]
+    return (len(farkas) == len(rows) and sum(y * b for y, b in zip(farkas, rhs)) > 0
+            and all(sum(y * row[c] for y, row in support) <= 0 for c in range(len(rows[0]))))
 
 
 def kolmogorov_check(
@@ -170,41 +153,51 @@ def kolmogorov_check(
     """Decide whether a joint classical distribution matches the constraints.
 
     Feasible verdicts return a joint probability vector that satisfies every
-    constraint exactly.  Infeasible verdicts return the phase-one deficit and
-    a minimal infeasible subset of the constraints, found by a deletion
-    filter (each member is necessary for the contradiction).
+    constraint exactly.  Infeasible verdicts return the phase-one deficit, a
+    Farkas vector (see `verify_farkas`), and a minimal infeasible subset of the
+    constraints, found by a deletion filter (each member is necessary for the
+    contradiction).
     """
-    names, cells = _cells(outcome_spaces, cell_bound)
     constraints = list(constraints)
-    result = _solve(names, cells, constraints)
+    names, cells, rows, rhs = _system(outcome_spaces, constraints, cell_bound)
+    result = find_feasible_point(rows, rhs)
     if result.feasible:
-        joint = {
-            cell: weight
-            for cell, weight in zip(cells, result.x)
-            if weight != 0
-        }
+        joint = {cell: weight for cell, weight in zip(cells, result.x) if weight != 0}
         return KolmogorovResult(True, joint, None, Fraction(0), names)
 
-    core = list(constraints)
-    for candidate in list(core):
-        trial = [c for c in core if c is not candidate]
-        if not _solve(names, cells, trial).feasible:
-            core = trial
-    return KolmogorovResult(False, None, tuple(core), result.deficit, names)
+    # Deletion filter; farkas is indexed like rows.  A candidate off the
+    # support of the latest Farkas vector is dropped without a solve: the rest
+    # of the core still contains that support, so it stays infeasible.
+    farkas, core, solves = list(result.farkas), list(range(len(constraints))), 1
+    for candidate in constraints:
+        trial = [k for k in core if constraints[k] is not candidate]
+        if any(farkas[k + 1] for k in core if constraints[k] is candidate):
+            kept = [0] + [k + 1 for k in trial]
+            attempt = find_feasible_point([rows[r] for r in kept], [rhs[r] for r in kept])
+            solves += 1
+            if attempt.feasible:
+                continue
+            placed = dict(zip(kept, attempt.farkas))
+            farkas = [placed.get(r, Fraction(0)) for r in range(len(rows))]
+        core = trial
+    if not _farkas_holds(farkas, rows, rhs):
+        raise RuntimeError("phase one returned an invalid Farkas vector")
+    return KolmogorovResult(False, None, tuple(constraints[k] for k in core), result.deficit,
+                            names, tuple(farkas), solves)
 
 
-def verify_joint(
-    joint: Mapping,
-    outcome_spaces: Mapping[str, Sequence],
-    constraints: Sequence[Constraint],
-) -> bool:
+def verify_joint(joint: Mapping, outcome_spaces: Mapping[str, Sequence],
+                 constraints: Sequence[Constraint]) -> bool:
     """Substitute a joint table back into every constraint, exactly."""
-    names, cells = _cells(outcome_spaces, bound=2 ** 62)
+    _, cells, rows, rhs = _system(outcome_spaces, constraints, bound=2 ** 62)
     weights = [Fraction(joint.get(cell, 0)) for cell in cells]
-    if sum(weights) != 1:
-        return False
-    for constraint in constraints:
-        row, target = _constraint_row(constraint, names, cells)
-        if sum(r * w for r, w in zip(row, weights)) != target:
-            return False
-    return True
+    return all(sum(r * w for r, w in zip(row, weights)) == b for row, b in zip(rows, rhs))
+
+
+def verify_farkas(farkas: Sequence, outcome_spaces: Mapping[str, Sequence],
+                  constraints: Sequence[Constraint]) -> bool:
+    """Check exactly that ``farkas`` proves the constraints infeasible: with
+    one multiplier ``y`` for the total-mass row, then one per constraint,
+    ``yᵀA <= 0`` on every cell and ``yᵀb > 0``."""
+    _, _, rows, rhs = _system(outcome_spaces, constraints, bound=2 ** 62)
+    return _farkas_holds([to_scalar(y, RATIONAL) for y in farkas], rows, rhs)

@@ -107,7 +107,7 @@ class BorelSet:
             if not lo_e < hi_e:
                 raise ValueError(f"empty interval [{lo}, {hi})")
             ivs.append((lo_e, hi_e))
-        ivs.sort(key=lambda p: (float(p[0]), float(p[1])))
+        ivs.sort()  # exact: Fractions and the ±inf sentinels compare correctly
         merged: list = []
         for lo_e, hi_e in ivs:
             if merged and lo_e <= merged[-1][1]:

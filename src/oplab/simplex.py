@@ -1,12 +1,15 @@
-"""Exact phase-one simplex over the rationals.
+"""Exact phase-one simplex over the rationals, on integer rows.
 
-Solves the feasibility problem ``A x = b, x >= 0`` with `fractions.Fraction`
-arithmetic, so infeasibility verdicts are certificates rather than numerical
-artifacts.  Bland's rule keeps the pivoting finite.
+Solves the feasibility problem ``A x = b, x >= 0`` exactly, so infeasibility
+verdicts are certificates rather than numerical artifacts.  Each tableau row
+is a list of Python integers over one positive denominator; a pivot updates
+rows fraction-free and divides each by its gcd.  Bland's rule keeps the
+pivoting finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -18,6 +21,16 @@ class FeasibilityResult:
     x: Optional[tuple]
     deficit: Fraction
     """Phase-one optimum: zero iff the system is feasible."""
+    farkas: Optional[tuple] = None
+    """When infeasible, ``y`` with ``yᵀA <= 0`` and ``yᵀb > 0``."""
+
+
+def _reduced(row: list, den: int) -> tuple:
+    """``row / den`` as integers over a positive denominator, in lowest terms."""
+    if den < 0:
+        row, den = [-v for v in row], -den
+    g = math.gcd(*row, den)
+    return ([v // g for v in row], den // g) if g > 1 else (row, den)
 
 
 def find_feasible_point(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityResult:
@@ -26,76 +39,67 @@ def find_feasible_point(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityR
     if m == 0:
         return FeasibilityResult(True, (), Fraction(0))
     n = len(rows[0])
-    tab = []
-    b = []
-    for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        if len(row) != n:
-            raise ValueError("ragged constraint matrix")
-        bi = Fraction(rhs[i])
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        tab.append(row)
-        b.append(bi)
-
-    # Append artificial columns; basis starts as the artificials.
-    for i in range(m):
-        tab[i] = tab[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
     width = n + m
+    # Row i of [A | I | b] is tab[i] / den[i], negated first if b_i < 0 so
+    # that the artificial basis is feasible.
+    tab, den, sign = [], [], []
+    for i in range(m):
+        if len(rows[i]) != n:
+            raise ValueError("ragged constraint matrix")
+        exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (*rows[i], rhs[i])]
+        d = math.lcm(*(v.denominator for v in exact))
+        s = -1 if exact[-1] < 0 else 1
+        row = [s * v.numerator * (d // v.denominator) for v in exact]
+        tab.append(row[:n] + [d if j == i else 0 for j in range(m)] + row[n:])
+        den.append(d)
+        sign.append(s)
+    # Row m holds the reduced costs of minimizing the sum of artificials and,
+    # last, minus that sum.
+    obj_den = math.lcm(*den)
+    obj = [-sum(obj_den // den[i] * tab[i][j] for i in range(m)) for j in range(width + 1)]
+    obj[n:width] = [0] * m
+    tab.append(obj)
+    den.append(obj_den)
     basis = [n + i for i in range(m)]
 
-    # Reduced costs for minimizing the sum of artificials.
-    obj = [Fraction(0)] * width
-    value = Fraction(0)
-    for i in range(m):
-        for j in range(width):
-            obj[j] -= tab[i][j]
-        value += b[i]
-    for i in range(m):
-        obj[n + i] += Fraction(1)  # cost of each artificial is one
-
-    def pivot(row: int, col: int) -> None:
-        nonlocal value
-        piv = tab[row][col]
-        tab[row] = [v / piv for v in tab[row]]
-        b[row] /= piv
-        for i in range(m):
-            if i != row and tab[i][col] != 0:
-                factor = tab[i][col]
-                tab[i] = [v - factor * w for v, w in zip(tab[i], tab[row])]
-                b[i] -= factor * b[row]
-        if obj[col] != 0:
-            factor = obj[col]
-            for j in range(width):
-                obj[j] -= factor * tab[row][j]
-            value += factor * b[row]
-        basis[row] = col
+    def pivot(r: int, c: int) -> None:
+        # Row i becomes (p·T_i − T_ic·T_r) / (D_i·p); the pivot row T_r / p.
+        pr, p = tab[r], tab[r][c]
+        for i in range(m + 1):
+            f = tab[i][c]
+            if f and i != r:
+                tab[i], den[i] = _reduced([p * v - f * w for v, w in zip(tab[i], pr)], den[i] * p)
+        tab[r], den[r] = _reduced(pr, p)
+        basis[r] = c
 
     while True:
+        obj = tab[m]
         entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
-        best_ratio = None
+        # Least ratio b_i / a_i over a_i > 0, ties to the lowest basis index.
+        # The row denominator cancels, so integers compare cross-multiplied.
         leaving = None
         for i in range(m):
-            coeff = tab[i][entering]
-            if coeff > 0:
-                ratio = b[i] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+            a = tab[i][entering]
+            if a <= 0:
+                continue
+            if leaving is not None:
+                lhs, rhs_ = tab[i][-1] * best_a, best_b * a
+                if lhs > rhs_ or (lhs == rhs_ and basis[i] > basis[leaving]):
+                    continue
+            leaving, best_b, best_a = i, tab[i][-1], a
         if leaving is None:
             # Phase one is bounded below by zero, so this cannot happen.
             raise RuntimeError("phase-one ratio test failed")
         pivot(leaving, entering)
 
-    if value > 0:
-        return FeasibilityResult(False, None, value)
+    if obj[-1] < 0:
+        # The duals of the artificial rows, 1 − reduced cost, with each row's
+        # negation undone.
+        d = den[m]
+        farkas = tuple(s * Fraction(d - obj[n + i], d) for i, s in enumerate(sign))
+        return FeasibilityResult(False, None, Fraction(-obj[-1], d), farkas)
 
     # Drive leftover artificials out of the basis where possible.
     for i in range(m):
@@ -107,5 +111,5 @@ def find_feasible_point(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityR
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = b[i]
+            x[basis[i]] = Fraction(tab[i][-1], den[i])
     return FeasibilityResult(True, tuple(x), Fraction(0))

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from oplab.cli import main
+from oplab.ensembles import MAX_TRIALS
 
 SIMULATE = {
     "kind": "simulate",
@@ -136,6 +139,28 @@ class TestErrors:
         }
         config = write_config(tmp_path, payload)
         assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 1
+
+
+    @pytest.mark.parametrize("kind", ["simulate", "estimate"])
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 2 ** 70])
+    def test_trials_over_the_cap_name_the_field(self, tmp_path, capsys, kind, trials):
+        payload = json.loads(json.dumps(SIMULATE))
+        payload["kind"] = kind
+        payload["inputs"]["trials"] = trials
+        config = write_config(tmp_path, payload)
+        assert main([kind, "--config", str(config), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "inputs.trials" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_non_finite_probability_in_kolmogorov(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"kind": "kolmogorov", "inputs": {"outcomes": {"a": [0, 1]}, "constraints":'
+                        ' [{"type": "marginal", "observable": "a", "value": 0, "prob": 1e999}]}}',
+                        encoding="utf-8")
+        assert main(["kolmogorov", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
 
 
 class TestKolmogorovCommand:

@@ -6,6 +6,7 @@ import pytest
 
 from oplab.ensembles import (
     CONVERGENT,
+    MAX_TRIALS,
     NOT_CONVERGENT,
     FrequencyTrace,
     NaturalSubset,
@@ -15,7 +16,7 @@ from oplab.ensembles import (
     natural_density,
     run_ensemble,
 )
-from oplab.errors import HorizonExceeded, NotProbability, TooShort
+from oplab.errors import CapacityError, HorizonExceeded, NotProbability, TooShort
 from oplab.measures import BorelSet, DiscreteMeasure
 
 TRUTH = DiscreteMeasure([(0, F(7, 10)), (1, F(3, 10))])
@@ -53,6 +54,11 @@ class TestRunEnsemble:
     def test_requires_probability(self):
         with pytest.raises(NotProbability):
             run_ensemble(DiscreteMeasure([(0, F(1, 2))]), TARGET, 10, seed=1)
+
+    @pytest.mark.parametrize("n", [MAX_TRIALS + 1, 2 ** 70])
+    def test_trial_cap_checked_before_allocating(self, n):
+        with pytest.raises(CapacityError, match="MAX_TRIALS"):
+            run_ensemble(TRUTH, TARGET, n, seed=1)
 
     def test_success_counts_match_outcomes(self):
         log = run_ensemble(TRUTH, TARGET, 500, seed=9)

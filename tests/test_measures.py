@@ -66,6 +66,30 @@ class TestBorelSet:
         assert not s.contains(1.0 + 1e-9)
         assert s.contains(1.0 + 1e-9, singleton_tol=1e-8)
 
+    def test_endpoints_closer_than_a_float_sort_exactly(self):
+        # Both lower endpoints round to the float 1.0; a float sort key kept
+        # the input order and lost the point 1.
+        s = BorelSet([(1 + F(1, 10 ** 30), 2), (1, 3)])
+        assert s.intervals == ((F(1), F(3)),)
+        assert s.contains(1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_canonical_form_ignores_input_order(self, data):
+        # Endpoints 1 + k/10^30 are distinct rationals that are all the same
+        # float; the unbounded ends are drawn now and then.
+        near = [1 + F(k, 10 ** 30) for k in range(-3, 4)]
+        ends = st.sampled_from(near + [-math.inf, math.inf])
+        pairs = data.draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] < p[1]),
+                                   min_size=1, max_size=6))
+        points = data.draw(st.lists(st.sampled_from(near), max_size=4))
+        canonical = BorelSet(sorted(pairs), sorted(points))
+        for order in (pairs, data.draw(st.permutations(pairs))):
+            s = BorelSet(order, list(reversed(points)))
+            assert (s.intervals, s.singletons) == (canonical.intervals, canonical.singletons)
+        for p in points + [lo for lo, _ in pairs if lo != -math.inf]:
+            assert canonical.contains(p) == (p in points or any(lo <= p < hi for lo, hi in pairs))
+
 
 class TestMeasureOf:
     def test_dirac_in_interval(self):
