@@ -258,7 +258,11 @@ def _constraint_from_json(payload: dict):
     if kind == "conditional":
         return ConditionalConstraint.of(payload["event"], payload["given"], payload["prob"])
     if kind == "correlation":
-        return CorrelationConstraint(tuple(payload["observables"]), payload["value"])
+        observables = tuple(payload["observables"])
+        if len(observables) != 2:
+            raise ConfigError(f"correlation constraint field 'observables' needs 2 names, "
+                              f"got {len(observables)}")
+        return CorrelationConstraint(observables, payload["value"])
     if kind == "expectation":
         return ExpectationConstraint(payload["observable"], payload["value"])
     raise ConfigError(f"unknown constraint type {kind!r}")

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityError, HorizonExceeded, NotProbability, TooShort
-from .measures import BorelSet, DiscreteMeasure
+from .measures import RATIONAL, BorelSet, DiscreteMeasure, to_scalar
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -103,7 +103,7 @@ def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) ->
     if not truth.is_probability():
         raise NotProbability("truth measure must be a probability")
     p = truth.measure_of(target)
-    p_exact = p if isinstance(p, Fraction) else Fraction(p)
+    p_exact = to_scalar(p, RATIONAL)
     threshold = (p_exact.numerator * _WORD) // p_exact.denominator
     words = counter_words(seed, 1, n)
     if threshold >= _WORD:

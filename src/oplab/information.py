@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import PartitionDoesNotCover, ZeroCell
-from .measures import RATIONAL, BorelSet, DiscreteMeasure, Partition
+from .measures import RATIONAL, BorelSet, DiscreteMeasure, Partition, is_unit_mass, to_scalar
 from .spectral import DensityState
 
 LN2 = math.log(2.0)
@@ -250,8 +250,7 @@ def default_partition_family(
     atom-separating partition of the union of supports."""
     points = []
     for m in measures:
-        points.extend(Fraction(p) if not isinstance(p, Fraction) else p
-                      for p in m.support)
+        points.extend(to_scalar(p, RATIONAL) for p in m.support)
     if not points:
         raise ValueError("measures have empty support")
     lo, hi = min(points) - 1, max(points) + 1
@@ -349,25 +348,21 @@ def dirac_detect(measure: DiscreteMeasure, window, depth: int = 30):
     if depth < 1:
         raise ValueError("depth must be positive")
     exact = measure.mode == RATIONAL
-    lo = Fraction(window[0]) if exact else float(window[0])
-    hi = Fraction(window[1]) if exact else float(window[1])
+    lo, hi = to_scalar(window[0], measure.mode), to_scalar(window[1], measure.mode)
     if not lo < hi:
         raise ValueError("window must be nondegenerate")
     outside = [p for p in measure.support if not lo <= p <= hi]
     if outside:
         raise ValueError(f"support leaves the window: {outside}")
 
-    def unit(mass) -> bool:
-        return mass == 1 if exact else abs(float(mass) - 1.0) <= 1e-12
-
     a, b = lo, hi
     for _ in range(depth):
         mid = (a + b) / 2
         left = measure.measure_of(BorelSet.interval(a, mid))
         right = measure.measure_of(BorelSet.closed_interval(mid, b))
-        if unit(left):
+        if is_unit_mass(left, measure.mode):
             b = mid
-        elif unit(right):
+        elif is_unit_mass(right, measure.mode):
             a = mid
         else:
             return None

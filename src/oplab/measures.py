@@ -10,8 +10,11 @@ is a pure function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -35,24 +38,35 @@ ScalarLike = Union[Fraction, float, int, str]
 def to_scalar(value: ScalarLike, mode: str) -> Scalar:
     """Coerce ``value`` to the scalar type of ``mode``.
 
-    Rational mode converts floats through their exact binary expansion, so
-    the conversion never rounds.  Non-finite values are rejected in both
-    modes.
+    Accepts Fractions, ints and other ``numbers.Rational`` values (numpy
+    integers included), floats, and decimal or ``"p/q"`` strings.  Rational
+    mode converts floats through their exact binary expansion, so the
+    conversion never rounds.  Non-finite values are rejected in both modes.
     """
     if mode == RATIONAL:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, (int, str)):
-            return Fraction(value)
         if isinstance(value, float):
             if not math.isfinite(value):
                 raise ValueError("non-finite scalar")
             return Fraction(value)
+        if isinstance(value, (int, str, numbers.Rational)):
+            return Fraction(value)
         raise TypeError(f"cannot convert {type(value).__name__} to rational scalar")
-    out = float(value)
+    try:
+        out = float(Fraction(value) if isinstance(value, str) and "/" in value else value)
+    except OverflowError:
+        out = math.inf
     if not math.isfinite(out):
         raise ValueError("non-finite scalar")
     return out
+
+
+def is_unit_mass(mass: Scalar, mode: str) -> bool:
+    """Mass one: exactly in rational mode, within ``FLOAT_MASS_TOL`` in float mode."""
+    if mode == RATIONAL:
+        return mass == 1
+    return abs(mass - 1.0) <= FLOAT_MASS_TOL
 
 
 def _check_mode(mode: str) -> str:
@@ -76,17 +90,13 @@ _Endpoint = Union[Fraction, float]  # Fractions plus the +-inf sentinels
 
 
 def _to_endpoint(value) -> _Endpoint:
+    """``±inf`` (a float, or the wire format's ``"inf"``/``"-inf"``) or an
+    exact rational."""
     if isinstance(value, float) and math.isinf(value):
         return value
-    if isinstance(value, float) and math.isnan(value):
-        raise ValueError("NaN endpoint")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"bad endpoint {value!r}")
+    if isinstance(value, str) and value in ("inf", "-inf"):
+        return float(value)
+    return to_scalar(value, RATIONAL)
 
 
 class BorelSet:
@@ -114,10 +124,7 @@ class BorelSet:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], hi_e))
             else:
                 merged.append((lo_e, hi_e))
-        points = sorted({_to_endpoint(s) for s in singletons})
-        for p in points:
-            if isinstance(p, float) and math.isinf(p):
-                raise ValueError("singleton at infinity")
+        points = sorted({to_scalar(s, RATIONAL) for s in singletons})
         kept = tuple(
             p for p in points if not any(lo <= p < hi for lo, hi in merged)
         )
@@ -219,51 +226,108 @@ class BorelSet:
 
 
 # ---------------------------------------------------------------------------
+# Canonical atoms, shared by measures on the line and the plane
+# ---------------------------------------------------------------------------
+
+
+def _weighted_mean(a: tuple, b: tuple) -> tuple:
+    """Merge two rows ``(x_1, …, x_d, w)`` into ``((a·w + b·v)/(w + v), w + v)``."""
+    w, v = a[-1], b[-1]
+    total = w + v
+    return (*((x * w + y * v) / total for x, y in zip(a[:-1], b[:-1])), total)
+
+
+def _float_runs(rows: list, axis: int) -> list:
+    """Sort rows stably on coordinate ``axis`` and split them into runs whose
+    coordinate is within ``FLOAT_MERGE_TOL`` of the run start."""
+    runs = []
+    for row in sorted(rows, key=itemgetter(axis)):
+        if runs and row[axis] - start <= FLOAT_MERGE_TOL:
+            runs[-1].append(row)
+        else:
+            start = row[axis]
+            runs.append([row])
+    return runs
+
+
+def _canonical_atoms(rows, mode: str) -> tuple:
+    """Canonical form of atoms given as rows ``(x_1, …, x_d, weight)``.
+
+    Sorts, drops zero weights and rejects negative ones (float mode forgives
+    ``FLOAT_MASS_TOL``).  Rational mode merges equal points.  Float mode
+    splits into runs on one coordinate at a time, each run on the next, and
+    merges each final run, in sorted order, into its weighted mean; the rows
+    come out in run order.  The result depends only on the multiset of rows.
+    """
+    items = []
+    for row in sorted(rows):
+        weight = row[-1]
+        if weight < 0:
+            if mode == RATIONAL or weight < -FLOAT_MASS_TOL:
+                point = row[0] if len(row) == 2 else row[:-1]
+                raise ValueError(f"negative weight {weight} at {point}")
+        elif not weight:
+            continue
+        elif mode == RATIONAL and items and items[-1][:-1] == row[:-1]:
+            items[-1] = (*row[:-1], items[-1][-1] + weight)
+        else:
+            items.append(row)
+    if mode == RATIONAL or not items:
+        return tuple(items)
+    runs = [items]
+    for axis in range(len(items[0]) - 1):
+        runs = [run for rows in runs for run in _float_runs(rows, axis)]
+    return tuple(reduce(_weighted_mean, run) for run in runs)
+
+
+class _FiniteMeasure:
+    """Canonical atoms and arithmetic mode; the queries that only need those."""
+
+    __slots__ = ("atoms", "mode")
+    _what = "measure"
+
+    @property
+    def mass(self) -> Scalar:
+        return sum((w for _, w in self.atoms), start=to_scalar(0, self.mode))
+
+    def is_probability(self) -> bool:
+        return is_unit_mass(self.mass, self.mode)
+
+    def require_probability(self, what: str = None):
+        """Return ``self`` if it has mass one, else raise ``NotProbability``
+        naming ``what`` (by default the kind of measure)."""
+        if not self.is_probability():
+            raise NotProbability(f"{what or self._what} has mass {self.mass}, expected 1")
+        return self
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.mode == other.mode
+            and self.atoms == other.atoms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.atoms))
+
+    def __len__(self) -> int:
+        return len(self.atoms)
+
+
+# ---------------------------------------------------------------------------
 # Measures on the line
 # ---------------------------------------------------------------------------
 
 
-def _merge_atoms(pairs, mode: str):
-    """Sort atom pairs, drop zero weights, merge coincident points.
-
-    Float mode merges runs of points within ``FLOAT_MERGE_TOL`` of the run
-    start; the representative point is the weight-weighted mean of the run.
-    """
-    items = sorted((p, w) for p, w in pairs)
-    out = []
-    for point, weight in items:
-        if weight < 0:
-            if mode == FLOAT and weight >= -FLOAT_MASS_TOL:
-                weight = 0.0
-            else:
-                raise ValueError(f"negative weight {weight} at {point}")
-        if weight == 0:
-            continue
-        if out:
-            prev_point, prev_weight, run_start = out[-1]
-            coincident = (
-                point == prev_point
-                if mode == RATIONAL
-                else point - run_start <= FLOAT_MERGE_TOL
-            )
-            if coincident:
-                new_w = prev_weight + weight
-                new_p = (prev_point * prev_weight + point * weight) / new_w
-                out[-1] = (new_p, new_w, run_start)
-                continue
-        out.append((point, weight, point))
-    return tuple((p, w) for p, w, _ in out)
-
-
-class DiscreteMeasure:
+class DiscreteMeasure(_FiniteMeasure):
     """Nonnegative measure with finitely many atoms on the real line."""
 
-    __slots__ = ("atoms", "mode")
+    __slots__ = ()
 
     def __init__(self, atoms: Iterable, mode: str = RATIONAL):
         _check_mode(mode)
-        pairs = [(to_scalar(p, mode), to_scalar(w, mode)) for p, w in atoms]
-        self.atoms = _merge_atoms(pairs, mode)
+        rows = [(to_scalar(p, mode), to_scalar(w, mode)) for p, w in atoms]
+        self.atoms = _canonical_atoms(rows, mode)
         self.mode = mode
 
     # -- constructors --------------------------------------------------------
@@ -287,11 +351,6 @@ class DiscreteMeasure:
     # -- basic queries -------------------------------------------------------
 
     @property
-    def mass(self) -> Scalar:
-        total = sum((w for _, w in self.atoms), start=to_scalar(0, self.mode))
-        return total
-
-    @property
     def support(self):
         return tuple(p for p, _ in self.atoms)
 
@@ -301,16 +360,6 @@ class DiscreteMeasure:
             if p == point:
                 return w
         return to_scalar(0, self.mode)
-
-    def is_probability(self) -> bool:
-        if self.mode == RATIONAL:
-            return self.mass == 1
-        return abs(self.mass - 1.0) <= FLOAT_MASS_TOL
-
-    def require_probability(self, what: str = "measure") -> "DiscreteMeasure":
-        if not self.is_probability():
-            raise NotProbability(f"{what} has mass {self.mass}, expected 1")
-        return self
 
     # -- the measure itself --------------------------------------------------
 
@@ -388,19 +437,6 @@ class DiscreteMeasure:
 
     # -- plumbing ------------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiscreteMeasure)
-            and self.mode == other.mode
-            and self.atoms == other.atoms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.mode, self.atoms))
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}:{w}" for p, w in self.atoms)
         return f"DiscreteMeasure({{{inner}}}, mode={self.mode})"
@@ -474,7 +510,7 @@ class LebesgueDecomposition:
         return self.absolutely_continuous.scale(1 / self.continuous_mass)
 
     def normalized_singular(self) -> DiscreteMeasure:
-        rem = 1 - self.continuous_mass
+        rem = self.singular.mass
         if rem == 0:
             raise ZeroDivisionError("singular part is null")
         return self.singular.scale(1 / rem)
@@ -505,58 +541,20 @@ def lebesgue_decompose(nu: DiscreteMeasure, mu: DiscreteMeasure) -> LebesgueDeco
 # ---------------------------------------------------------------------------
 
 
-def _merge_joint_atoms(pairs, mode: str):
-    items = sorted(pairs)
-    out = []
-    for (s, t), w in items:
-        if w < 0:
-            if mode == FLOAT and w >= -FLOAT_MASS_TOL:
-                w = 0.0
-            else:
-                raise ValueError(f"negative weight {w} at {(s, t)}")
-        if w == 0:
-            continue
-        if out:
-            (ps, pt), pw = out[-1]
-            same = (
-                (s, t) == (ps, pt)
-                if mode == RATIONAL
-                else abs(s - ps) <= FLOAT_MERGE_TOL and abs(t - pt) <= FLOAT_MERGE_TOL
-            )
-            if same:
-                out[-1] = ((ps, pt), pw + w)
-                continue
-        out.append(((s, t), w))
-    return tuple(out)
-
-
-class JointMeasure:
+class JointMeasure(_FiniteMeasure):
     """Finite-support measure on the plane, used for paired measurements."""
 
-    __slots__ = ("atoms", "mode")
+    __slots__ = ()
+    _what = "joint measure"
 
     def __init__(self, atoms: Iterable, mode: str = RATIONAL):
         _check_mode(mode)
-        pairs = [
-            ((to_scalar(s, mode), to_scalar(t, mode)), to_scalar(w, mode))
+        rows = [
+            (to_scalar(s, mode), to_scalar(t, mode), to_scalar(w, mode))
             for (s, t), w in atoms
         ]
-        self.atoms = _merge_joint_atoms(pairs, mode)
+        self.atoms = tuple(((s, t), w) for s, t, w in _canonical_atoms(rows, mode))
         self.mode = mode
-
-    @property
-    def mass(self) -> Scalar:
-        return sum((w for _, w in self.atoms), start=to_scalar(0, self.mode))
-
-    def is_probability(self) -> bool:
-        if self.mode == RATIONAL:
-            return self.mass == 1
-        return abs(self.mass - 1.0) <= FLOAT_MASS_TOL
-
-    def require_probability(self, what: str = "joint measure") -> "JointMeasure":
-        if not self.is_probability():
-            raise NotProbability(f"{what} has mass {self.mass}, expected 1")
-        return self
 
     def measure_of(self, delta_s: BorelSet, delta_t: BorelSet, singleton_tol=0) -> Scalar:
         total = to_scalar(0, self.mode)
@@ -589,19 +587,6 @@ class JointMeasure:
         es = sum((s * w for (s, _), w in self.atoms), start=zero)
         et = sum((t * w for (_, t), w in self.atoms), start=zero)
         return es, et
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, JointMeasure)
-            and self.mode == other.mode
-            and self.atoms == other.atoms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.mode, self.atoms))
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({s},{t}):{w}" for (s, t), w in self.atoms)
@@ -685,7 +670,7 @@ class Partition:
     __slots__ = ("window", "cells")
 
     def __init__(self, window, cells: Sequence[BorelSet]):
-        lo, hi = (_to_endpoint(window[0]), _to_endpoint(window[1]))
+        lo, hi = map(_to_endpoint, window)
         if not lo < hi:
             raise ValueError("window must be a nondegenerate interval")
         cells = tuple(cells)
@@ -701,7 +686,7 @@ class Partition:
     @classmethod
     def dyadic(cls, lo, hi, depth: int) -> "Partition":
         """2**depth equal half-open cells over [lo, hi], last cell closed."""
-        lo_e, hi_e = Fraction(_to_endpoint(lo)), Fraction(_to_endpoint(hi))
+        lo_e, hi_e = to_scalar(lo, RATIONAL), to_scalar(hi, RATIONAL)
         n = 2 ** depth
         step = (hi_e - lo_e) / n
         cells = []
@@ -717,7 +702,7 @@ class Partition:
         support = measure.support
         if not support:
             raise ValueError("empty measure has no separating partition")
-        pts = [Fraction(p) if not isinstance(p, Fraction) else p for p in support]
+        pts = [to_scalar(p, RATIONAL) for p in support]
         lo = min(pts) - 1
         hi = max(pts) + 1
         return cls((lo, hi), [BorelSet.point(p) for p in support])

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import DeclaredRelations, ReconstructionProblem
-from .measures import FLOAT, RATIONAL, BorelSet, DiscreteMeasure, Partition
+from .measures import FLOAT, RATIONAL, BorelSet, DiscreteMeasure, Partition, to_scalar
 from .spectral import DensityState, HermitianObservable, LabSystem
 
 
@@ -41,14 +41,7 @@ def format_scalar(value, mode: str):
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def parse_scalar(value, mode: str):
-    if mode == FLOAT:
-        return float(Fraction(value)) if isinstance(value, str) else float(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    return Fraction(value)
+parse_scalar = to_scalar
 
 
 def measure_to_json(measure: DiscreteMeasure) -> dict:
@@ -61,22 +54,13 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
 
 
 def measure_from_json(payload: Mapping, mode: str = RATIONAL) -> DiscreteMeasure:
-    atoms = [(parse_scalar(p, mode), parse_scalar(w, mode)) for p, w in payload["atoms"]]
-    return DiscreteMeasure(atoms, mode=mode)
+    return DiscreteMeasure(payload["atoms"], mode=mode)
 
 
 def _endpoint_to_json(value):
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return format_scalar(value, RATIONAL)
-
-
-def _endpoint_from_json(value):
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    return Fraction(value) if isinstance(value, str) else Fraction(value)
 
 
 def borel_to_json(delta: BorelSet) -> dict:
@@ -88,12 +72,7 @@ def borel_to_json(delta: BorelSet) -> dict:
 
 
 def borel_from_json(payload: Mapping) -> BorelSet:
-    return BorelSet(
-        intervals=[( _endpoint_from_json(lo), _endpoint_from_json(hi))
-                   for lo, hi in payload.get("intervals", [])],
-        singletons=[Fraction(s) if isinstance(s, str) else Fraction(s)
-                    for s in payload.get("singletons", [])],
-    )
+    return BorelSet(payload.get("intervals", []), payload.get("singletons", []))
 
 
 def partition_to_json(partition: Partition) -> dict:
@@ -105,11 +84,7 @@ def partition_to_json(partition: Partition) -> dict:
 
 
 def partition_from_json(payload: Mapping) -> Partition:
-    lo, hi = payload["window"]
-    return Partition(
-        (_endpoint_from_json(lo), _endpoint_from_json(hi)),
-        [borel_from_json(cell) for cell in payload["cells"]],
-    )
+    return Partition(payload["window"], [borel_from_json(cell) for cell in payload["cells"]])
 
 
 def matrix_to_json(matrix) -> list:

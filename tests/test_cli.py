@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -34,6 +35,17 @@ KOLMOGOROV_OK = {
         "constraints": [
             {"type": "marginal", "observable": "a", "value": 1, "prob": "1/2"},
         ],
+    },
+}
+
+ENTROPY = {
+    "kind": "entropy",
+    "inputs": {
+        "measure": {"atoms": [["0", "0.5"], ["1", "0.5"]]},
+        "partition": {
+            "window": ["-1", "2"],
+            "cells": [{"singletons": ["0"]}, {"singletons": ["1"]}],
+        },
     },
 }
 
@@ -161,6 +173,46 @@ class TestErrors:
         assert main(["kolmogorov", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("names", [["a"], [], ["a", "b", "a"]])
+    def test_correlation_needs_two_observables(self, tmp_path, capsys, names):
+        payload = json.loads(json.dumps(KOLMOGOROV_BAD))
+        payload["inputs"]["constraints"][0]["observables"] = names
+        config = write_config(tmp_path, payload)
+        assert main(["kolmogorov", "--config", str(config), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "observables" in err and "Traceback" not in err
+
+    # json.dumps writes math.inf and math.nan as the JSON tokens Infinity and NaN.
+
+    def test_non_finite_rational_atom(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(ENTROPY))
+        payload["inputs"]["measure"]["atoms"][0] = [math.inf, "1"]
+        config = write_config(tmp_path, payload)
+        assert main(["entropy", "--config", str(config), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+
+    def test_nan_singleton(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(ENTROPY))
+        payload["inputs"]["partition"]["cells"][0]["singletons"] = [math.nan]
+        config = write_config(tmp_path, payload)
+        assert main(["entropy", "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_json_infinity_endpoint_reads_like_the_string(self, tmp_path):
+        outputs = []
+        for k, end in enumerate(["inf", math.inf]):
+            payload = json.loads(json.dumps(ENTROPY))
+            payload["inputs"]["partition"] = {
+                "window": ["-1", end], "cells": [{"intervals": [["-1", end]]}],
+            }
+            config = write_config(tmp_path, payload, name=f"config{k}.json")
+            assert main(["entropy", "--config", str(config), "--out", str(tmp_path / str(k))]) == 0
+            text = (tmp_path / str(k) / "entropy.csv").read_text()
+            outputs.append([line for line in text.splitlines() if "config_hash" not in line])
+        assert outputs[0] == outputs[1]
+        assert "[-1,inf)" in outputs[0][1]
 
 
 class TestKolmogorovCommand:

@@ -79,6 +79,23 @@ class TestDecomposeEvolution:
         assert entry.surviving.is_probability()
         assert all(v == pytest.approx(1.0) for v in entry.kernel.values())
 
+    def test_escape_lighter_than_the_mass_tolerance(self):
+        # chi is exactly 1.0, so 1 - chi is no divisor for the escaped part.
+        start = DiscreteMeasure([(0, 1.0)], mode="float")
+        later = DiscreteMeasure([(0, 1.0), (5, 1e-13)], mode="float")
+        entry = decompose_evolution(EvolutionTrace([0, 1], [start, later])).at(1)
+        assert entry.coefficient == 1.0
+        assert entry.escaped == DiscreteMeasure([(5, 1.0)], mode="float")
+
+    def test_escape_next_to_a_mass_above_one(self):
+        # chi exceeds 1 by a rounding error, so 1 - chi is negative.
+        start = DiscreteMeasure([(0, 0.5), (1, 0.5)], mode="float")
+        later = DiscreteMeasure([(0, 0.6), (1, 0.4 + 5e-13), (5, 1e-13)], mode="float")
+        entry = decompose_evolution(EvolutionTrace([0, 1], [start, later])).at(1)
+        assert entry.coefficient > 1.0
+        assert entry.escaped == DiscreteMeasure([(5, 1.0)], mode="float")
+        assert entry.surviving.is_probability()
+
     def test_dirac_start_formula(self):
         trace, r, _ = dirac_start_trace()
         report = decompose_evolution(trace)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from oplab.errors import (
     NotProbability,
 )
 from oplab.measures import (
+    FLOAT_MASS_TOL,
+    FLOAT_MERGE_TOL,
     BorelSet,
     DiscreteMeasure,
     JointMeasure,
@@ -25,6 +28,7 @@ from oplab.measures import (
     measures_close,
     mixture,
     product_measure,
+    to_scalar,
 )
 
 from conftest import random_rational_joint, random_rational_probability
@@ -324,6 +328,141 @@ class TestFloatMode:
         a = DiscreteMeasure([(0.0, 0.5), (1.0, 0.5)], mode="float")
         b = DiscreteMeasure([(0.0, 0.5 + 1e-12), (1.0, 0.5 - 1e-12)], mode="float")
         assert measures_close(a, b)
+
+
+def reference_merge_atoms(pairs, mode):
+    """The line merge before line and plane shared one canonicalizer."""
+    items = sorted((p, w) for p, w in pairs)
+    out = []
+    for point, weight in items:
+        if weight < 0:
+            if mode == "float" and weight >= -FLOAT_MASS_TOL:
+                weight = 0.0
+            else:
+                raise ValueError(f"negative weight {weight} at {point}")
+        if weight == 0:
+            continue
+        if out:
+            prev_point, prev_weight, run_start = out[-1]
+            coincident = (
+                point == prev_point
+                if mode == "rational"
+                else point - run_start <= FLOAT_MERGE_TOL
+            )
+            if coincident:
+                new_w = prev_weight + weight
+                new_p = (prev_point * prev_weight + point * weight) / new_w
+                out[-1] = (new_p, new_w, run_start)
+                continue
+        out.append((point, weight, point))
+    return tuple((p, w) for p, w, _ in out)
+
+
+# Float coordinates in a few clusters whose members are spaced at fractions of
+# FLOAT_MERGE_TOL, so that runs chain, split and straddle the tolerance.
+float_coords = st.builds(
+    lambda centre, k: centre + k * FLOAT_MERGE_TOL / 4,
+    st.sampled_from([-1.0, 0.0, 0.5, 3.0]),
+    st.integers(min_value=-9, max_value=9),
+)
+float_weights = st.one_of(
+    st.floats(min_value=1e-3, max_value=1.0), st.sampled_from([0.0, 0.25, 1 / 3, -1e-13])
+)
+rational_coords = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+rational_weights = st.builds(F, st.integers(0, 5), st.sampled_from([1, 4, 7]))
+
+
+class TestCanonicalAtoms:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["rational", "float"]))
+    def test_line_atoms_ignore_input_order(self, data, mode):
+        coords, weights = (float_coords, float_weights) if mode == "float" else (
+            rational_coords, rational_weights)
+        pairs = data.draw(st.lists(st.tuples(coords, weights), max_size=12))
+        shuffled = data.draw(st.permutations(pairs))
+        assert DiscreteMeasure(shuffled, mode).atoms == DiscreteMeasure(pairs, mode).atoms
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["rational", "float"]))
+    def test_plane_atoms_ignore_input_order(self, data, mode):
+        coords, weights = (float_coords, float_weights) if mode == "float" else (
+            rational_coords, rational_weights)
+        pairs = data.draw(st.lists(st.tuples(st.tuples(coords, coords), weights), max_size=12))
+        shuffled = data.draw(st.permutations(pairs))
+        assert JointMeasure(shuffled, mode).atoms == JointMeasure(pairs, mode).atoms
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(float_coords, float_weights), max_size=12))
+    def test_float_line_atoms_match_the_reference_merge(self, pairs):
+        assert DiscreteMeasure(pairs, "float").atoms == reference_merge_atoms(pairs, "float")
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(float_coords, float_weights), max_size=12),
+           other=float_coords, axis=st.sampled_from([0, 1]))
+    def test_float_plane_on_a_line_merges_like_the_line(self, pairs, other, axis):
+        joint = JointMeasure([((x, other) if axis == 0 else (other, x), w) for x, w in pairs],
+                             "float")
+        assert [(point[axis], w) for point, w in joint.atoms] == list(
+            DiscreteMeasure(pairs, "float").atoms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.tuples(rational_coords, rational_coords),
+                                    rational_weights), max_size=12))
+    def test_rational_plane_atoms_sum_equal_points(self, pairs):
+        totals = {}
+        for point, w in pairs:
+            totals[point] = totals.get(point, 0) + w
+        expected = tuple(sorted((point, w) for point, w in totals.items() if w))
+        assert JointMeasure(pairs).atoms == expected
+
+    def test_joint_float_merge_skips_an_atom_sorted_between(self):
+        # (1e-10, 5) sorts between (0, 0) and (2e-10, 0); the two still merge.
+        joint = JointMeasure([((0, 0), .25), ((1e-10, 5), .5), ((2e-10, 0), .25)], mode="float")
+        assert joint.atoms == (((1e-10, 0.0), 0.5), ((1e-10, 5.0), 0.5))
+
+    def test_negative_weight_message(self):
+        with pytest.raises(ValueError, match="negative weight -1 at 2$"):
+            DiscreteMeasure([(2, -1)])
+        with pytest.raises(ValueError, match=r"at \(Fraction\(1, 1\), Fraction\(2, 1\)\)"):
+            JointMeasure([((1, 2), -1)])
+
+    def test_shared_queries(self):
+        line = DiscreteMeasure([(0, F(1, 2)), (1, F(1, 2))])
+        plane = JointMeasure([((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
+        assert line.is_probability() and plane.is_probability()
+        assert len(line) == len(plane) == 2
+        assert line != plane and hash(line) == hash(DiscreteMeasure(line.atoms))
+        with pytest.raises(NotProbability, match="^joint measure has mass 1/2"):
+            JointMeasure([((0, 0), F(1, 2))]).require_probability()
+        with pytest.raises(NotProbability, match="^measure has mass 1/2"):
+            DiscreteMeasure([(0, F(1, 2))]).require_probability()
+
+
+class TestToScalar:
+    @pytest.mark.parametrize("value, mode, expected", [
+        ("1/3", "float", 1 / 3),
+        ("0.1", "float", 0.1),
+        ("-2/4", "rational", F(-1, 2)),
+        (np.int64(7), "rational", F(7)),
+        (np.int64(7), "float", 7.0),
+        (0.1, "rational", F(0.1)),
+    ])
+    def test_accepted(self, value, mode, expected):
+        out = to_scalar(value, mode)
+        assert out == expected and type(out) is type(expected)
+
+    @pytest.mark.parametrize("value, mode", [
+        (math.inf, "rational"), (math.nan, "rational"), (math.inf, "float"),
+        ("1e999", "float"), (F(10 ** 400), "float"), (10 ** 400, "float"),
+    ])
+    def test_non_finite_rejected(self, value, mode):
+        with pytest.raises(ValueError, match="non-finite"):
+            to_scalar(value, mode)
+
+    def test_endpoints_and_singletons(self):
+        assert BorelSet([(0, "inf")]) == BorelSet([(0, math.inf)])
+        with pytest.raises(ValueError, match="non-finite"):
+            BorelSet(singletons=[math.inf])
 
 
 class TestPartition:
