@@ -78,8 +78,12 @@ def _write_csv(path: Path, header, rows, footer: dict) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
-        for key in sorted(footer):
-            fh.write(f"# {key}={footer[key]}\n")
+        _write_footer(fh, footer)
+
+
+def _write_footer(fh, footer: dict) -> None:
+    for key in sorted(footer):
+        fh.write(f"# {key}={footer[key]}\n")
 
 
 def _load_config(path: Path) -> tuple:
@@ -152,9 +156,11 @@ def _cmd_simulate(args, config, footer):
     target = borel_from_json(_field(inputs, "target", "inputs"))
     log = _ensemble(inputs, truth, target, seed)
     path = _out_path(args, config, "simulate.csv")
-    _write_csv(path, ["i", "X_i", "xi_i", "f_i", "w_i"],
-               ([i, x, xi, repr(f), repr(w)] for i, x, xi, f, w in log.rows()),
-               footer)
+    # One format string per row; float repr never holds a character csv would quote.
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("i,X_i,xi_i,f_i,w_i\n")
+        fh.writelines("%d,%d,%d,%r,%r\n" % row for row in log.rows())
+        _write_footer(fh, footer)
     return EXIT_OK, [path]
 
 

@@ -4,7 +4,10 @@ Trials are generated by a counter-based generator keyed by (seed, index), so
 the log for n trials extends the log for m < n trials without recomputation:
 adding a copy to the ensemble never rewrites history.  All estimators are
 pure functions of the recorded trace; limits are never asserted from finite
-data, only diagnosed.
+data, only diagnosed.  Generation and every reduction run over fixed chunks
+of CHUNK trials with their running sums carried from chunk to chunk, so the
+only arrays as long as the ensemble are the public ones, and every value
+equals the whole-vector computation bit for bit.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _WORD = 2 ** 64
 
-# Largest ensemble run_ensemble allocates; its 64-bit generator words alone
-# take 800 MB at this size.
+# Largest ensemble run_ensemble allocates.  Generation and every reduction
+# work in chunks of CHUNK trials, so an estimate keeps about 18 bytes per
+# trial: the outcomes (1), f and w (8 each) and the min_trials membership (1).
 MAX_TRIALS = 10 ** 8
+CHUNK = 1 << 16
 
 
 def _mix64(state: np.ndarray) -> np.ndarray:
@@ -42,6 +47,39 @@ def counter_words(seed: int, start: int, count: int) -> np.ndarray:
     idx = np.arange(start, start + count, dtype=np.uint64)
     base = np.uint64(seed % _WORD)
     return _mix64(base + idx * _GOLDEN)
+
+
+def _chunks(start: int, stop: int):
+    """Consecutive half-open ranges [s, e) of at most CHUNK indices covering
+    start .. stop-1."""
+    for s in range(start, stop, CHUNK):
+        yield s, min(s + CHUNK, stop)
+
+
+def _cumsum_into(part: np.ndarray, carry):
+    """Replace ``part`` by its running sum continued from ``carry`` (None for
+    the first chunk) and return the carry for the next chunk.
+
+    The carry enters through the first element, so chunked float sums equal
+    one sequential ``np.cumsum`` over the whole vector bit for bit; adding it
+    to the chunk's sums afterwards rounds differently.
+    """
+    if carry is not None:
+        part[0] += carry
+    np.cumsum(part, out=part)
+    return part[-1]
+
+
+def _running_mean(x: np.ndarray) -> np.ndarray:
+    """w_k = (x_1 + ... + x_k) / k for k = 1 .. x.size."""
+    w = np.empty_like(x)
+    total = None
+    for s, e in _chunks(0, x.size):
+        part = w[s:e]
+        part[...] = x[s:e]
+        total = _cumsum_into(part, total)
+        part /= np.arange(s + 1, e + 1, dtype=np.float64)
+    return w
 
 
 @dataclass(frozen=True)
@@ -73,20 +111,31 @@ class TrialLog:
         return TrialLog(self.seed, self.truth, self.target,
                         self.outcomes[:m], self.success_probability)
 
+    def _count_chunks(self):
+        """The running success counts as (s, e, counts[s:e]), chunk by chunk."""
+        total = None
+        for s, e in _chunks(0, self.n):
+            counts = self.outcomes[s:e].astype(np.int64)
+            total = _cumsum_into(counts, total)
+            yield s, e, counts
+
     def trace(self) -> "FrequencyTrace":
-        counts = self.successes
-        f = counts / np.arange(1, self.n + 1, dtype=np.float64)
-        return FrequencyTrace(f)
+        f = np.empty(self.n, dtype=np.float64)
+        for s, e, counts in self._count_chunks():
+            np.divide(counts, np.arange(s + 1, e + 1, dtype=np.float64), out=f[s:e])
+        return FrequencyTrace._adopt(f)
 
     def rows(self):
         """CSV rows (i, X_i, xi_i, f_i, w_i)."""
-        counts = self.successes
-        idx = np.arange(1, self.n + 1, dtype=np.int64)
-        f = counts / idx
-        w = np.cumsum(f) / idx
-        for i in range(self.n):
-            yield (int(idx[i]), int(self.outcomes[i]), int(counts[i]),
-                   float(f[i]), float(w[i]))
+        total = None
+        for s, e, counts in self._count_chunks():
+            idx = np.arange(s + 1, e + 1, dtype=np.int64)
+            f = counts / idx
+            w = f.copy()
+            total = _cumsum_into(w, total)
+            w /= idx
+            yield from zip(idx.tolist(), self.outcomes[s:e].tolist(), counts.tolist(),
+                           f.tolist(), w.tolist())
 
 
 def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) -> TrialLog:
@@ -105,13 +154,15 @@ def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) ->
     p = truth.measure_of(target)
     p_exact = to_scalar(p, RATIONAL)
     threshold = (p_exact.numerator * _WORD) // p_exact.denominator
-    words = counter_words(seed, 1, n)
     if threshold >= _WORD:
         outcomes = np.ones(n, dtype=np.uint8)
     elif threshold <= 0:
         outcomes = np.zeros(n, dtype=np.uint8)
     else:
-        outcomes = (words < np.uint64(threshold)).astype(np.uint8)
+        outcomes = np.empty(n, dtype=np.uint8)
+        cut = np.uint64(threshold)
+        for s, e in _chunks(0, n):
+            np.less(counter_words(seed, s + 1, e - s), cut, out=outcomes[s:e])
     return TrialLog(seed=seed, truth=truth, target=target,
                     outcomes=outcomes, success_probability=p_exact)
 
@@ -127,23 +178,38 @@ class FrequencyTrace:
     __slots__ = ("f", "w")
 
     def __init__(self, frequencies: Sequence[float]):
-        f = np.asarray(frequencies, dtype=np.float64)
+        self._own(np.array(frequencies, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, f: np.ndarray) -> "FrequencyTrace":
+        """A trace that takes over the fresh float64 vector ``f`` without a copy."""
+        trace = cls.__new__(cls)
+        trace._own(f)
+        return trace
+
+    def _own(self, f: np.ndarray) -> None:
         if f.ndim != 1 or f.size == 0:
             raise ValueError("frequency trace must be a nonempty vector")
-        if np.any(f < -1e-12) or np.any(f > 1 + 1e-12):
+        # fmin/fmax skip NaN, as the elementwise comparisons they replace do.
+        lo, hi = np.fmin.reduce(f), np.fmax.reduce(f)
+        if lo < -1e-12 or hi > 1 + 1e-12:
             raise ValueError("frequencies outside [0, 1]")
-        self.f = np.clip(f, 0.0, 1.0)
-        idx = np.arange(1, f.size + 1, dtype=np.float64)
-        self.w = np.cumsum(self.f) / idx
+        if lo < 0.0 or hi > 1.0:
+            np.clip(f, 0.0, 1.0, out=f)
+        self.f = f
+        self.w = _running_mean(f)
 
     @property
     def n(self) -> int:
         return int(self.f.size)
 
     def is_count_monotone(self, tol: float = 1e-9) -> bool:
-        idx = np.arange(1, self.n + 1, dtype=np.float64)
-        counts = self.f * idx
-        return bool(np.all(np.diff(counts) >= -tol))
+        for s, e in _chunks(0, self.n):
+            lo = max(s - 1, 0)
+            counts = self.f[lo:e] * np.arange(lo + 1, e + 1, dtype=np.float64)
+            if not np.all(np.diff(counts) >= -tol):
+                return False
+        return True
 
     def __len__(self) -> int:
         return self.n
@@ -259,6 +325,7 @@ def natural_density(subset: NaturalSubset, n: int) -> DensityReport:
 # ---------------------------------------------------------------------------
 
 DEFAULT_ALPHA_GRID = (0.5, 0.25, 0.1, 0.05, 0.01)
+_REPORT_LEVEL = 1e-2
 CONVERGENT = "convergent-in-density"
 NOT_CONVERGENT = "not-convergent"
 
@@ -278,8 +345,8 @@ class CesaroReport:
 def kvn_equivalence(
     x: Sequence[float],
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
-    epsilon_report: float = 1e-2,
-    delta_report: float = 1e-2,
+    epsilon_report: float = _REPORT_LEVEL,
+    delta_report: float = _REPORT_LEVEL,
 ) -> CesaroReport:
     """Diagnose Cesaro convergence to zero of a bounded nonnegative sequence.
 
@@ -291,25 +358,40 @@ def kvn_equivalence(
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sequence must be a nonempty vector")
-    if np.any(arr < -1e-12):
-        raise ValueError("sequence must be nonnegative")
-    arr = np.clip(arr, 0.0, None)
-    n = arr.size
-    csum = np.cumsum(arr)
-    cesaro = float(csum[-1] / n)
-    exceed = []
-    for alpha in alpha_grid:
-        density = float(np.count_nonzero(arr > alpha) / n)
-        exceed.append((float(alpha), density))
-    checkpoints = tuple(
-        (k, float(csum[k - 1] / k)) for k in _checkpoints(n)
-    )
-    ok = cesaro < epsilon_report and all(d < delta_report for _, d in exceed)
+    return _cesaro_scan((arr[s:e] for s, e in _chunks(0, arr.size)), arr.size,
+                        alpha_grid, epsilon_report, delta_report)
+
+
+def _cesaro_scan(chunks, n: int, alpha_grid, epsilon_report, delta_report) -> CesaroReport:
+    """kvn_equivalence over a sequence of length n given as consecutive chunks.
+
+    Exceedance counts and checkpoint sums are collected chunk by chunk; the
+    Cesaro mean is the final carry of the running sum over n.
+    """
+    alphas = tuple(alpha_grid)
+    checkpoints = _checkpoints(n)
+    exceed = [0] * len(alphas)
+    sums = []
+    total = None
+    s = 0
+    for chunk in chunks:
+        if np.any(chunk < -1e-12):
+            raise ValueError("sequence must be nonnegative")
+        part = np.clip(chunk, 0.0, None)
+        for j, alpha in enumerate(alphas):
+            exceed[j] += np.count_nonzero(part > alpha)
+        total = _cumsum_into(part, total)
+        e = s + part.size
+        sums.extend(part[k - 1 - s] for k in checkpoints if s < k <= e)
+        s = e
+    cesaro = float(total / n)
+    densities = tuple((float(alpha), float(count / n)) for alpha, count in zip(alphas, exceed))
+    ok = cesaro < epsilon_report and all(d < delta_report for _, d in densities)
     return CesaroReport(
         horizon=n,
         cesaro_mean=cesaro,
-        exceedance_densities=tuple(exceed),
-        cesaro_checkpoints=checkpoints,
+        exceedance_densities=densities,
+        cesaro_checkpoints=tuple((k, float(c / k)) for k, c in zip(checkpoints, sums)),
         verdict=CONVERGENT if ok else NOT_CONVERGENT,
         epsilon_report=epsilon_report,
         delta_report=delta_report,
@@ -355,7 +437,9 @@ def estimate_probability(
     if trace.n < min_length:
         raise TooShort(f"trace length {trace.n} < {min_length}")
     p_hat = float(trace.w[-1])
-    kvn = kvn_equivalence(np.abs(trace.f - p_hat))
+    f = trace.f
+    kvn = _cesaro_scan((np.abs(f[s:e] - p_hat) for s, e in _chunks(0, trace.n)), trace.n,
+                       DEFAULT_ALPHA_GRID, _REPORT_LEVEL, _REPORT_LEVEL)
     # Stage k puts mass f_k at outcome 1 and 1 - f_k at outcome 0.
     if probes is None:
         probes = _default_probes((0.0, 1.0))
@@ -392,7 +476,7 @@ def place_selection_check(log: TrialLog) -> PlaceSelectionReport:
     """
     if log.n < 4:
         raise TooShort("need at least four trials")
-    full = float(log.successes[-1] / log.n)
+    full = float(log.outcomes.sum(dtype=np.int64) / log.n)
     evens = log.outcomes[1::2]
     selected = float(np.mean(evens))
     p = float(log.success_probability)
@@ -418,6 +502,15 @@ class MinTrialsReport:
     bound_holds: bool
 
 
+def _first_positive(x: np.ndarray) -> Optional[int]:
+    """1-based index of the first entry of x above zero, or None."""
+    for s, e in _chunks(0, x.size):
+        hit = x[s:e] > 0
+        if hit.any():
+            return s + int(np.argmax(hit)) + 1
+    return None
+
+
 def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
     """Stabilization diagnostics for the running average.
 
@@ -430,28 +523,30 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    n = trace.n
+    n, f, w = trace.n, trace.f, trace.w
     membership = np.ones(n, dtype=bool)
-    if n > 1:
-        m = np.arange(2, n + 1, dtype=np.float64)
-        gaps = np.abs(trace.f[1:] - trace.w[:-1]) / m
-        membership[1:] = gaps < 2.0 * alpha
+    for s, e in _chunks(1, n):
+        gaps = np.abs(f[s:e] - w[s - 1:e - 1]) / np.arange(s + 1, e + 1, dtype=np.float64)
+        np.less(gaps, 2.0 * alpha, out=membership[s:e])
     first_candidate = int(np.argmax(membership)) + 1 if membership.any() else None
 
-    positive = np.nonzero(trace.f > 0)[0]
-    if positive.size == 0:
-        first_success = None
+    first_success = _first_positive(f)
+    if first_success is None:
         bound = 0.0
-        holds = bool(np.all(trace.w >= -1e-12))
+        # min propagates NaN, so this is False exactly when np.all(w >= -1e-12) is.
+        holds = bool(w.min() >= -1e-12)
     else:
-        first_success = int(positive[0]) + 1
-        f_at = float(trace.f[first_success - 1])
-        harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n + 1))))
-        idx = np.arange(1, n + 1, dtype=np.float64)
-        counts = np.minimum(np.arange(1, n + 1) - first_success, n).clip(0)
-        bounds = f_at * harmonic[counts] / idx
-        bound = float(bounds[-1])
-        holds = bool(np.all(trace.w + 1e-12 >= bounds))
+        # Bound at index m: f_at * H(m - first_success) / m, with H(0) = 0 up to
+        # the first success and the harmonic sum H streamed after it.
+        f_at = float(f[first_success - 1])
+        holds = bool(w[:first_success].min() + 1e-12 >= 0.0)
+        harmonic = 0.0
+        for s, e in _chunks(first_success, n):
+            terms = 1.0 / np.arange(s + 1 - first_success, e + 1 - first_success)
+            harmonic = _cumsum_into(terms, harmonic)
+            bounds = f_at * terms / np.arange(s + 1, e + 1, dtype=np.float64)
+            holds = holds and bool(np.all(w[s:e] + 1e-12 >= bounds))
+        bound = float(f_at * harmonic / n)
     return MinTrialsReport(
         alpha=float(alpha),
         membership=membership,

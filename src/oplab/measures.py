@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -30,6 +31,10 @@ FLOAT = "float"
 
 FLOAT_MERGE_TOL = 1e-9
 FLOAT_MASS_TOL = 1e-12
+# Largest decimal exponent a scalar string may carry: Fraction("1eN") builds
+# 10**N, so an unbounded exponent costs unbounded time and memory.
+MAX_SCALAR_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
 Scalar = Union[Fraction, float]
 ScalarLike = Union[Fraction, float, int, str]
@@ -41,7 +46,9 @@ def to_scalar(value: ScalarLike, mode: str) -> Scalar:
     Accepts Fractions, ints and other ``numbers.Rational`` values (numpy
     integers included), floats, and decimal or ``"p/q"`` strings.  Rational
     mode converts floats through their exact binary expansion, so the
-    conversion never rounds.  Non-finite values are rejected in both modes.
+    conversion never rounds.  Non-finite values, zero denominators and
+    decimal exponents beyond ``MAX_SCALAR_EXPONENT`` raise ``ValueError`` in
+    both modes.
     """
     if mode == RATIONAL:
         if isinstance(value, Fraction):
@@ -50,16 +57,28 @@ def to_scalar(value: ScalarLike, mode: str) -> Scalar:
             if not math.isfinite(value):
                 raise ValueError("non-finite scalar")
             return Fraction(value)
-        if isinstance(value, (int, str, numbers.Rational)):
+        if isinstance(value, str):
+            return _fraction_from_str(value)
+        if isinstance(value, (int, numbers.Rational)):
             return Fraction(value)
         raise TypeError(f"cannot convert {type(value).__name__} to rational scalar")
     try:
-        out = float(Fraction(value) if isinstance(value, str) and "/" in value else value)
+        out = float(_fraction_from_str(value) if isinstance(value, str) and "/" in value else value)
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
         raise ValueError("non-finite scalar")
     return out
+
+
+def _fraction_from_str(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    if exponent is not None and abs(int(exponent.group(1))) > MAX_SCALAR_EXPONENT:
+        raise ValueError(f"scalar exponent beyond MAX_SCALAR_EXPONENT = {MAX_SCALAR_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def is_unit_mass(mass: Scalar, mode: str) -> bool:

@@ -193,6 +193,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("weight", ["1/0", "1e100000000"])
+    def test_unparseable_rational_atom(self, tmp_path, capsys, weight):
+        payload = json.loads(json.dumps(ENTROPY))
+        payload["inputs"]["measure"]["atoms"][0] = ["0", weight]
+        config = write_config(tmp_path, payload)
+        assert main(["entropy", "--config", str(config), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_nan_singleton(self, tmp_path, capsys):
         payload = json.loads(json.dumps(ENTROPY))
         payload["inputs"]["partition"]["cells"][0]["singletons"] = [math.nan]

@@ -1,19 +1,25 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oplab.ensembles import (
+    CHUNK,
     CONVERGENT,
     MAX_TRIALS,
     NOT_CONVERGENT,
     FrequencyTrace,
     NaturalSubset,
+    counter_words,
     estimate_probability,
     kvn_equivalence,
     min_trials,
     natural_density,
+    place_selection_check,
     run_ensemble,
 )
 from oplab.errors import CapacityError, HorizonExceeded, NotProbability, TooShort
@@ -85,6 +91,11 @@ class TestFrequencyTrace:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
             FrequencyTrace([0.5, 1.5])
+
+    @pytest.mark.parametrize("values", [[math.nan, 1.5], [-0.5, math.nan]])
+    def test_nan_does_not_hide_out_of_range(self, values):
+        with pytest.raises(ValueError, match="outside"):
+            FrequencyTrace(values)
 
     def test_w_in_unit_interval(self):
         trace = run_ensemble(TRUTH, TARGET, 3000, seed=8).trace()
@@ -235,15 +246,202 @@ class TestMinTrials:
 
 class TestPlaceSelection:
     def test_even_index_subsequence_consistent(self):
-        from oplab.ensembles import place_selection_check
-
         log = run_ensemble(TRUTH, TARGET, 50_000, seed=42)
         report = place_selection_check(log)
         assert report.consistent
         assert report.gap <= report.two_sigma
 
     def test_short_log_rejected(self):
-        from oplab.ensembles import place_selection_check
-
         with pytest.raises(TooShort):
             place_selection_check(run_ensemble(TRUTH, TARGET, 2, seed=1))
+
+    def test_report_matches_running_count(self):
+        log = run_ensemble(TRUTH, TARGET, 3 * CHUNK + 5, seed=42)
+        report = place_selection_check(log)
+        evens = log.outcomes[1::2]
+        sigma = math.sqrt(0.3 * 0.7 / evens.size)
+        full = float(np.cumsum(log.outcomes, dtype=np.int64)[-1] / log.n)
+        selected = float(np.mean(evens))
+        assert repr(report.full_frequency) == repr(full)
+        assert repr(report.gap) == repr(abs(selected - full))
+        assert report.two_sigma == 2.0 * sigma
+        assert report.consistent == (abs(selected - full) <= 2.0 * sigma)
+
+
+# ---------------------------------------------------------------------------
+# Chunked pipeline against whole-vector numpy references
+# ---------------------------------------------------------------------------
+
+
+def _ref_outcomes(p, n, seed):
+    threshold = (p.numerator * 2 ** 64) // p.denominator
+    if threshold >= 2 ** 64:
+        return np.ones(n, dtype=np.uint8)
+    if threshold <= 0:
+        return np.zeros(n, dtype=np.uint8)
+    return (counter_words(seed, 1, n) < np.uint64(threshold)).astype(np.uint8)
+
+
+def _ref_trace(f):
+    f = np.asarray(f, dtype=np.float64)
+    assert not (np.any(f < -1e-12) or np.any(f > 1 + 1e-12))
+    f = np.clip(f, 0.0, 1.0)
+    return f, np.cumsum(f) / np.arange(1, f.size + 1, dtype=np.float64)
+
+
+def _ref_count_monotone(f):
+    counts = f * np.arange(1, f.size + 1, dtype=np.float64)
+    return bool(np.all(np.diff(counts) >= -1e-9))
+
+
+def _ref_kvn(x):
+    arr = np.clip(np.asarray(x, dtype=np.float64), 0.0, None)
+    n = arr.size
+    csum = np.cumsum(arr)
+    exceed = tuple((float(a), float(np.count_nonzero(arr > a) / n))
+                   for a in (0.5, 0.25, 0.1, 0.05, 0.01))
+    checkpoints = tuple((k, float(csum[k - 1] / k))
+                        for k in sorted({max(1, (n * j) // 16) for j in range(8, 17)}))
+    return float(csum[-1] / n), exceed, checkpoints
+
+
+def _ref_estimate(f, w):
+    p_hat = float(w[-1])
+    w_bar = float(np.mean(f))
+    probes = (lambda s: 1.0 if s <= 0.0 else 0.0, lambda s: 1.0 if s <= 1.0 else 0.0,
+              lambda s: s, lambda s: s * s)
+    gaps = tuple(abs(((1.0 - w_bar) * fn(0.0) + w_bar * fn(1.0))
+                     - ((1.0 - p_hat) * fn(0.0) + p_hat * fn(1.0))) for fn in probes)
+    return p_hat, _ref_kvn(np.abs(f - p_hat)), gaps, _ref_count_monotone(f)
+
+
+def _ref_min_trials(f, w, alpha):
+    n = f.size
+    membership = np.ones(n, dtype=bool)
+    if n > 1:
+        m = np.arange(2, n + 1, dtype=np.float64)
+        membership[1:] = np.abs(f[1:] - w[:-1]) / m < 2.0 * alpha
+    positive = np.nonzero(f > 0)[0]
+    if positive.size == 0:
+        return membership, None, 0.0, bool(np.all(w >= -1e-12))
+    first = int(positive[0]) + 1
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n + 1))))
+    counts = np.minimum(np.arange(1, n + 1) - first, n).clip(0)
+    bounds = float(f[first - 1]) * harmonic[counts] / np.arange(1, n + 1, dtype=np.float64)
+    return membership, first, float(bounds[-1]), bool(np.all(w + 1e-12 >= bounds))
+
+
+def _ref_rows(outcomes):
+    counts = np.cumsum(outcomes, dtype=np.int64)
+    idx = np.arange(1, outcomes.size + 1, dtype=np.int64)
+    f = counts / idx
+    w = np.cumsum(f) / idx
+    return [(int(idx[i]), int(outcomes[i]), int(counts[i]), float(f[i]), float(w[i]))
+            for i in range(outcomes.size)]
+
+
+def _synthetic(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "negative zeros":
+        return np.where(rng.random(n) < 0.5, -0.0, rng.random(n))
+    if kind == "all negative zero":
+        return np.full(n, -0.0)
+    if kind == "just outside [0, 1]":
+        return np.clip(rng.random(n) * (1 + 4e-12) - 2e-12, -1e-12, 1 + 1e-12)
+    if kind == "nan before the only success":
+        x = np.full(n, np.nan)
+        x[-1] = 0.5
+        return x
+    x = np.zeros(n)
+    x[-1] = 1e-300
+    return x
+
+
+EDGES = [1, 2, 100, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
+SIZES = st.sampled_from(EDGES) | st.integers(1, 3 * CHUNK)
+PROBABILITIES = st.sampled_from([F(0), F(1, 10 ** 5), F(3, 10), F(1, 2), F(999, 1000), F(1)])
+
+
+def _assert_bit_equal(a, b):
+    assert np.array_equal(a, b, equal_nan=True) and repr(a.tolist()) == repr(b.tolist())
+
+
+def _assert_matches_reference(trace, f_in, alpha):
+    f, w = _ref_trace(f_in)
+    _assert_bit_equal(trace.f, f)
+    _assert_bit_equal(trace.w, w)
+    assert trace.is_count_monotone() == _ref_count_monotone(f)
+    if trace.n >= 100:
+        report = estimate_probability(trace)
+        p_hat, (cesaro, exceed, checkpoints), gaps, monotone = _ref_estimate(f, w)
+        kvn = report.cesaro_diagnostics
+        assert repr((report.p_hat, kvn.cesaro_mean, kvn.exceedance_densities,
+                     kvn.cesaro_checkpoints, report.count_monotone)) == repr(
+            (p_hat, cesaro, exceed, checkpoints, monotone))
+        assert repr(tuple(g for _, g in report.weak_star_gaps)) == repr(gaps)
+    membership, first, bound, holds = _ref_min_trials(f, w, alpha)
+    report = min_trials(trace, alpha)
+    assert np.array_equal(report.membership, membership)
+    assert (report.first_success_index, repr(report.lower_bound_at_horizon),
+            report.bound_holds) == (first, repr(bound), holds)
+
+
+class TestChunkedPipeline:
+    """Every value of the chunked pipeline equals the whole-vector reference bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=SIZES, p=PROBABILITIES, seed=st.integers(0, 2 ** 64 - 1),
+           alpha=st.sampled_from([0.01, 1e-7]))
+    @example(n=2 * CHUNK + 1, p=F(3, 10), seed=1, alpha=0.01)
+    def test_run_log(self, n, p, seed, alpha):
+        truth = DiscreteMeasure([(0, 1 - p), (1, p)]) if 0 < p < 1 else DiscreteMeasure.dirac(int(p))
+        log = run_ensemble(truth, TARGET, n, seed)
+        outcomes = _ref_outcomes(p, n, seed)
+        assert np.array_equal(log.outcomes, outcomes)
+        _assert_matches_reference(log.trace(), np.cumsum(outcomes, dtype=np.int64)
+                                  / np.arange(1, n + 1, dtype=np.float64), alpha)
+
+    @pytest.mark.parametrize("kind", ["uniform", "negative zeros", "all negative zero",
+                                      "just outside [0, 1]", "nan before the only success",
+                                      "one tiny success"])
+    @settings(max_examples=8, deadline=None)
+    @given(n=SIZES, seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=2 * CHUNK + 1, seed=2)
+    def test_synthetic_trace(self, kind, n, seed):
+        x = _synthetic(kind, n, seed)
+        _assert_matches_reference(FrequencyTrace(x), x, 0.01)
+        cesaro, exceed, checkpoints = _ref_kvn(x)
+        report = kvn_equivalence(x)
+        assert repr((report.cesaro_mean, report.exceedance_densities,
+                     report.cesaro_checkpoints)) == repr((cesaro, exceed, checkpoints))
+
+    def test_count_drop_at_a_chunk_edge(self):
+        x = np.full(CHUNK + 1, 0.5)
+        x[CHUNK] = 0.0
+        assert not FrequencyTrace(x).is_count_monotone()
+        assert FrequencyTrace(x[:CHUNK]).is_count_monotone()
+
+    @pytest.mark.parametrize("n", [CHUNK + 1, 2 * CHUNK + 1])
+    def test_rows(self, n):
+        log = run_ensemble(TRUTH, TARGET, n, seed=3)
+        assert repr(list(log.rows())) == repr(_ref_rows(log.outcomes))
+
+    def test_trace_does_not_alias_the_input(self):
+        x = np.full(10, 0.5)
+        trace = FrequencyTrace(x)
+        x[:] = 0.25
+        assert trace.f.tolist() == [0.5] * 10
+
+    def test_peak_memory_is_bounded_per_trial(self):
+        n = 2 ** 20 + 1
+        tracemalloc.start()
+        try:
+            trace = run_ensemble(TRUTH, TARGET, n, seed=1).trace()
+            estimate_probability(trace)
+            min_trials(trace, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n + 4 * 2 ** 20

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +18,7 @@ from oplab.errors import (
 from oplab.measures import (
     FLOAT_MASS_TOL,
     FLOAT_MERGE_TOL,
+    MAX_SCALAR_EXPONENT,
     BorelSet,
     DiscreteMeasure,
     JointMeasure,
@@ -458,6 +460,26 @@ class TestToScalar:
     def test_non_finite_rejected(self, value, mode):
         with pytest.raises(ValueError, match="non-finite"):
             to_scalar(value, mode)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("value", ["1/0", "-3/0", " 0/0 "])
+    def test_zero_denominator_rejected(self, value, mode):
+        with pytest.raises(ValueError, match="zero denominator"):
+            to_scalar(value, mode)
+
+    @pytest.mark.parametrize("value", ["1e100000000", "1e-100000000", "2.5E+100_000_000"])
+    def test_huge_exponent_rejected_quickly(self, value):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_SCALAR_EXPONENT"):
+            to_scalar(value, "rational")
+        assert time.perf_counter() - start < 0.1
+
+    def test_exponent_at_the_bound_accepted(self):
+        n = MAX_SCALAR_EXPONENT
+        assert to_scalar(f"1e{n}", "rational") == 10 ** n
+        assert to_scalar(f"1e-{n}", "rational") == F(1, 10 ** n)
+        with pytest.raises(ValueError, match="MAX_SCALAR_EXPONENT"):
+            to_scalar(f"1e{n + 1}", "rational")
 
     def test_endpoints_and_singletons(self):
         assert BorelSet([(0, "inf")]) == BorelSet([(0, math.inf)])
