@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from .errors import GridMismatch, NoAbsolutelyContinuousPart
 from .information import shannon_entropy
 from .measures import (
+    BorelSet,
     DiscreteMeasure,
     Partition,
     lebesgue_decompose,
@@ -72,8 +73,6 @@ class EvolutionTrace:
         Defaults to the singletons of the union support.  Returns the
         observed rate and, when a rate was declared, the violating steps.
         """
-        from .measures import BorelSet
-
         if sets is None:
             points = sorted({p for m in self.measures for p in m.support})
             sets = [BorelSet.point(p) for p in points]

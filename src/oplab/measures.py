@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -341,13 +343,25 @@ class _FiniteMeasure:
 class DiscreteMeasure(_FiniteMeasure):
     """Nonnegative measure with finitely many atoms on the real line."""
 
-    __slots__ = ()
+    __slots__ = ("_index",)
 
     def __init__(self, atoms: Iterable, mode: str = RATIONAL):
         _check_mode(mode)
         rows = [(to_scalar(p, mode), to_scalar(w, mode)) for p, w in atoms]
         self.atoms = _canonical_atoms(rows, mode)
         self.mode = mode
+        self._index = None
+
+    def _point_index(self):
+        """Atom points in increasing order, and the atom position of each.
+
+        Built on first use.  The sort is stable, so equal points keep atom
+        order.
+        """
+        if self._index is None:
+            order = sorted(range(len(self.atoms)), key=lambda k: self.atoms[k][0])
+            self._index = ([self.atoms[k][0] for k in order], order)
+        return self._index
 
     # -- constructors --------------------------------------------------------
 
@@ -375,19 +389,36 @@ class DiscreteMeasure(_FiniteMeasure):
 
     def weight_at(self, point) -> Scalar:
         point = to_scalar(point, self.mode)
-        for p, w in self.atoms:
-            if p == point:
-                return w
+        points, order = self._point_index()
+        k = bisect_left(points, point)
+        if k < len(points) and points[k] == point:
+            return self.atoms[order[k]][1]
         return to_scalar(0, self.mode)
 
     # -- the measure itself --------------------------------------------------
 
     def measure_of(self, delta: BorelSet, singleton_tol=0) -> Scalar:
-        """Total weight of atoms lying in ``delta``."""
+        """Total weight of atoms lying in ``delta``, summed in atom order.
+
+        Each interval and singleton of ``delta`` finds its atoms by bisection
+        of the sorted points.  A nonzero ``singleton_tol`` (see
+        ``BorelSet.contains``) is not an interval query, so it tests every
+        atom.
+        """
+        if singleton_tol:
+            hits = [k for k, (p, _) in enumerate(self.atoms)
+                    if delta.contains(p, singleton_tol=singleton_tol)]
+        else:
+            points, order = self._point_index()
+            hits = []
+            for lo, hi in delta.intervals:
+                hits += order[bisect_left(points, lo):bisect_left(points, hi)]
+            for s in delta.singletons:
+                hits += order[bisect_left(points, s):bisect_right(points, s)]
+            hits.sort()
         total = to_scalar(0, self.mode)
-        for p, w in self.atoms:
-            if delta.contains(p, singleton_tol=singleton_tol):
-                total += w
+        for k in hits:
+            total += self.atoms[k][1]
         return total
 
     def mean(self) -> Scalar:
@@ -683,10 +714,40 @@ def disintegrate(joint: JointMeasure):
 # ---------------------------------------------------------------------------
 
 
-class Partition:
-    """Finite family of pairwise disjoint Borel cells over a window."""
+def _first_overlap(pieces: list):
+    """Smallest pair ``(i, j)``, ``i < j``, of cells sharing a point, or None.
 
-    __slots__ = ("window", "cells")
+    ``pieces`` are ``(start, end, cell)`` sorted by start.  An earlier piece
+    ``(a, b)`` meets a piece starting at ``x >= a`` iff ``x < b or x == a``;
+    once it misses one, it misses every later one.  The heap holds earlier
+    pieces by cell and drops missed ones from its top, so its top is the
+    smallest cell that meets the current piece.  Pairing every piece with
+    that cell and keeping the smallest pair gives the same pair as a check
+    of all pairs in order.
+    """
+    best = None
+    earlier: list = []  # heap of (cell, start, end)
+    for x, end, k in pieces:
+        while earlier and not (x < earlier[0][2] or x == earlier[0][1]):
+            heappop(earlier)
+        if earlier:
+            m = earlier[0][0]
+            pair = (min(m, k), max(m, k))
+            if best is None or pair < best:
+                best = pair
+        heappush(earlier, (k, x, end))
+    return best
+
+
+class Partition:
+    """Finite family of pairwise disjoint Borel cells over a window.
+
+    The pieces of all cells, intervals ``[lo, hi)`` and singletons, live in
+    one index sorted by left end and tagged with their cell.  Disjointness
+    is one sweep over it and ``locate`` one bisection.
+    """
+
+    __slots__ = ("window", "cells", "_starts", "_pieces")
 
     def __init__(self, window, cells: Sequence[BorelSet]):
         lo, hi = map(_to_endpoint, window)
@@ -695,12 +756,17 @@ class Partition:
         cells = tuple(cells)
         if not cells:
             raise ValueError("partition needs at least one cell")
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if not cells[i].is_disjoint_from(cells[j]):
-                    raise ValueError(f"cells {i} and {j} overlap")
+        # A piece is (start, end, cell); a singleton has end == start.
+        pieces = [(a, b, k) for k, cell in enumerate(cells) for a, b in cell.intervals]
+        pieces += [(s, s, k) for k, cell in enumerate(cells) for s in cell.singletons]
+        pieces.sort(key=itemgetter(0))
+        overlap = _first_overlap(pieces)
+        if overlap is not None:
+            raise ValueError(f"cells {overlap[0]} and {overlap[1]} overlap")
         self.window = (lo, hi)
         self.cells = cells
+        self._starts = [a for a, _, _ in pieces]
+        self._pieces = pieces
 
     @classmethod
     def dyadic(cls, lo, hi, depth: int) -> "Partition":
@@ -727,9 +793,11 @@ class Partition:
         return cls((lo, hi), [BorelSet.point(p) for p in support])
 
     def locate(self, x) -> int:
-        """Index of the cell containing ``x``, or -1."""
-        for k, cell in enumerate(self.cells):
-            if cell.contains(x):
+        """Index of the cell containing ``x``, or -1 (always for NaN)."""
+        i = bisect_right(self._starts, x) - 1
+        if i >= 0:
+            a, b, k = self._pieces[i]
+            if x < b or x == a:
                 return k
         return -1
 

@@ -14,7 +14,9 @@ from oplab.errors import (
     KernelDomainError,
     ModeMismatch,
     NotProbability,
+    PartitionDoesNotCover,
 )
+from oplab.information import shannon_entropy
 from oplab.measures import (
     FLOAT_MASS_TOL,
     FLOAT_MERGE_TOL,
@@ -503,6 +505,230 @@ class TestPartition:
         part = Partition.separating(m)
         assert part.covers(m)
         assert len(part) == 2
+
+    @pytest.mark.parametrize("cells, pair", [
+        ([BorelSet.interval(0, 1), BorelSet.point(0)], (0, 1)),
+        ([BorelSet.interval(0, 1), BorelSet.point(1)], None),
+        ([BorelSet.interval(0, 1), BorelSet.interval(1, 2)], None),
+        ([BorelSet.interval(0, 1), BorelSet.closed_interval(1, 2), BorelSet.interval(2, 3)],
+         (1, 2)),
+        # Sorted by left end the cells run 1, 2, 0: the sweep meets the
+        # overlap (1, 2) first, but the pairwise order names (0, 1).
+        ([BorelSet.interval(5, 6), BorelSet.interval(0, 10), BorelSet.interval(1, 2)], (0, 1)),
+        ([BorelSet.point(3), BorelSet.interval(-math.inf, math.inf)], (0, 1)),
+    ])
+    def test_overlap_names_the_first_pair(self, cells, pair):
+        assert reference_overlap(cells) == pair
+        assert_partition_matches_pairwise(cells)
+
+    def test_locate_on_touching_and_closed_cells(self):
+        part = Partition.dyadic(0, 1, 2)
+        assert [part.locate(x) for x in (0, 0.25, F(1, 2) - F(1, 10 ** 30), 1, 1.0)] == [
+            0, 1, 1, 3, 3]
+        assert [part.locate(x) for x in (-1e-300, F(1) + F(1, 10 ** 30), math.nan,
+                                         math.inf, -math.inf)] == [-1] * 5
+
+    def test_dyadic_depth_ten_is_fast(self):
+        start = time.perf_counter()
+        part = Partition.dyadic(0, 1, 10)
+        assert time.perf_counter() - start < 1.0
+        assert len(part) == 1024 and part.locate(F(1023, 1024)) == 1023
+
+
+# Linear-scan references for the indexed partition and measure queries.
+
+def reference_overlap(cells):
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            if not cells[i].is_disjoint_from(cells[j]):
+                return (i, j)
+    return None
+
+
+def assert_partition_matches_pairwise(cells):
+    """``Partition`` rejects exactly the cells the pairwise check rejects,
+    naming the same first pair."""
+    pair = reference_overlap(cells)
+    if pair is None:
+        Partition((-10, 20), cells)
+    else:
+        with pytest.raises(ValueError, match=f"^cells {pair[0]} and {pair[1]} overlap$"):
+            Partition((-10, 20), cells)
+
+
+def reference_locate(partition, x):
+    for k, cell in enumerate(partition.cells):
+        if cell.contains(x):
+            return k
+    return -1
+
+
+def reference_measure_of(measure, delta, singleton_tol=0):
+    total = to_scalar(0, measure.mode)
+    for p, w in measure.atoms:
+        if delta.contains(p, singleton_tol=singleton_tol):
+            total += w
+    return total
+
+
+def reference_weight_at(measure, point):
+    point = to_scalar(point, measure.mode)
+    for p, w in measure.atoms:
+        if p == point:
+            return w
+    return to_scalar(0, measure.mode)
+
+
+def outcome(fn, *args):
+    """``repr`` of the result, so float sums compare bit for bit, or the error."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return f"{type(exc).__name__}: {exc}"
+
+
+GRID = [F(k, 4) for k in range(-12, 13)]
+TINY = F(1, 10 ** 9)
+# Weighted means at these magnitudes round by an ulp, more than
+# FLOAT_MERGE_TOL: the canonical float atoms of BIG_ATOMS sort out of order,
+# and those of TWIN_ATOMS share one point.
+BIG = 255321120.96853784
+BIG_ATOMS = [(BIG, 0.6645385878596914), (BIG, 0.8085794114042175),
+             (BIG, 0.268503178698661), (BIG, 0.3755020528476283),
+             (math.nextafter(BIG, math.inf), 0.2705756500399875)]
+TWIN = 509673262.7545747
+TWIN_ATOMS = [(TWIN, 0.48492511222773416), (TWIN, 0.3567899645449557),
+              (math.nextafter(TWIN, math.inf), 0.3460779190181549)]
+
+
+@st.composite
+def grid_cells(draw):
+    """Cells built from pairwise disjoint pieces on GRID: intervals between
+    drawn cuts, singletons at cuts, ``±inf`` rays and a closing singleton at
+    the last cut, which joins the cell of an interval ending there.  The
+    pieces are dealt to cells at random, some cells left empty."""
+    cuts = sorted(draw(st.sets(st.sampled_from(GRID), min_size=1, max_size=9)))
+    groups = []  # (intervals, singletons) dealt to one cell together
+    if draw(st.booleans()):
+        groups.append(([(-math.inf, cuts[0])], []))
+    for a, b in zip(cuts, cuts[1:]):
+        kind = draw(st.sampled_from(["interval", "point", "gap"]))
+        if kind == "interval":
+            groups.append(([(a, b)], []))
+        elif kind == "point":
+            groups.append(([], [a]))
+    last = draw(st.sampled_from(["ray", "closed", "none"]))
+    if last == "ray":
+        groups.append(([(cuts[-1], math.inf)], []))
+    elif last == "closed" and groups and groups[-1][0] and groups[-1][0][-1][1] == cuts[-1]:
+        groups[-1][1].append(cuts[-1])
+    elif last == "closed":
+        groups.append(([], [cuts[-1]]))
+    dealt = [([], []) for _ in range(draw(st.integers(1, len(groups) + 1)))]
+    for ivs, pts in groups:
+        cell = dealt[draw(st.integers(0, len(dealt) - 1))]
+        cell[0].extend(ivs)
+        cell[1].extend(pts)
+    return [BorelSet(ivs, pts) for ivs, pts in dealt]
+
+
+stray_pieces = st.one_of(
+    st.tuples(st.sampled_from(GRID), st.sampled_from(GRID)).filter(lambda p: p[0] < p[1])
+    .map(lambda p: BorelSet.interval(*p)),
+    st.sampled_from(GRID).map(BorelSet.point),
+    st.sampled_from(GRID).map(lambda g: BorelSet.interval(g, math.inf)),
+)
+queries = st.one_of(
+    st.sampled_from(GRID),
+    st.sampled_from(GRID).map(float),
+    st.sampled_from(GRID).flatmap(lambda g: st.sampled_from([
+        g + TINY, g - TINY, math.nextafter(float(g), math.inf),
+        math.nextafter(float(g), -math.inf)])),
+    st.fractions(-4, 4, max_denominator=12),
+    st.floats(-4, 4),
+    st.integers(-4, 4),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+)
+rational_atoms = st.lists(st.tuples(
+    st.one_of(st.sampled_from(GRID), st.sampled_from(GRID).map(lambda g: g + TINY),
+              st.fractions(-4, 4, max_denominator=12)),
+    st.fractions(F(1, 100), 1, max_denominator=100)), min_size=1, max_size=10)
+float_atoms = st.lists(st.tuples(
+    st.one_of(st.sampled_from(GRID).map(float),
+              st.sampled_from(GRID).map(lambda g: math.nextafter(float(g), -math.inf)),
+              st.floats(-4, 4)),
+    st.floats(1e-3, 1.0)), min_size=1, max_size=10,
+).map(lambda atoms: atoms + (BIG_ATOMS + TWIN_ATOMS)[:len(atoms) % 9])
+
+
+@st.composite
+def measures_on_the_grid(draw):
+    mode = draw(st.sampled_from(["rational", "float"]))
+    return DiscreteMeasure(draw(rational_atoms if mode == "rational" else float_atoms), mode)
+
+
+class TestIndexedQueries:
+    """The sorted piece and point indices against linear scans."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=grid_cells(), xs=st.lists(queries, min_size=1, max_size=12))
+    def test_locate_matches_linear_scan(self, cells, xs):
+        part = Partition((-10, 10), cells)
+        for x in xs:
+            assert part.locate(x) == reference_locate(part, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cells=grid_cells())
+    def test_partition_accepts_exactly_the_pairwise_disjoint(self, data, cells):
+        cells = data.draw(st.permutations(cells))
+        for _ in range(data.draw(st.integers(0, 2))):
+            k = data.draw(st.integers(0, len(cells)))
+            cells.insert(k, data.draw(stray_pieces))
+        assert_partition_matches_pairwise(cells)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=measures_on_the_grid(), cells=grid_cells(), stray=stray_pieces,
+           xs=st.lists(queries, max_size=8))
+    def test_measure_of_and_weight_at_match_linear_scan(self, m, cells, stray, xs):
+        for delta in cells + [stray, BorelSet.real_line(), BorelSet(singletons=m.support)]:
+            assert outcome(m.measure_of, delta) == outcome(reference_measure_of, m, delta)
+            assert repr(m.measure_of(delta, FLOAT_MERGE_TOL)) == repr(
+                reference_measure_of(m, delta, FLOAT_MERGE_TOL))
+        for x in xs + list(m.support):
+            assert outcome(m.weight_at, x) == outcome(reference_weight_at, m, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=measures_on_the_grid(), cells=grid_cells(), covered=st.booleans())
+    def test_entropy_cell_probabilities_match_linear_scan(self, m, cells, covered):
+        part = Partition((-10, 10), cells)
+        if covered:
+            m = m.restrict(BorelSet([iv for c in cells for iv in c.intervals],
+                                    [s for c in cells for s in c.singletons]))
+        if not m.atoms:
+            return
+        m = m.scale(1 / m.mass)
+        uncovered = [p for p in m.support if reference_locate(part, p) < 0]
+        if uncovered:
+            with pytest.raises(PartitionDoesNotCover):
+                shannon_entropy(m, part)
+            return
+        expected = tuple(reference_measure_of(m, cell) for cell in part.cells)
+        assert repr(shannon_entropy(m, part).cell_probabilities) == repr(expected)
+
+    def test_unsorted_and_twin_float_atoms(self):
+        unsorted = DiscreteMeasure([(0.0, 0.7)] + BIG_ATOMS, "float")
+        twins = DiscreteMeasure(TWIN_ATOMS, "float")
+        assert unsorted.support[1] > unsorted.support[2]
+        assert twins.support[0] == twins.support[1]
+        # Summed in sorted order, the real line reads ...853 instead of ...857.
+        assert repr(unsorted.measure_of(BorelSet.real_line())) == "3.0876988808501857"
+        assert twins.weight_at(twins.support[0]) == twins.atoms[0][1]
+        for m in (unsorted, twins):
+            for x in m.support + (BIG, TWIN):
+                assert repr(m.weight_at(x)) == repr(reference_weight_at(m, x))
+                for delta in (BorelSet.point(x), BorelSet.interval(F(x), math.inf),
+                              BorelSet.interval(-math.inf, F(x))):
+                    assert repr(m.measure_of(delta)) == repr(reference_measure_of(m, delta))
 
 
 # Hypothesis property checks on small rational measures.
