@@ -156,10 +156,11 @@ def _cmd_simulate(args, config, footer):
     target = borel_from_json(_field(inputs, "target", "inputs"))
     log = _ensemble(inputs, truth, target, seed)
     path = _out_path(args, config, "simulate.csv")
-    # One format string per row; float repr never holds a character csv would quote.
+    # Imported here, so that no other kind compiles the two-process writer.
+    from .trialcsv import write_rows
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("i,X_i,xi_i,f_i,w_i\n")
-        fh.writelines("%d,%d,%d,%r,%r\n" % row for row in log.rows())
+        write_rows(fh, log)
         _write_footer(fh, footer)
     return EXIT_OK, [path]
 

@@ -125,17 +125,29 @@ class TrialLog:
             np.divide(counts, np.arange(s + 1, e + 1, dtype=np.float64), out=f[s:e])
         return FrequencyTrace._adopt(f)
 
-    def rows(self):
-        """CSV rows (i, X_i, xi_i, f_i, w_i)."""
+    def rows(self, start: int = 0, stop: Optional[int] = None):
+        """CSV rows (i, X_i, xi_i, f_i, w_i), the range [start, stop) of all
+        n rows with slice semantics.
+
+        The running sums still run from the first trial, so each row equals
+        the same row of ``rows()`` bit for bit; tuples are built only for the
+        rows yielded.
+        """
+        start, stop, _ = slice(start, stop).indices(self.n)
         total = None
         for s, e, counts in self._count_chunks():
+            if s >= stop:
+                return
             idx = np.arange(s + 1, e + 1, dtype=np.int64)
             f = counts / idx
             w = f.copy()
             total = _cumsum_into(w, total)
+            if e <= start:
+                continue
             w /= idx
-            yield from zip(idx.tolist(), self.outcomes[s:e].tolist(), counts.tolist(),
-                           f.tolist(), w.tolist())
+            a, b = max(start - s, 0), min(stop, e) - s
+            yield from zip(idx[a:b].tolist(), self.outcomes[s + a:s + b].tolist(),
+                           counts[a:b].tolist(), f[a:b].tolist(), w[a:b].tolist())
 
 
 def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) -> TrialLog:

@@ -93,14 +93,45 @@ def matrix_to_json(matrix) -> list:
 
 
 def matrix_from_json(payload) -> np.ndarray:
-    rows = []
-    for row in payload:
-        rows.append([complex(entry[0], entry[1]) for entry in row])
-    return np.asarray(rows, dtype=complex)
+    """A complex matrix from a non-empty list of equally long rows of
+    [re, im] pairs of numbers; anything else raises ValueError naming the
+    row and entry at fault."""
+    if not isinstance(payload, list) or not payload:
+        raise ValueError("matrix must be a non-empty list of rows")
+    rows = [_complex_pairs(row, f"matrix row {i}") for i, row in enumerate(payload)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"matrix row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
+    return np.array(rows)
 
 
 def vector_from_json(payload) -> np.ndarray:
-    return np.asarray([complex(entry[0], entry[1]) for entry in payload], dtype=complex)
+    """A complex vector from a non-empty list of [re, im] pairs of numbers;
+    anything else raises ValueError naming the entry at fault."""
+    return _complex_pairs(payload, "vector")
+
+
+def _complex_pairs(payload, name: str) -> np.ndarray:
+    """``complex(re, im)`` of each [re, im] pair in ``payload``, which keeps
+    both parts bit for bit, ``-0.0`` included.  Only a payload that fails is
+    walked again, to find the entry at fault."""
+    if not isinstance(payload, list) or not payload:
+        raise ValueError(f"{name} must be a non-empty list of [re, im] pairs")
+    try:
+        return np.asarray([complex(real, imag) for real, imag in payload], dtype=complex)
+    except (ValueError, TypeError, OverflowError):
+        j = next(j for j, entry in enumerate(payload) if not _is_pair(entry))
+        raise ValueError(f"{name} entry {j} is not a [re, im] pair of numbers: "
+                         f"{repr(payload[j])[:80]}") from None
+
+
+def _is_pair(entry) -> bool:
+    try:
+        real, imag = entry
+        complex(real, imag)
+    except (ValueError, TypeError, OverflowError):
+        return False
+    return True
 
 
 def labsystem_to_json(system: LabSystem) -> dict:

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oplab
+from oplab import trialcsv
 from oplab.cli import main
-from oplab.ensembles import MAX_TRIALS
+from oplab.ensembles import CHUNK, MAX_TRIALS
 
 SIMULATE = {
     "kind": "simulate",
@@ -225,6 +231,21 @@ class TestErrors:
         assert "[-1,inf)" in outputs[0][1]
 
 
+    @pytest.mark.parametrize("entry", [[], [1], [1, 2, 3], ["1", 0], [None, 0]])
+    def test_matrix_entry_that_is_not_a_pair(self, tmp_path, capsys, entry):
+        observable = json.loads(json.dumps(SIGMA_Z))
+        observable[1][0] = entry
+        config = write_config(tmp_path, {
+            "kind": "spectral",
+            "inputs": {"observable": observable, "state": IDENTITY},
+        })
+        assert main(["spectral", "--config", str(config), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and "Traceback" not in err
+        assert "matrix row 1 entry 0 is not a [re, im] pair" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestKolmogorovCommand:
     def test_infeasible_writes_certificate_and_exits_2(self, tmp_path):
         config = write_config(tmp_path, KOLMOGOROV_BAD)
@@ -405,3 +426,182 @@ class TestSpotCheck:
         assert len(data) == len(recomputed)
         for row, (i, x, xi, f, w) in zip(data, recomputed):
             assert row == [str(i), str(x), str(xi), repr(f), repr(w)]
+
+
+SIMULATE_P = {"0": [["0", "1"]], "3/10": [["0", "7/10"], ["1", "3/10"]], "1": [["1", "1"]]}
+SRC = Path(oplab.__file__).resolve().parent.parent
+
+
+def _simulate_config(tmp_path, trials, p="3/10"):
+    payload = json.loads(json.dumps(SIMULATE))
+    payload["inputs"]["truth"]["atoms"] = SIMULATE_P[p]
+    payload["inputs"]["trials"] = trials
+    return write_config(tmp_path, payload, f"simulate_{trials}_{p.replace('/', '_')}.json")
+
+
+def _simulate(tmp_path, trials, p="3/10", name="run"):
+    """Run ``simulate`` in this process; returns the CSV bytes."""
+    config = _simulate_config(tmp_path, trials, p)
+    out = tmp_path / name
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    return (out / "simulate.csv").read_bytes()
+
+
+class TestSimulateWorker:
+    """The two-process ``simulate`` writer gives the serial loop's bytes, and
+    its worker never outlives the call or returns into the caller."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """pids of the workers forked from this process."""
+        pids = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    @pytest.fixture
+    def parent(self, tmp_path):
+        """Fails the test if a worker returns into it (the marker file)."""
+        pid = os.getpid()
+        yield pid
+        if os.getpid() != pid:
+            (tmp_path / "worker_returned").touch()
+            os._exit(0)
+        assert not (tmp_path / "worker_returned").exists()
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("p", ["0", "3/10", "1"])
+    @pytest.mark.parametrize("trials", [1, trialcsv.FORK_MIN_TRIALS - 1, trialcsv.FORK_MIN_TRIALS,
+                                        CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 200_000])
+    def test_two_processes_equal_serial(self, tmp_path, monkeypatch, forks, parent, trials, p):
+        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 1)
+        serial = _simulate(tmp_path, trials, p, "serial")
+        assert forks == []
+        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 2)
+        forked = _simulate(tmp_path, trials, p, "forked")
+        assert len(forks) == (1 if trials >= trialcsv.FORK_MIN_TRIALS else 0)
+        assert forked == serial
+        assert serial.count(b"\n") == 1 + trials + 3  # header, rows, footer
+        self._assert_no_child_left()
+
+    def test_failing_worker_is_replaced_by_the_parent(self, tmp_path, monkeypatch, forks, parent):
+        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 1)
+        serial = _simulate(tmp_path, CHUNK + 1, name="serial")
+        real = trialcsv.format_rows
+
+        def fails_in_worker(log, start=0, stop=None):
+            if os.getpid() != parent:
+                raise RuntimeError("worker fails")
+            return real(log, start, stop)
+
+        monkeypatch.setattr(trialcsv, "format_rows", fails_in_worker)
+        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 2)
+        assert _simulate(tmp_path, CHUNK + 1, name="forked") == serial
+        assert len(forks) == 1
+        self._assert_no_child_left()
+
+    def test_parent_failure_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, forks,
+                                                       parent):
+        real = trialcsv.format_rows
+
+        def fails_in_parent(log, start=0, stop=None):
+            if os.getpid() == parent:
+                raise RuntimeError("parent fails")
+            return real(log, start, stop)
+
+        statuses = []
+        real_waitpid = os.waitpid
+
+        def recording_waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(trialcsv, "format_rows", fails_in_parent)
+        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 2)
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+        with pytest.raises(RuntimeError, match="parent fails"):
+            _simulate(tmp_path, 4 * CHUNK)
+        assert len(forks) == 1
+        # Killed, not left to format its 2·CHUNK rows.
+        assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
+        self._assert_no_child_left()
+
+    def _run(self, tmp_path, args, stdin):
+        """Run ``python ARGS`` in a fresh interpreter that imports this oplab."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, input=stdin,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_failing_worker_never_returns_into_the_caller(self, tmp_path):
+        config = _simulate_config(tmp_path, CHUNK + 1)
+        done = self._run(tmp_path, ["-", "simulate", "--config", str(config)], (
+            "import os, sys\n"
+            "from oplab import cli, trialcsv\n"
+            "parent = os.getpid()\n"
+            "real = trialcsv.format_rows\n"
+            "def fails_in_worker(log, start=0, stop=None):\n"
+            "    if os.getpid() != parent:\n"
+            "        raise RuntimeError('worker fails')\n"
+            "    return real(log, start, stop)\n"
+            "trialcsv.format_rows = fails_in_worker\n"
+            "trialcsv.available_cpus = lambda: 2\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print('returned in', 'parent' if os.getpid() == parent else 'worker', code)\n"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert done.stdout.splitlines() == ["simulate.csv", "returned in parent 0"]
+
+    def test_only_simulate_imports_the_writer(self, tmp_path):
+        code = "import sys, oplab.cli; print('oplab.trialcsv' in sys.modules)"
+        done = self._run(tmp_path, ["-c", code], None)
+        assert done.stdout == "False\n", done.stderr
+
+    def test_runs_clean_under_warnings_as_errors(self, tmp_path):
+        config = _simulate_config(tmp_path, CHUNK + 1)
+        done = self._run(tmp_path, ["-W", "error", "-m", "oplab.cli", "simulate",
+                                    "--config", str(config), "--out", "cli"], None)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert (tmp_path / "cli" / "simulate.csv").read_bytes() == _simulate(
+            tmp_path, CHUNK + 1, name="in_process")
+
+    def test_worker_memory_does_not_grow_with_trials(self, tmp_path, monkeypatch, forks, parent):
+        """The worker streams its rows: its peak RSS over its own run, read
+        inside it, is about the same at 8·CHUNK trials as at 2·CHUNK."""
+        resource = pytest.importorskip("resource")
+        real = trialcsv.format_rows
+
+        def measured_in_worker(log, start=0, stop=None):
+            if os.getpid() == parent:
+                return real(log, start, stop)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            yield from real(log, start, stop)
+            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            (tmp_path / f"grown_{log.n}").write_text(str(grown))
+
+        monkeypatch.setattr(trialcsv, "format_rows", measured_in_worker)
+        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 2)
+        grown = {}
+        for trials in (2 * CHUNK, 8 * CHUNK):
+            _simulate(tmp_path, trials, name=f"n{trials}")
+            grown[trials] = int((tmp_path / f"grown_{trials}").read_text())
+        assert len(forks) == 2
+        # ru_maxrss is in KiB on Linux, bytes on macOS; either way, holding the
+        # worker's 4·CHUNK rows at once would add well over 8 MB.
+        unit = 1 if sys.platform == "darwin" else 1024
+        assert (grown[8 * CHUNK] - grown[2 * CHUNK]) * unit < 8 * 2 ** 20, grown
+        self._assert_no_child_left()

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -388,6 +389,25 @@ def _assert_matches_reference(trace, f_in, alpha):
             report.bound_holds) == (first, repr(bound), holds)
 
 
+_RANGED_N = 2 * CHUNK + 3
+ROW_BOUNDS = st.none() | st.sampled_from(
+    [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
+     _RANGED_N - 1, _RANGED_N, _RANGED_N + 7, -1, -CHUNK - 1]
+) | st.integers(-_RANGED_N - 2, _RANGED_N + 2)
+
+
+def _bits(rows) -> bytes:
+    """The rows as float64 bytes: as strict as comparing reprs, and faster."""
+    return np.array(rows, dtype=np.float64).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _ranged_log():
+    """A log spanning three chunks, with all its rows (built once)."""
+    log = run_ensemble(TRUTH, TARGET, _RANGED_N, seed=11)
+    return log, list(log.rows())
+
+
 class TestChunkedPipeline:
     """Every value of the chunked pipeline equals the whole-vector reference bit for bit."""
 
@@ -427,6 +447,17 @@ class TestChunkedPipeline:
     def test_rows(self, n):
         log = run_ensemble(TRUTH, TARGET, n, seed=3)
         assert repr(list(log.rows())) == repr(_ref_rows(log.outcomes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=ROW_BOUNDS, b=ROW_BOUNDS)
+    @example(a=CHUNK, b=2 * CHUNK)
+    @example(a=CHUNK - 1, b=CHUNK + 1)
+    @example(a=0, b=None)
+    def test_row_range_is_a_slice_of_all_rows(self, a, b):
+        log, rows = _ranged_log()
+        got = list(log.rows(a, b))
+        assert got == rows[a:b]
+        assert _bits(got) == _bits(rows[a:b])  # -0.0 and 0.0 compare equal
 
     def test_trace_does_not_alias_the_input(self):
         x = np.full(10, 0.5)

@@ -21,6 +21,7 @@ from oplab.serialization import (
     reconstruction_from_json,
     reconstruction_to_json,
     relations_from_json,
+    vector_from_json,
 )
 from oplab.spectral import DensityState, HermitianObservable, LabSystem
 from oplab.algebra import ReconstructionProblem
@@ -89,6 +90,36 @@ class TestMatrices:
     def test_complex_round_trip(self, nprng):
         m = nprng.normal(size=(3, 3)) + 1j * nprng.normal(size=(3, 3))
         assert np.allclose(matrix_from_json(matrix_to_json(m)), m)
+
+    def test_parts_are_kept_bit_for_bit(self):
+        payload = [[[-0.0, 0.0], [1, -0.0]], [[0.1, -2.5e-300], [2 ** 60 + 1, 10 ** 30]]]
+        reference = np.array([[complex(e[0], e[1]) for e in row] for row in payload])
+        got = matrix_from_json(payload)
+        assert got.dtype == np.complex128 and got.shape == (2, 2)
+        assert got.view(np.float64).tobytes() == reference.view(np.float64).tobytes()
+        vector = vector_from_json(payload[0])
+        assert vector.view(np.float64).tobytes() == reference[0].view(np.float64).tobytes()
+
+    @pytest.mark.parametrize("payload, message", [
+        ([[[]]], r"matrix row 0 entry 0 is not a \[re, im\] pair"),
+        ([[[1, 0], [1]]], r"matrix row 0 entry 1 "),
+        ([[[1, 0]], [[1, 2, 3]]], r"matrix row 1 entry 0 "),
+        ([[[1, 0]], [["1", 0]]], r"matrix row 1 entry 0 "),
+        ([[[None, 0]]], r"matrix row 0 entry 0 "),
+        ([[[1, 0]], [[1, 0], [2, 0]]], r"row 1 has 2 entries, row 0 has 1"),
+        ([[[1, 0]], []], r"row 1 must be a non-empty list"),
+        ([], r"matrix must be a non-empty list"),
+        ({"re": 1}, r"matrix must be a non-empty list"),
+        ([[[10 ** 400, 0]]], r"matrix row 0 entry 0 "),
+    ])
+    def test_matrix_entries_must_be_pairs_of_numbers(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_from_json(payload)
+
+    @pytest.mark.parametrize("payload", [[], [[1, 0], [2]], [[1, 0], "ab"], "ab"])
+    def test_vector_entries_must_be_pairs_of_numbers(self, payload):
+        with pytest.raises(ValueError, match="vector"):
+            vector_from_json(payload)
 
     def test_labsystem_round_trip(self):
         system = LabSystem(
