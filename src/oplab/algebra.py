@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
+from . import _np as np
 from .errors import (
     DimMismatch,
     NoRealizableFrame,

@@ -107,6 +107,14 @@ def _field(config, name, where="config"):
     return config[name]
 
 
+def _object(config, name, where):
+    """The field ``name`` of ``config``, which must be a JSON object."""
+    value = _field(config, name, where)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}.{name} must be an object")
+    return value
+
+
 def _resolve_seed(args, config) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -277,7 +285,7 @@ def _constraint_from_json(payload: dict):
 
 def _cmd_kolmogorov(args, config, footer):
     inputs = _field(config, "inputs")
-    spaces = _field(inputs, "outcomes", "inputs")
+    spaces = _object(inputs, "outcomes", "inputs")
     constraints = [_constraint_from_json(c) for c in _field(inputs, "constraints", "inputs")]
     result = kolmogorov_check(spaces, constraints)
     path = _out_path(args, config, "kolmogorov.csv")
@@ -315,13 +323,16 @@ def _cmd_spectral(args, config, footer):
 
 def _cmd_validate(args, config, footer):
     inputs = _field(config, "inputs")
-    system = labsystem_from_json(_field(inputs, "system", "inputs"))
+    payload = _object(inputs, "system", "inputs")
+    _object(payload, "observables", "inputs.system")
+    _object(payload, "states", "inputs.system")
+    system = labsystem_from_json(payload)
     if "algebraization" in inputs:
-        payload = inputs["algebraization"]
-        observables = {label: HermitianObservable(matrix_from_json(m))
-                       for label, m in payload["observables"].items()}
-        states = {label: DensityState(matrix_from_json(m))
-                  for label, m in payload["states"].items()}
+        payload = _object(inputs, "algebraization", "inputs")
+        observables = {label: HermitianObservable(matrix_from_json(m)) for label, m in
+                       _object(payload, "observables", "inputs.algebraization").items()}
+        states = {label: DensityState(matrix_from_json(m)) for label, m in
+                  _object(payload, "states", "inputs.algebraization").items()}
         alg = Algebraization(system, observables, states)
     else:
         alg = Algebraization.identity(system)

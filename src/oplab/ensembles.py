@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
+from . import _np as np
 from .errors import CapacityError, HorizonExceeded, NotProbability, TooShort
 from .measures import RATIONAL, BorelSet, DiscreteMeasure, to_scalar
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _WORD = 2 ** 64
 
 # Largest ensemble run_ensemble allocates.  Generation and every reduction
@@ -36,8 +35,8 @@ CHUNK = 1 << 16
 
 def _mix64(state: np.ndarray) -> np.ndarray:
     z = state.astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
@@ -46,7 +45,7 @@ def counter_words(seed: int, start: int, count: int) -> np.ndarray:
     start .. start+count-1 (1-based trial indices)."""
     idx = np.arange(start, start + count, dtype=np.uint64)
     base = np.uint64(seed % _WORD)
-    return _mix64(base + idx * _GOLDEN)
+    return _mix64(base + idx * np.uint64(_GOLDEN))
 
 
 def _chunks(start: int, stop: int):

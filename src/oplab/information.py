@@ -15,8 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
+from . import _np as np
 from .errors import PartitionDoesNotCover, ZeroCell
 from .measures import RATIONAL, BorelSet, DiscreteMeasure, Partition, is_unit_mass, to_scalar
 from .spectral import DensityState

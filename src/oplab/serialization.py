@@ -11,8 +11,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
+from . import _np as np
 from .algebra import DeclaredRelations, ReconstructionProblem
 from .measures import FLOAT, RATIONAL, BorelSet, DiscreteMeasure, Partition, to_scalar
 from .spectral import DensityState, HermitianObservable, LabSystem

@@ -13,8 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
+from . import _np as np
 from .errors import (
     DimMismatch,
     DomainError,

@@ -55,6 +55,21 @@ ENTROPY = {
     },
 }
 
+DISSIPATION = {
+    "kind": "dissipation",
+    "inputs": {
+        "times": [0, 1],
+        "measures": [
+            {"atoms": [["0", "1"]]},
+            {"atoms": [["0", "0.5"], ["1", "0.5"]]},
+        ],
+        "partition": {
+            "window": ["-1", "2"],
+            "cells": [{"singletons": ["0"]}, {"singletons": ["1"]}],
+        },
+    },
+}
+
 IDENTITY = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 SIGMA_Z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
 
@@ -157,6 +172,28 @@ class TestErrors:
         }
         config = write_config(tmp_path, payload)
         assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("field", [
+        "outcomes",
+        "system.observables",
+        "system.states",
+        "algebraization.observables",
+        "algebraization.states",
+    ])
+    def test_field_that_is_not_an_object(self, tmp_path, capsys, field):
+        payload = json.loads(json.dumps(KOLMOGOROV_OK if field == "outcomes" else VALIDATE_OK))
+        if field.startswith("algebraization"):
+            payload["inputs"]["algebraization"] = dict(payload["inputs"]["system"])
+        *parents, name = field.split(".")
+        node = payload["inputs"]
+        for key in parents:
+            node = node[key]
+        node[name] = []
+        config = write_config(tmp_path, payload)
+        assert main([payload["kind"], "--config", str(config), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: inputs.{field} must be an object\n"
+        assert not list(tmp_path.glob("*.csv"))
 
 
     @pytest.mark.parametrize("kind", ["simulate", "estimate"])
@@ -349,20 +386,7 @@ class TestOtherCommands:
 
 class TestReport:
     def _dissipation_config(self, tmp_path):
-        return write_config(tmp_path, {
-            "kind": "dissipation",
-            "inputs": {
-                "times": [0, 1],
-                "measures": [
-                    {"atoms": [["0", "1"]]},
-                    {"atoms": [["0", "0.5"], ["1", "0.5"]]},
-                ],
-                "partition": {
-                    "window": ["-1", "2"],
-                    "cells": [{"singletons": ["0"]}, {"singletons": ["1"]}],
-                },
-            },
-        }, "diss.json")
+        return write_config(tmp_path, DISSIPATION, "diss.json")
 
     def test_join_on_time_column(self, tmp_path):
         config = self._dissipation_config(tmp_path)
@@ -430,6 +454,14 @@ class TestSpotCheck:
 
 SIMULATE_P = {"0": [["0", "1"]], "3/10": [["0", "7/10"], ["1", "3/10"]], "1": [["1", "1"]]}
 SRC = Path(oplab.__file__).resolve().parent.parent
+
+
+def _python(tmp_path, args, stdin=None):
+    """Run ``python ARGS`` in a fresh interpreter that imports this oplab."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, input=stdin,
+                          capture_output=True, text=True, timeout=120)
 
 
 def _simulate_config(tmp_path, trials, p="3/10"):
@@ -538,16 +570,9 @@ class TestSimulateWorker:
         assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
         self._assert_no_child_left()
 
-    def _run(self, tmp_path, args, stdin):
-        """Run ``python ARGS`` in a fresh interpreter that imports this oplab."""
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, input=stdin,
-                              capture_output=True, text=True, timeout=120)
-
     def test_failing_worker_never_returns_into_the_caller(self, tmp_path):
         config = _simulate_config(tmp_path, CHUNK + 1)
-        done = self._run(tmp_path, ["-", "simulate", "--config", str(config)], (
+        done = _python(tmp_path, ["-", "simulate", "--config", str(config)], (
             "import os, sys\n"
             "from oplab import cli, trialcsv\n"
             "parent = os.getpid()\n"
@@ -567,13 +592,13 @@ class TestSimulateWorker:
 
     def test_only_simulate_imports_the_writer(self, tmp_path):
         code = "import sys, oplab.cli; print('oplab.trialcsv' in sys.modules)"
-        done = self._run(tmp_path, ["-c", code], None)
+        done = _python(tmp_path, ["-c", code], None)
         assert done.stdout == "False\n", done.stderr
 
     def test_runs_clean_under_warnings_as_errors(self, tmp_path):
         config = _simulate_config(tmp_path, CHUNK + 1)
-        done = self._run(tmp_path, ["-W", "error", "-m", "oplab.cli", "simulate",
-                                    "--config", str(config), "--out", "cli"], None)
+        done = _python(tmp_path, ["-W", "error", "-m", "oplab.cli", "simulate",
+                                  "--config", str(config), "--out", "cli"], None)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         assert (tmp_path / "cli" / "simulate.csv").read_bytes() == _simulate(
@@ -605,3 +630,45 @@ class TestSimulateWorker:
         unit = 1 if sys.platform == "darwin" else 1024
         assert (grown[8 * CHUNK] - grown[2 * CHUNK]) * unit < 8 * 2 ** 20, grown
         self._assert_no_child_left()
+
+
+class TestNumpyOnFirstUse:
+    """numpy is imported by the first layer that touches ``np``: the exact
+    classical kinds never load it, the matrix kinds do."""
+
+    PROBE = (
+        "import contextlib, io, json, sys\n"
+        "import oplab.cli\n"
+        "seen = [['import', None, 'numpy' in sys.modules]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = oplab.cli.main(argv)\n"
+        "    seen.append([argv[0], code, 'numpy' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+
+    def test_classical_kinds_run_without_numpy(self, tmp_path):
+        spectral = write_config(tmp_path, {
+            "kind": "spectral",
+            "inputs": {"observable": SIGMA_Z, "state": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+        }, "spectral.json")
+        runs = [
+            ["kolmogorov", "--config", str(write_config(tmp_path, KOLMOGOROV_OK, "ok.json"))],
+            ["kolmogorov", "--config", str(write_config(tmp_path, KOLMOGOROV_BAD, "bad.json"))],
+            ["entropy", "--config", str(write_config(tmp_path, ENTROPY, "entropy.json"))],
+            ["dissipation", "--config", str(write_config(tmp_path, DISSIPATION, "diss.json")),
+             "--mode", "float"],
+            ["spectral", "--config", str(spectral)],
+        ]
+        for k, argv in enumerate(runs):
+            argv += ["--out", f"out{k}"]
+        done = _python(tmp_path, ["-c", self.PROBE, json.dumps(runs)])
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [
+            ["import", None, False],
+            ["kolmogorov", 0, False],
+            ["kolmogorov", 2, False],
+            ["entropy", 0, False],
+            ["dissipation", 0, False],
+            ["spectral", 0, True],
+        ]

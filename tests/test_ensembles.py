@@ -67,6 +67,20 @@ class TestRunEnsemble:
         with pytest.raises(CapacityError, match="MAX_TRIALS"):
             run_ensemble(TRUTH, TARGET, n, seed=1)
 
+    # Words of the generator as released; seed 0 at index 1 is also the
+    # first SplitMix64 output for state 0.  A seed at or above 2**64 wraps.
+    @pytest.mark.parametrize("seed, start, words", [
+        (0, 1, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]),
+        (2 ** 64 + 12345, 1, [0x22118258A9D111A0, 0x346EDCE5F713F8ED, 0x1E9A57BC80E6721D]),
+        (7, 2 ** 32 - 2, [0xCB3B8C0DCC008493, 0xDCB46C4C171F30E9, 0xB467F880351838C1,
+                          0x962264E9A839C269]),
+    ])
+    def test_counter_words_are_pinned(self, seed, start, words):
+        got = counter_words(seed, start, len(words))
+        assert got.dtype == np.uint64
+        assert [int(w) for w in got] == words
+        assert np.array_equal(got, counter_words(seed % 2 ** 64, start, len(words)))
+
     def test_success_counts_match_outcomes(self):
         log = run_ensemble(TRUTH, TARGET, 500, seed=9)
         assert np.array_equal(log.successes, np.cumsum(log.outcomes))
