@@ -28,17 +28,14 @@ from .dynamics import EvolutionTrace, decompose_evolution
 from .ensembles import estimate_probability, min_trials, run_ensemble
 from .errors import CapacityError, NoRealizableFrame, OplabError, SingularFrame
 from .information import shannon_entropy, vn_entropy_and_purity
-from .kolmogorov import (
-    ConditionalConstraint,
-    CorrelationConstraint,
-    ExpectationConstraint,
-    JointConstraint,
-    MarginalConstraint,
-    kolmogorov_check,
-)
+from .kolmogorov import kolmogorov_check
 from .measures import FLOAT, RATIONAL
 from .serialization import (
+    ConfigError,
+    _operator_maps,
     borel_from_json,
+    constraint_of,
+    field,
     format_scalar,
     labsystem_from_json,
     matrix_from_json,
@@ -53,16 +50,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 
-KINDS = (
-    "simulate", "estimate", "entropy", "dissipation", "tomography",
-    "kolmogorov", "spectral", "validate", "report",
-)
-SEEDED_KINDS = {"simulate", "estimate"}
-
-
-class ConfigError(Exception):
-    pass
-
 
 def _fmt(value, mode: str) -> str:
     if isinstance(value, Fraction):
@@ -73,11 +60,13 @@ def _fmt(value, mode: str) -> str:
 
 
 def _write_csv(path: Path, header, rows, footer: dict) -> None:
+    # Every row is computed before the file is opened, so a row that fails
+    # leaves no truncated table behind.
+    rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         _write_footer(fh, footer)
 
 
@@ -101,20 +90,6 @@ def _load_config(path: Path) -> tuple:
     return config, digest
 
 
-def _field(config, name, where="config"):
-    if name not in config:
-        raise ConfigError(f"missing field {name!r} in {where}")
-    return config[name]
-
-
-def _object(config, name, where):
-    """The field ``name`` of ``config``, which must be a JSON object."""
-    value = _field(config, name, where)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}.{name} must be an object")
-    return value
-
-
 def _resolve_seed(args, config) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -136,8 +111,13 @@ def _resolve_mode(args, config) -> str:
     return mode
 
 
-def _ensemble(inputs, truth, target, seed: int):
-    trials = int(_field(inputs, "trials", "inputs"))
+def _trial_log(args, config, inputs, footer):
+    """The seeded ensemble that ``simulate`` and ``estimate`` report on."""
+    mode = _resolve_mode(args, config)
+    footer["seed"] = seed = _resolve_seed(args, config)
+    truth = measure_from_json(field(inputs, "truth", "inputs"), mode, "inputs.truth")
+    target = borel_from_json(field(inputs, "target", "inputs"), "inputs.target")
+    trials = int(field(inputs, "trials", "inputs"))
     try:
         return run_ensemble(truth, target, trials, seed)
     except CapacityError as exc:
@@ -150,19 +130,20 @@ def _out_path(args, config, default_name: str) -> Path:
     return out_dir / config.get("output", default_name)
 
 
+def _table(args, config, default_name: str, header, rows, footer, code=EXIT_OK):
+    """Write one CSV table; the command's (exit code, paths written)."""
+    path = _out_path(args, config, default_name)
+    _write_csv(path, header, rows, footer)
+    return code, [path]
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies; each returns (exit_code, paths_written)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args, config, footer):
-    inputs = _field(config, "inputs")
-    mode = _resolve_mode(args, config)
-    seed = _resolve_seed(args, config)
-    footer["seed"] = seed
-    truth = measure_from_json(_field(inputs, "truth", "inputs"), mode)
-    target = borel_from_json(_field(inputs, "target", "inputs"))
-    log = _ensemble(inputs, truth, target, seed)
+def _cmd_simulate(args, config, inputs, footer):
+    log = _trial_log(args, config, inputs, footer)
     path = _out_path(args, config, "simulate.csv")
     # Imported here, so that no other kind compiles the two-process writer.
     from .trialcsv import write_rows
@@ -173,15 +154,9 @@ def _cmd_simulate(args, config, footer):
     return EXIT_OK, [path]
 
 
-def _cmd_estimate(args, config, footer):
-    inputs = _field(config, "inputs")
-    mode = _resolve_mode(args, config)
-    seed = _resolve_seed(args, config)
-    footer["seed"] = seed
-    truth = measure_from_json(_field(inputs, "truth", "inputs"), mode)
-    target = borel_from_json(_field(inputs, "target", "inputs"))
-    alpha = float(inputs.get("alpha", 0.01))
-    trace = _ensemble(inputs, truth, target, seed).trace()
+def _cmd_estimate(args, config, inputs, footer):
+    alpha = float(field(inputs, "alpha", "inputs", default=0.01))
+    trace = _trial_log(args, config, inputs, footer).trace()
     report = estimate_probability(trace)
     stabilization = min_trials(trace, alpha)
     rows = [
@@ -200,58 +175,49 @@ def _cmd_estimate(args, config, footer):
     rows.append(["first_success_index", stabilization.first_success_index])
     rows.append(["lower_bound_at_horizon", repr(stabilization.lower_bound_at_horizon)])
     rows.append(["lower_bound_holds", stabilization.bound_holds])
-    path = _out_path(args, config, "estimate.csv")
-    _write_csv(path, ["metric", "value"], rows, footer)
-    return EXIT_OK, [path]
+    return _table(args, config, "estimate.csv", ["metric", "value"], rows, footer)
 
 
-def _cmd_entropy(args, config, footer):
-    inputs = _field(config, "inputs")
+def _cmd_entropy(args, config, inputs, footer):
     mode = _resolve_mode(args, config)
-    measure = measure_from_json(_field(inputs, "measure", "inputs"), mode)
-    partition = partition_from_json(_field(inputs, "partition", "inputs"))
+    measure = measure_from_json(field(inputs, "measure", "inputs"), mode, "inputs.measure")
+    partition = partition_from_json(field(inputs, "partition", "inputs"), "inputs.partition")
     report = shannon_entropy(measure, partition)
     footer["H_bits"] = repr(report.bits)
-    path = _out_path(args, config, "entropy.csv")
-    _write_csv(
-        path,
+    return _table(
+        args, config, "entropy.csv",
         ["cell_index", "cell", "probability", "contribution_bits"],
         ([k, desc, _fmt(p, mode), repr(c)] for k, desc, p, c in report.rows()),
         footer,
     )
-    return EXIT_OK, [path]
 
 
-def _cmd_dissipation(args, config, footer):
-    inputs = _field(config, "inputs")
+def _cmd_dissipation(args, config, inputs, footer):
     mode = _resolve_mode(args, config)
-    times = _field(inputs, "times", "inputs")
-    measures = [measure_from_json(m, mode) for m in _field(inputs, "measures", "inputs")]
-    partition = partition_from_json(_field(inputs, "partition", "inputs"))
+    times = field(inputs, "times", "inputs", list)
+    measures = [measure_from_json(m, mode, f"inputs.measures[{k}]")
+                for k, m in enumerate(field(inputs, "measures", "inputs", list))]
+    partition = partition_from_json(field(inputs, "partition", "inputs"), "inputs.partition")
     trace = EvolutionTrace(times, measures)
     report = decompose_evolution(trace)
-    path = _out_path(args, config, "dissipation.csv")
-    _write_csv(
-        path,
+    return _table(
+        args, config, "dissipation.csv",
         ["t", "coefficient", "entropy_bits", "escaped_mass"],
         ([repr(t), _fmt(chi, mode), repr(bits), _fmt(esc, mode)]
          for t, chi, bits, esc in report.rows(partition)),
         footer,
     )
-    return EXIT_OK, [path]
 
 
-def _cmd_tomography(args, config, footer):
-    inputs = _field(config, "inputs")
-    problem = reconstruction_from_json(_field(inputs, "problem", "inputs"))
-    path = _out_path(args, config, "tomography.csv")
+def _cmd_tomography(args, config, inputs, footer):
+    problem = reconstruction_from_json(field(inputs, "problem", "inputs"), "inputs.problem")
     try:
         result = tomography_reconstruct(problem)
     except (NoRealizableFrame, SingularFrame) as exc:
         footer["failure"] = type(exc).__name__
-        _write_csv(path, ["metric", "value"],
-                   [["status", type(exc).__name__], ["detail", str(exc)]], footer)
-        return EXIT_VALIDATION, [path]
+        return _table(args, config, "tomography.csv", ["metric", "value"],
+                      [["status", type(exc).__name__], ["detail", str(exc)]], footer,
+                      EXIT_VALIDATION)
     entropy, purity = vn_entropy_and_purity(result.state)
     rows = [["status", "reconstructed"],
             ["purity", repr(purity)],
@@ -260,35 +226,14 @@ def _cmd_tomography(args, config, footer):
         rows.append([f"weight_{k}", format_scalar(w, RATIONAL)])
     for k, r in enumerate(result.residuals):
         rows.append([f"residual_{k}", repr(r)])
-    _write_csv(path, ["metric", "value"], rows, footer)
-    return EXIT_OK, [path]
+    return _table(args, config, "tomography.csv", ["metric", "value"], rows, footer)
 
 
-def _constraint_from_json(payload: dict):
-    kind = _field(payload, "type", "constraint")
-    if kind == "marginal":
-        return MarginalConstraint(payload["observable"], payload["value"], payload["prob"])
-    if kind == "joint":
-        return JointConstraint.of(payload["events"], payload["prob"])
-    if kind == "conditional":
-        return ConditionalConstraint.of(payload["event"], payload["given"], payload["prob"])
-    if kind == "correlation":
-        observables = tuple(payload["observables"])
-        if len(observables) != 2:
-            raise ConfigError(f"correlation constraint field 'observables' needs 2 names, "
-                              f"got {len(observables)}")
-        return CorrelationConstraint(observables, payload["value"])
-    if kind == "expectation":
-        return ExpectationConstraint(payload["observable"], payload["value"])
-    raise ConfigError(f"unknown constraint type {kind!r}")
-
-
-def _cmd_kolmogorov(args, config, footer):
-    inputs = _field(config, "inputs")
-    spaces = _object(inputs, "outcomes", "inputs")
-    constraints = [_constraint_from_json(c) for c in _field(inputs, "constraints", "inputs")]
+def _cmd_kolmogorov(args, config, inputs, footer):
+    spaces = field(inputs, "outcomes", "inputs", dict)
+    constraints = [constraint_of(c, f"inputs.constraints[{k}]")
+                   for k, c in enumerate(field(inputs, "constraints", "inputs", list))]
     result = kolmogorov_check(spaces, constraints)
-    path = _out_path(args, config, "kolmogorov.csv")
     if result.feasible:
         header = list(result.observables) + ["probability"]
         rows = [
@@ -296,19 +241,17 @@ def _cmd_kolmogorov(args, config, footer):
             for cell, p in sorted(result.joint.items())
         ]
         footer["verdict"] = "feasible"
-        _write_csv(path, header, rows, footer)
-        return EXIT_OK, [path]
+        return _table(args, config, "kolmogorov.csv", header, rows, footer)
     footer["verdict"] = "infeasible"
     footer["deficit"] = format_scalar(result.deficit, RATIONAL)
     rows = [[k, repr(c)] for k, c in enumerate(result.certificate)]
-    _write_csv(path, ["certificate_index", "constraint"], rows, footer)
-    return EXIT_VALIDATION, [path]
+    return _table(args, config, "kolmogorov.csv", ["certificate_index", "constraint"], rows,
+                  footer, EXIT_VALIDATION)
 
 
-def _cmd_spectral(args, config, footer):
-    inputs = _field(config, "inputs")
-    observable = HermitianObservable(matrix_from_json(_field(inputs, "observable", "inputs")))
-    state = DensityState(matrix_from_json(_field(inputs, "state", "inputs")))
+def _cmd_spectral(args, config, inputs, footer):
+    observable = HermitianObservable(matrix_from_json(field(inputs, "observable", "inputs")))
+    state = DensityState(matrix_from_json(field(inputs, "state", "inputs")))
     measure = spectral_measure(observable, state)
     rows = [["atom", repr(p), repr(w)] for p, w in measure.atoms]
     rows.append(["mean", "", repr(float(measure.mean()))])
@@ -316,27 +259,18 @@ def _cmd_spectral(args, config, footer):
     for point in observable.spectrum:
         rows.append(["spectrum_point", repr(point), observable.multiplicity(point)])
     rows.append(["spectral_radius", "", repr(observable.spectral_radius)])
-    path = _out_path(args, config, "spectral.csv")
-    _write_csv(path, ["row", "x", "value"], rows, footer)
-    return EXIT_OK, [path]
+    return _table(args, config, "spectral.csv", ["row", "x", "value"], rows, footer)
 
 
-def _cmd_validate(args, config, footer):
-    inputs = _field(config, "inputs")
-    payload = _object(inputs, "system", "inputs")
-    _object(payload, "observables", "inputs.system")
-    _object(payload, "states", "inputs.system")
-    system = labsystem_from_json(payload)
+def _cmd_validate(args, config, inputs, footer):
+    system = labsystem_from_json(field(inputs, "system", "inputs"), "inputs.system")
     if "algebraization" in inputs:
-        payload = _object(inputs, "algebraization", "inputs")
-        observables = {label: HermitianObservable(matrix_from_json(m)) for label, m in
-                       _object(payload, "observables", "inputs.algebraization").items()}
-        states = {label: DensityState(matrix_from_json(m)) for label, m in
-                  _object(payload, "states", "inputs.algebraization").items()}
-        alg = Algebraization(system, observables, states)
+        alg = Algebraization(system, *_operator_maps(inputs["algebraization"],
+                                                     "inputs.algebraization"))
     else:
         alg = Algebraization.identity(system)
-    relations = relations_from_json(inputs.get("relations", {}))
+    relations = relations_from_json(field(inputs, "relations", "inputs", default={}),
+                                    "inputs.relations")
     reports = list(arba_validate(alg, relations))
     if "center" in inputs:
         reports.extend(center_check(alg, inputs["center"], relations))
@@ -368,9 +302,8 @@ def _read_artifact(path: Path):
     return rows[0], rows[1:]
 
 
-def _cmd_report(args, config, footer):
-    inputs = _field(config, "inputs")
-    artifacts = _field(inputs, "artifacts", "inputs")
+def _cmd_report(args, config, inputs, footer):
+    artifacts = field(inputs, "artifacts", "inputs", list)
     if not artifacts:
         raise ConfigError("no artifacts to report on")
     loaded = []
@@ -382,7 +315,6 @@ def _cmd_report(args, config, footer):
             raise ConfigError(f"missing artifact {path}")
         header, rows = _read_artifact(path)
         loaded.append((path.name, header, rows))
-    out = _out_path(args, config, "report.csv")
     joinable = [entry for entry in loaded if entry[1] and entry[1][0] == "t"]
     if len(joinable) >= 2:
         # Inner join on the time column, no recomputation.
@@ -396,11 +328,9 @@ def _cmd_report(args, config, footer):
                 t: vals + incoming[t] for t, vals in table.items() if t in incoming
             }
         rows = [[t] + vals for t, vals in sorted(table.items(), key=lambda kv: float(kv[0]))]
-        _write_csv(out, header, rows, footer)
-        return EXIT_OK, [out]
+        return _table(args, config, "report.csv", header, rows, footer)
     rows = [[name, len(rows_), ";".join(header)] for name, header, rows_ in loaded]
-    _write_csv(out, ["artifact", "rows", "columns"], rows, footer)
-    return EXIT_OK, [out]
+    return _table(args, config, "report.csv", ["artifact", "rows", "columns"], rows, footer)
 
 
 _COMMANDS = {
@@ -422,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measurement-statistics experiment harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
+    for kind in _COMMANDS:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None)
@@ -439,14 +369,12 @@ def main(argv=None) -> int:
         if kind != args.command:
             raise ConfigError(f"config kind {kind!r} does not match command {args.command!r}")
         footer = {"config_hash": f"sha256:{digest}", "version": f"oplab-{__version__}"}
-        code, paths = _COMMANDS[args.command](args, config, footer)
+        inputs = field(config, "inputs", "config")
+        code, paths = _COMMANDS[args.command](args, config, inputs, footer)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OplabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (KeyError, ValueError, TypeError) as exc:
+    except (OplabError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     for path in paths:

@@ -251,23 +251,19 @@ def affine_split_check(
     """
     if not (first.times == second.times == mixed.times):
         raise GridMismatch("time grids differ")
-    exact = first.mode == "rational" and second.mode == "rational" and mixed.mode == "rational"
     gaps = []
     affine = True
     max_gap = 0.0
     for t, m1, m2, mx in zip(first.times, first.measures, second.measures, mixed.measures):
         combined = mixture([(ratio, m1), (1 - to_scalar(ratio, m1.mode), m2)])
-        if exact:
-            same = combined == mx
-            gap = 0.0 if same else 1.0
+        # Exact in rational mode, where equal atoms leave every gap 0.0.
+        same = measures_close(combined, mx, weight_tol=tol)
+        gap = 0.0
+        if not same:
+            gap = 1.0
         else:
-            same = measures_close(combined, mx, weight_tol=tol)
-            gap = 0.0
-            if not same:
-                gap = 1.0
-            else:
-                for (p, w), (q, v) in zip(combined.atoms, mx.atoms):
-                    gap = max(gap, abs(float(w) - float(v)))
+            for (p, w), (q, v) in zip(combined.atoms, mx.atoms):
+                gap = max(gap, abs(float(w) - float(v)))
         gaps.append((t, gap))
         max_gap = max(max_gap, gap)
         if not same:

@@ -17,10 +17,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from . import _np as np
 from .errors import PartitionDoesNotCover, ZeroCell
-from .measures import RATIONAL, BorelSet, DiscreteMeasure, Partition, is_unit_mass, to_scalar
+from .measures import (FLOAT, RATIONAL, BorelSet, DiscreteMeasure, Partition, is_unit_mass,
+                       to_scalar)
 from .spectral import DensityState
 
 LN2 = math.log(2.0)
+# How far from 1 a schema's total mass may be once any weight is a float.
+SCHEMA_MASS_TOL = 1e-9
 
 
 def entropy_bits(weights: Sequence) -> float:
@@ -41,7 +44,7 @@ class Schema:
     __slots__ = ("weights",)
 
     def __init__(self, weights: Sequence):
-        ws = tuple(Fraction(w) if isinstance(w, (int, str, Fraction)) else float(w)
+        ws = tuple(to_scalar(w, RATIONAL if isinstance(w, (int, str, Fraction)) else FLOAT)
                    for w in weights)
         if not ws:
             raise ValueError("schema needs at least one weight")
@@ -52,7 +55,7 @@ class Schema:
         if exact:
             if total != 1:
                 raise ValueError(f"schema mass {total} != 1")
-        elif abs(float(total) - 1.0) > 1e-9:
+        elif abs(float(total) - 1.0) > SCHEMA_MASS_TOL:
             raise ValueError(f"schema mass {total} != 1")
         self.weights = ws
 

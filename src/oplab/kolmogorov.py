@@ -168,10 +168,11 @@ def kolmogorov_check(
     # Deletion filter; farkas is indexed like rows.  A candidate off the
     # support of the latest Farkas vector is dropped without a solve: the rest
     # of the core still contains that support, so it stays infeasible.
+    # Candidates go by index, so a constraint given twice is two candidates.
     farkas, core, solves = list(result.farkas), list(range(len(constraints))), 1
-    for candidate in constraints:
-        trial = [k for k in core if constraints[k] is not candidate]
-        if any(farkas[k + 1] for k in core if constraints[k] is candidate):
+    for candidate in range(len(constraints)):
+        trial = [k for k in core if k != candidate]
+        if farkas[candidate + 1]:
             kept = [0] + [k + 1 for k in trial]
             attempt = find_feasible_point([rows[r] for r in kept], [rhs[r] for r in kept])
             solves += 1

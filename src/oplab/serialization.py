@@ -1,8 +1,14 @@
-"""JSON wire formats for measures, partitions, matrices and systems.
+"""JSON wire formats for measures, partitions, matrices, systems and
+constraints.
 
 Rational-mode scalars serialize as exact strings: terminating decimals where
 the denominator allows it, ``p/q`` otherwise, so nothing is rounded on the
 way out or back in.  Float-mode scalars are plain JSON numbers.
+
+Readers take the payload and, last, ``where``: the payload's path in the
+config, used only in messages.  Every object field is read through `field`,
+so a missing field or one of the wrong JSON type raises `ConfigError`
+naming its path, such as ``inputs.partition.cells[1] must be an object``.
 """
 
 from __future__ import annotations
@@ -13,8 +19,42 @@ from typing import Mapping
 
 from . import _np as np
 from .algebra import DeclaredRelations, ReconstructionProblem
+from .kolmogorov import (
+    ConditionalConstraint,
+    CorrelationConstraint,
+    ExpectationConstraint,
+    JointConstraint,
+    MarginalConstraint,
+)
 from .measures import FLOAT, RATIONAL, BorelSet, DiscreteMeasure, Partition, to_scalar
 from .spectral import DensityState, HermitianObservable, LabSystem
+
+
+class ConfigError(Exception):
+    """A config that cannot be read; the message names the field at fault."""
+
+
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "a list"}
+
+
+def field(payload, name: str, where: str, kind: type = None, default=_REQUIRED):
+    """``payload[name]``, where ``payload`` is the JSON object at ``where``.
+
+    Raises ConfigError when ``payload`` is not an object, when the field is
+    missing and has no ``default``, or when ``kind`` (``dict`` or ``list``)
+    is given and the value is not of that JSON type.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be an object")
+    if name not in payload:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing field {name!r} in {where}")
+        return default
+    value = payload[name]
+    if kind is not None and not isinstance(value, kind):
+        raise ConfigError(f"{where}.{name} must be {_JSON_TYPES[kind]}")
+    return value
 
 
 def format_scalar(value, mode: str):
@@ -52,8 +92,9 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
     }
 
 
-def measure_from_json(payload: Mapping, mode: str = RATIONAL) -> DiscreteMeasure:
-    return DiscreteMeasure(payload["atoms"], mode=mode)
+def measure_from_json(payload: Mapping, mode: str = RATIONAL,
+                      where: str = "measure") -> DiscreteMeasure:
+    return DiscreteMeasure(field(payload, "atoms", where, list), mode=mode)
 
 
 def _endpoint_to_json(value):
@@ -70,8 +111,9 @@ def borel_to_json(delta: BorelSet) -> dict:
     }
 
 
-def borel_from_json(payload: Mapping) -> BorelSet:
-    return BorelSet(payload.get("intervals", []), payload.get("singletons", []))
+def borel_from_json(payload: Mapping, where: str = "set") -> BorelSet:
+    return BorelSet(field(payload, "intervals", where, list, []),
+                    field(payload, "singletons", where, list, []))
 
 
 def partition_to_json(partition: Partition) -> dict:
@@ -82,8 +124,10 @@ def partition_to_json(partition: Partition) -> dict:
     }
 
 
-def partition_from_json(payload: Mapping) -> Partition:
-    return Partition(payload["window"], [borel_from_json(cell) for cell in payload["cells"]])
+def partition_from_json(payload: Mapping, where: str = "partition") -> Partition:
+    window = field(payload, "window", where, list)
+    return Partition(window, [borel_from_json(cell, f"{where}.cells[{k}]")
+                              for k, cell in enumerate(field(payload, "cells", where, list))])
 
 
 def matrix_to_json(matrix) -> list:
@@ -143,30 +187,64 @@ def labsystem_to_json(system: LabSystem) -> dict:
     }
 
 
-def labsystem_from_json(payload: Mapping) -> LabSystem:
+def _operator_maps(payload: Mapping, where: str):
+    """The ``observables`` and ``states`` objects of ``payload``, each label
+    mapped to its operator."""
     observables = {label: HermitianObservable(matrix_from_json(m))
-                   for label, m in payload["observables"].items()}
+                   for label, m in field(payload, "observables", where, dict).items()}
     states = {label: DensityState(matrix_from_json(m))
-              for label, m in payload["states"].items()}
+              for label, m in field(payload, "states", where, dict).items()}
+    return observables, states
+
+
+def labsystem_from_json(payload: Mapping, where: str = "system") -> LabSystem:
+    observables, states = _operator_maps(payload, where)
     return LabSystem(observables, states,
-                     [tuple(pair) for pair in payload["suitability"]])
+                     [tuple(pair) for pair in field(payload, "suitability", where, list)])
 
 
-def relations_from_json(payload: Mapping) -> DeclaredRelations:
+def relations_from_json(payload: Mapping, where: str = "relations") -> DeclaredRelations:
+    def entries(name):
+        return field(payload, name, where, list, [])
+
     return DeclaredRelations(
-        powers=tuple((b, int(n), p) for b, n, p in payload.get("powers", [])),
-        sums=tuple(tuple(entry) for entry in payload.get("sums", [])),
-        scalings=tuple((a, float(r), s) for a, r, s in payload.get("scalings", [])),
-        compatible=tuple(tuple(entry) for entry in payload.get("compatible", [])),
-        products=tuple(tuple(entry) for entry in payload.get("products", [])),
+        powers=tuple((b, int(n), p) for b, n, p in entries("powers")),
+        sums=tuple(tuple(entry) for entry in entries("sums")),
+        scalings=tuple((a, float(r), s) for a, r, s in entries("scalings")),
+        compatible=tuple(tuple(entry) for entry in entries("compatible")),
+        products=tuple(tuple(entry) for entry in entries("products")),
     )
 
 
-def reconstruction_from_json(payload: Mapping) -> ReconstructionProblem:
+def constraint_of(payload: Mapping, where: str = "constraint"):
+    """One `oplab.kolmogorov` constraint from its object, chosen by its
+    ``type`` field."""
+    def get(name, kind=None):
+        return field(payload, name, where, kind)
+
+    kind = get("type")
+    if kind == "marginal":
+        return MarginalConstraint(get("observable"), get("value"), get("prob"))
+    if kind == "joint":
+        return JointConstraint.of(get("events", dict), get("prob"))
+    if kind == "conditional":
+        return ConditionalConstraint.of(get("event", dict), get("given", dict), get("prob"))
+    if kind == "correlation":
+        observables = tuple(get("observables", list))
+        if len(observables) != 2:
+            raise ConfigError(f"correlation constraint field 'observables' needs 2 names, "
+                              f"got {len(observables)}")
+        return CorrelationConstraint(observables, get("value"))
+    if kind == "expectation":
+        return ExpectationConstraint(get("observable"), get("value"))
+    raise ConfigError(f"unknown constraint type {kind!r}")
+
+
+def reconstruction_from_json(payload: Mapping, where: str = "problem") -> ReconstructionProblem:
     observables = [HermitianObservable(matrix_from_json(m))
-                   for m in payload["observables"]]
-    frame = [vector_from_json(v) for v in payload["frame"]]
-    return ReconstructionProblem(observables, payload["expectations"], frame)
+                   for m in field(payload, "observables", where, list)]
+    frame = [vector_from_json(v) for v in field(payload, "frame", where, list)]
+    return ReconstructionProblem(observables, field(payload, "expectations", where, list), frame)
 
 
 def reconstruction_to_json(problem: ReconstructionProblem) -> dict:

@@ -87,6 +87,34 @@ VALIDATE_OK = {
 }
 
 
+VALIDATE_ALGEBRAIZATION = {
+    "kind": "validate",
+    "inputs": {
+        **VALIDATE_OK["inputs"],
+        "algebraization": {
+            "observables": {"z": SIGMA_Z, "z2": IDENTITY},
+            "states": VALIDATE_OK["inputs"]["system"]["states"],
+        },
+    },
+}
+
+SPECTRAL = {
+    "kind": "spectral",
+    "inputs": {"observable": SIGMA_Z, "state": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+}
+
+TOMOGRAPHY = {
+    "kind": "tomography",
+    "inputs": {
+        "problem": {
+            "observables": [SIGMA_Z, IDENTITY],
+            "expectations": [0.4, 1.0],
+            "frame": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        },
+    },
+}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -196,6 +224,15 @@ class TestErrors:
         assert not list(tmp_path.glob("*.csv"))
 
 
+    def test_failed_dissipation_leaves_no_csv(self, tmp_path, capsys):
+        # The partition covers the t=0 measure but not the atom at 1 of t=1.
+        payload = json.loads(json.dumps(DISSIPATION))
+        payload["inputs"]["partition"]["cells"] = [{"singletons": ["0"]}]
+        config = write_config(tmp_path, payload)
+        assert main(["dissipation", "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: PartitionDoesNotCover: ")
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("kind", ["simulate", "estimate"])
     @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 2 ** 70])
     def test_trials_over_the_cap_name_the_field(self, tmp_path, capsys, kind, trials):
@@ -283,6 +320,85 @@ class TestErrors:
         assert not list(tmp_path.glob("*.csv"))
 
 
+CONFIGS = {
+    "simulate": SIMULATE,
+    "estimate": {**SIMULATE, "kind": "estimate"},
+    "kolmogorov_ok": KOLMOGOROV_OK,
+    "kolmogorov_bad": KOLMOGOROV_BAD,
+    "entropy": ENTROPY,
+    "dissipation": DISSIPATION,
+    "tomography": TOMOGRAPHY,
+    "spectral": SPECTRAL,
+    "validate": VALIDATE_OK,
+    "validate_algebraization": VALIDATE_ALGEBRAIZATION,
+    "report": {"kind": "report", "inputs": {"artifacts": ["entropy.csv"]}},
+}
+
+WRONG_TYPES = ([], {}, "x", 5, None)
+
+
+def _containers(node, path=()):
+    """The path of every object or list below ``node``, depth first."""
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(child, (dict, list)):
+            yield path + (key,)
+            yield from _containers(child, path + (key,))
+
+
+def _replaced(payload, path, value):
+    payload = json.loads(json.dumps(payload))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+class TestConfigCorruption:
+    """A config with one object or list field of the wrong JSON type exits
+    0, 1 or 2, and exit 1 comes with an ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_each_container_field_of_each_wrong_type(self, tmp_path, capsys, name):
+        failures = []
+        for path in _containers(CONFIGS[name]):
+            for value in WRONG_TYPES:
+                payload = _replaced(CONFIGS[name], path, value)
+                config = write_config(tmp_path, payload)
+                try:
+                    code = main([payload["kind"], "--config", str(config),
+                                 "--out", str(tmp_path / "out")])
+                except Exception as exc:  # noqa: BLE001 - any escape is the failure
+                    failures.append((path, value, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                if code not in (0, 1, 2) or (code == 1 and not err.startswith("error: ")):
+                    failures.append((path, value, code, err))
+        assert failures == []
+
+    @pytest.mark.parametrize("name, path, message", [
+        ("simulate", ("inputs", "target"), "inputs.target must be an object"),
+        ("estimate", ("inputs", "target"), "inputs.target must be an object"),
+        ("entropy", ("inputs", "partition", "cells"), "inputs.partition.cells must be a list"),
+        ("entropy", ("inputs", "partition", "cells", 1),
+         "inputs.partition.cells[1] must be an object"),
+        ("dissipation", ("inputs", "partition", "cells"),
+         "inputs.partition.cells must be a list"),
+        ("dissipation", ("inputs", "partition", "cells", 0),
+         "inputs.partition.cells[0] must be an object"),
+        ("validate", ("inputs", "relations"), "inputs.relations must be an object"),
+        ("validate_algebraization", ("inputs", "relations"),
+         "inputs.relations must be an object"),
+    ])
+    @pytest.mark.parametrize("value", ["x", 5, None])
+    def test_message_names_the_field(self, tmp_path, capsys, name, path, message, value):
+        payload = _replaced(CONFIGS[name], path, value)
+        config = write_config(tmp_path, payload)
+        assert main([payload["kind"], "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestKolmogorovCommand:
     def test_infeasible_writes_certificate_and_exits_2(self, tmp_path):
         config = write_config(tmp_path, KOLMOGOROV_BAD)
@@ -308,11 +424,8 @@ class TestValidateCommand:
         assert all(entry["pass"] for entry in report["conditions"])
 
     def test_injected_defect_exits_2(self, tmp_path):
-        payload = json.loads(json.dumps(VALIDATE_OK))
-        payload["inputs"]["algebraization"] = {
-            "observables": {"z": [[[2, 0], [0, 0]], [[0, 0], [-2, 0]]], "z2": IDENTITY},
-            "states": payload["inputs"]["system"]["states"],
-        }
+        payload = json.loads(json.dumps(VALIDATE_ALGEBRAIZATION))
+        payload["inputs"]["algebraization"]["observables"]["z"] = [[[2, 0], [0, 0]], [[0, 0], [-2, 0]]]
         config = write_config(tmp_path, payload)
         assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 2
         report = json.loads((tmp_path / "validation.json").read_text())
@@ -337,13 +450,7 @@ class TestOtherCommands:
         assert "# H_bits=1.0" in text
 
     def test_spectral_output(self, tmp_path):
-        config = write_config(tmp_path, {
-            "kind": "spectral",
-            "inputs": {
-                "observable": SIGMA_Z,
-                "state": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
-            },
-        })
+        config = write_config(tmp_path, SPECTRAL)
         assert main(["spectral", "--config", str(config), "--out", str(tmp_path)]) == 0
         text = (tmp_path / "spectral.csv").read_text()
         assert "atom" in text and "spectral_radius" in text
@@ -363,21 +470,11 @@ class TestOtherCommands:
         assert "p_hat" in text and "lower_bound_holds" in text
 
     def test_tomography_ok_and_infeasible(self, tmp_path):
-        base = {
-            "kind": "tomography",
-            "inputs": {
-                "problem": {
-                    "observables": [SIGMA_Z, IDENTITY],
-                    "expectations": [0.4, 1.0],
-                    "frame": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-                },
-            },
-        }
-        config = write_config(tmp_path, base, "tomo_ok.json")
+        config = write_config(tmp_path, TOMOGRAPHY, "tomo_ok.json")
         assert main(["tomography", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert "weight_0" in (tmp_path / "tomography.csv").read_text()
 
-        bad = json.loads(json.dumps(base))
+        bad = json.loads(json.dumps(TOMOGRAPHY))
         bad["inputs"]["problem"]["expectations"] = [1.5, 1.0]
         config2 = write_config(tmp_path, bad, "tomo_bad.json")
         assert main(["tomography", "--config", str(config2), "--out", str(tmp_path / "bad")]) == 2
@@ -648,10 +745,7 @@ class TestNumpyOnFirstUse:
     )
 
     def test_classical_kinds_run_without_numpy(self, tmp_path):
-        spectral = write_config(tmp_path, {
-            "kind": "spectral",
-            "inputs": {"observable": SIGMA_Z, "state": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
-        }, "spectral.json")
+        spectral = write_config(tmp_path, SPECTRAL, "spectral.json")
         runs = [
             ["kolmogorov", "--config", str(write_config(tmp_path, KOLMOGOROV_OK, "ok.json"))],
             ["kolmogorov", "--config", str(write_config(tmp_path, KOLMOGOROV_BAD, "bad.json"))],

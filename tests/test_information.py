@@ -68,6 +68,15 @@ class TestSchema:
             Schema([F(1, 2), F(1, 3)])
         assert Schema([F(1, 2), F(1, 2)]).entropy_bits() == 1.0
 
+    @pytest.mark.parametrize("weights", [
+        [float("nan"), 1.0],
+        ["1/0"],
+        ["0e10001", 1],
+    ])
+    def test_unreadable_weight_is_a_value_error(self, weights):
+        with pytest.raises(ValueError):
+            Schema(weights)
+
     def test_dirac_detection(self):
         assert Schema([0, 1, 0]).is_dirac()
         assert not Schema([F(1, 2), F(1, 2)]).is_dirac()

@@ -120,6 +120,14 @@ def test_contradictory_marginals_certificate_is_minimal():
     assert set(result.certificate) == set(constraints[:2])
 
 
+def test_repeated_constraint_object_gives_a_minimal_certificate():
+    c1, c2 = MarginalConstraint("a", 1, "1/2"), MarginalConstraint("a", 1, "1/3")
+    repeated = kolmogorov_check({"a": [0, 1]}, [c1, c1, c2])
+    copied = kolmogorov_check({"a": [0, 1]}, [c1, MarginalConstraint("a", 1, "1/2"), c2])
+    assert len(repeated.certificate) == len(copied.certificate) == 2
+    assert repeated.certificate == copied.certificate == (c1, c2)
+
+
 def test_capacity_bound():
     spaces = {f"x{k}": list(range(10)) for k in range(5)}
     with pytest.raises(CapacityError):
@@ -240,12 +248,12 @@ def reference_check(spaces, constraints):
     feasible, x, deficit = solve(constraints)
     if feasible:
         return True, {c: w for c, w in zip(cells, x) if w != 0}, None, deficit
-    core = list(constraints)
-    for candidate in list(core):
-        trial = [c for c in core if c is not candidate]
-        if not solve(trial)[0]:
+    core = list(enumerate(constraints))
+    for candidate in range(len(constraints)):
+        trial = [(k, c) for k, c in core if k != candidate]
+        if not solve([c for _, c in trial])[0]:
             core = trial
-    return False, None, tuple(core), deficit
+    return False, None, tuple(c for _, c in core), deficit
 
 
 def assert_same_verdict(spaces, constraints):
@@ -321,7 +329,7 @@ def constraint_sets(draw):
         else:
             constraints.append(ConditionalConstraint.of(events(), events(), draw(prob)))
     if draw(st.booleans()):
-        # The same object twice: the filter removes every copy of a candidate.
+        # The same object twice: each copy is a candidate of its own.
         constraints.insert(draw(st.integers(0, len(constraints))), constraints[0])
     return spaces, constraints
 

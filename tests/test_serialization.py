@@ -6,8 +6,10 @@ import pytest
 
 from oplab.measures import BorelSet, DiscreteMeasure, Partition
 from oplab.serialization import (
+    ConfigError,
     borel_from_json,
     borel_to_json,
+    constraint_of,
     format_scalar,
     labsystem_from_json,
     labsystem_to_json,
@@ -153,3 +155,23 @@ class TestRelationsAndProblems:
         assert again.expectations == problem.expectations
         assert np.allclose(again.frame, problem.frame)
         assert np.allclose(again.observables[0].matrix, problem.observables[0].matrix)
+
+
+class TestFieldPaths:
+    """Readers name the field at fault by its path, starting from ``where``."""
+
+    @pytest.mark.parametrize("read, payload, message", [
+        (measure_from_json, {"atoms": {}}, "measure.atoms must be a list"),
+        (borel_from_json, [], "set must be an object"),
+        (lambda p: partition_from_json(p, "inputs.partition"),
+         {"window": ["0", "1"], "cells": [{}, "x"]}, "inputs.partition.cells[1] must be an object"),
+        (labsystem_from_json, {"observables": {}}, "missing field 'states' in system"),
+        (relations_from_json, {"powers": {}}, "relations.powers must be a list"),
+        (lambda p: constraint_of(p, "inputs.constraints[0]"), {"type": "joint", "events": [],
+         "prob": 1}, "inputs.constraints[0].events must be an object"),
+        (constraint_of, {"type": "marginal", "value": 1}, "missing field 'observable' in constraint"),
+    ])
+    def test_reader_names_the_field(self, read, payload, message):
+        with pytest.raises(ConfigError) as info:
+            read(payload)
+        assert str(info.value) == message
