@@ -1,7 +1,7 @@
 """Batch experiment harness: JSON configs in, deterministic CSV tables out.
 
 Exit codes: 0 success, 2 validation failure (reports still written),
-1 error (malformed config, missing artifact, bad dimensions).
+1 error (usage error, malformed config, missing artifact, bad dimensions).
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def _cmd_tomography(args, config, inputs, footer):
 
 
 def _cmd_kolmogorov(args, config, inputs, footer):
-    spaces = field(inputs, "outcomes", "inputs", dict)
+    spaces = field(inputs, "outcomes", "inputs", dict, items=list)
     constraints = [constraint_of(c, f"inputs.constraints[{k}]")
                    for k, c in enumerate(field(inputs, "constraints", "inputs", list))]
     result = kolmogorov_check(spaces, constraints)
@@ -273,9 +273,10 @@ def _cmd_validate(args, config, inputs, footer):
                                     "inputs.relations")
     reports = list(arba_validate(alg, relations))
     if "center" in inputs:
-        reports.extend(center_check(alg, inputs["center"], relations))
+        reports.extend(center_check(alg, field(inputs, "center", "inputs", list), relations))
     if "embedding_families" in inputs:
-        reports.extend(embedding_check(alg, inputs["embedding_families"]))
+        families = field(inputs, "embedding_families", "inputs", dict, items=list)
+        reports.extend(embedding_check(alg, families))
     records = reports_to_records(reports)
     json_path = _out_path(args, config, "validation.json")
     json_path.write_text(
@@ -346,8 +347,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 (``EXIT_ERROR``), not
+    argparse's 2, which this command keeps for validation failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oplab",
         description="Measurement-statistics experiment harness",
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -88,6 +88,13 @@ def is_unit_mass(mass: Scalar, mode: str) -> bool:
     if mode == RATIONAL:
         return mass == 1
     return abs(mass - 1.0) <= FLOAT_MASS_TOL
+
+
+def _sum(values: Iterable, mode: str) -> Scalar:
+    """Sum ``values`` one at a time, in the given order, from the zero of
+    ``mode``.  Builtin ``sum`` compensates float sums from Python 3.12 on,
+    so its results would depend on the interpreter."""
+    return reduce(add, values, to_scalar(0, mode))
 
 
 def _check_mode(mode: str) -> str:
@@ -259,8 +266,14 @@ def _weighted_mean(a: tuple, b: tuple) -> tuple:
 
 
 def _float_runs(rows: list, axis: int) -> list:
-    """Sort rows stably on coordinate ``axis`` and split them into runs whose
-    coordinate is within ``FLOAT_MERGE_TOL`` of the run start."""
+    """Sort rows stably on coordinate ``axis``, split them into runs whose
+    coordinate is within ``FLOAT_MERGE_TOL`` of the run start, and pair each
+    run with its weighted mean.
+
+    Once an ulp exceeds the tolerance, a mean can round onto or past the
+    next run's.  While a run's mean is not below the next run's on ``axis``,
+    the two runs join, so the means strictly increase on ``axis``.
+    """
     runs = []
     for row in sorted(rows, key=itemgetter(axis)):
         if runs and row[axis] - start <= FLOAT_MERGE_TOL:
@@ -268,7 +281,14 @@ def _float_runs(rows: list, axis: int) -> list:
         else:
             start = row[axis]
             runs.append([row])
-    return runs
+    joined = []
+    for run in runs:
+        mean = reduce(_weighted_mean, run)
+        while joined and joined[-1][1][axis] >= mean[axis]:
+            run = joined.pop()[0] + run
+            mean = reduce(_weighted_mean, run)
+        joined.append((run, mean))
+    return joined
 
 
 def _canonical_atoms(rows, mode: str) -> tuple:
@@ -276,9 +296,10 @@ def _canonical_atoms(rows, mode: str) -> tuple:
 
     Sorts, drops zero weights and rejects negative ones (float mode forgives
     ``FLOAT_MASS_TOL``).  Rational mode merges equal points.  Float mode
-    splits into runs on one coordinate at a time, each run on the next, and
-    merges each final run, in sorted order, into its weighted mean; the rows
-    come out in run order.  The result depends only on the multiset of rows.
+    splits into runs on one coordinate at a time, each run on the next (see
+    `_float_runs`), and merges each final run, in sorted order, into its
+    weighted mean; the rows come out in run order, so line points strictly
+    increase in both modes.  The result depends only on the multiset of rows.
     """
     items = []
     for row in sorted(rows):
@@ -296,9 +317,10 @@ def _canonical_atoms(rows, mode: str) -> tuple:
     if mode == RATIONAL or not items:
         return tuple(items)
     runs = [items]
-    for axis in range(len(items[0]) - 1):
-        runs = [run for rows in runs for run in _float_runs(rows, axis)]
-    return tuple(reduce(_weighted_mean, run) for run in runs)
+    *axes, last = range(len(items[0]) - 1)
+    for axis in axes:
+        runs = [run for rows in runs for run, _ in _float_runs(rows, axis)]
+    return tuple(mean for rows in runs for _, mean in _float_runs(rows, last))
 
 
 class _FiniteMeasure:
@@ -309,7 +331,7 @@ class _FiniteMeasure:
 
     @property
     def mass(self) -> Scalar:
-        return sum((w for _, w in self.atoms), start=to_scalar(0, self.mode))
+        return _sum((w for _, w in self.atoms), self.mode)
 
     def is_probability(self) -> bool:
         return is_unit_mass(self.mass, self.mode)
@@ -341,27 +363,33 @@ class _FiniteMeasure:
 
 
 class DiscreteMeasure(_FiniteMeasure):
-    """Nonnegative measure with finitely many atoms on the real line."""
+    """Nonnegative measure with finitely many atoms on the real line; the
+    atom points strictly increase."""
 
-    __slots__ = ("_index",)
+    __slots__ = ()
 
     def __init__(self, atoms: Iterable, mode: str = RATIONAL):
         _check_mode(mode)
         rows = [(to_scalar(p, mode), to_scalar(w, mode)) for p, w in atoms]
         self.atoms = _canonical_atoms(rows, mode)
         self.mode = mode
-        self._index = None
 
-    def _point_index(self):
-        """Atom points in increasing order, and the atom position of each.
+    def _hits(self, delta: BorelSet, singleton_tol=0) -> list:
+        """Positions of the atoms lying in ``delta``, in increasing order.
 
-        Built on first use.  The sort is stable, so equal points keep atom
-        order.
+        Each interval and singleton of ``delta`` finds its atoms by bisecting
+        the atoms, whose points strictly increase.  A nonzero
+        ``singleton_tol`` (see ``BorelSet.contains``) is not an interval
+        query, so it tests every atom.
         """
-        if self._index is None:
-            order = sorted(range(len(self.atoms)), key=lambda k: self.atoms[k][0])
-            self._index = ([self.atoms[k][0] for k in order], order)
-        return self._index
+        atoms, point = self.atoms, itemgetter(0)
+        if singleton_tol:
+            return [k for k, (p, _) in enumerate(atoms) if delta.contains(p, singleton_tol)]
+        spans = [(bisect_left(atoms, lo, key=point), bisect_left(atoms, hi, key=point))
+                 for lo, hi in delta.intervals]
+        spans += [(bisect_left(atoms, s, key=point), bisect_right(atoms, s, key=point))
+                  for s in delta.singletons]
+        return [k for a, b in sorted(spans) for k in range(a, b)]
 
     # -- constructors --------------------------------------------------------
 
@@ -389,57 +417,30 @@ class DiscreteMeasure(_FiniteMeasure):
 
     def weight_at(self, point) -> Scalar:
         point = to_scalar(point, self.mode)
-        points, order = self._point_index()
-        k = bisect_left(points, point)
-        if k < len(points) and points[k] == point:
-            return self.atoms[order[k]][1]
+        k = bisect_left(self.atoms, point, key=itemgetter(0))
+        if k < len(self.atoms) and self.atoms[k][0] == point:
+            return self.atoms[k][1]
         return to_scalar(0, self.mode)
 
     # -- the measure itself --------------------------------------------------
 
     def measure_of(self, delta: BorelSet, singleton_tol=0) -> Scalar:
-        """Total weight of atoms lying in ``delta``, summed in atom order.
-
-        Each interval and singleton of ``delta`` finds its atoms by bisection
-        of the sorted points.  A nonzero ``singleton_tol`` (see
-        ``BorelSet.contains``) is not an interval query, so it tests every
-        atom.
-        """
-        if singleton_tol:
-            hits = [k for k, (p, _) in enumerate(self.atoms)
-                    if delta.contains(p, singleton_tol=singleton_tol)]
-        else:
-            points, order = self._point_index()
-            hits = []
-            for lo, hi in delta.intervals:
-                hits += order[bisect_left(points, lo):bisect_left(points, hi)]
-            for s in delta.singletons:
-                hits += order[bisect_left(points, s):bisect_right(points, s)]
-            hits.sort()
-        total = to_scalar(0, self.mode)
-        for k in hits:
-            total += self.atoms[k][1]
-        return total
+        """Total weight of atoms lying in ``delta``, summed in atom order."""
+        return _sum((self.atoms[k][1] for k in self._hits(delta, singleton_tol)), self.mode)
 
     def mean(self) -> Scalar:
         """First moment; defined for probability measures only."""
         self.require_probability()
-        return sum((p * w for p, w in self.atoms), start=to_scalar(0, self.mode))
+        return _sum((p * w for p, w in self.atoms), self.mode)
 
     def variance(self) -> Scalar:
         """Second central moment (the dispersion of the outcome)."""
         m = self.mean()
-        return sum(
-            ((p - m) * (p - m) * w for p, w in self.atoms),
-            start=to_scalar(0, self.mode),
-        )
+        return _sum(((p - m) * (p - m) * w for p, w in self.atoms), self.mode)
 
     def expectation(self, f: Callable) -> Scalar:
         """Integral of ``f`` against the measure."""
-        total = to_scalar(0, self.mode)
-        for p, w in self.atoms:
-            total += to_scalar(f(p), self.mode) * w
-        return total
+        return _sum((to_scalar(f(p), self.mode) * w for p, w in self.atoms), self.mode)
 
     # -- transformations -----------------------------------------------------
 
@@ -467,17 +468,15 @@ class DiscreteMeasure(_FiniteMeasure):
 
     def bayes_condition(self, delta: BorelSet) -> "DiscreteMeasure":
         """Conditional measure ``A -> m(A & delta) / m(delta)``."""
-        denom = self.measure_of(delta)
+        kept = [self.atoms[k] for k in self._hits(delta)]
+        denom = _sum((w for _, w in kept), self.mode)
         if denom == 0:
             raise ConditioningOnNull(f"conditioning set has measure zero: {delta!r}")
-        kept = [(p, w / denom) for p, w in self.atoms if delta.contains(p)]
-        return DiscreteMeasure(kept, mode=self.mode)
+        return DiscreteMeasure([(p, w / denom) for p, w in kept], mode=self.mode)
 
     def restrict(self, delta: BorelSet) -> "DiscreteMeasure":
         """Unnormalized restriction to ``delta``."""
-        return DiscreteMeasure(
-            [(p, w) for p, w in self.atoms if delta.contains(p)], mode=self.mode
-        )
+        return DiscreteMeasure([self.atoms[k] for k in self._hits(delta)], mode=self.mode)
 
     def scale(self, factor) -> "DiscreteMeasure":
         c = to_scalar(factor, self.mode)
@@ -607,11 +606,9 @@ class JointMeasure(_FiniteMeasure):
         self.mode = mode
 
     def measure_of(self, delta_s: BorelSet, delta_t: BorelSet, singleton_tol=0) -> Scalar:
-        total = to_scalar(0, self.mode)
-        for (s, t), w in self.atoms:
-            if delta_s.contains(s, singleton_tol) and delta_t.contains(t, singleton_tol):
-                total += w
-        return total
+        return _sum((w for (s, t), w in self.atoms
+                     if delta_s.contains(s, singleton_tol) and delta_t.contains(t, singleton_tol)),
+                    self.mode)
 
     def marginals(self):
         """Pair of coordinate projections."""
@@ -633,10 +630,8 @@ class JointMeasure(_FiniteMeasure):
     def means(self):
         """Coordinatewise expectation pair."""
         self.require_probability()
-        zero = to_scalar(0, self.mode)
-        es = sum((s * w for (s, _), w in self.atoms), start=zero)
-        et = sum((t * w for (_, t), w in self.atoms), start=zero)
-        return es, et
+        return (_sum((s * w for (s, _), w in self.atoms), self.mode),
+                _sum((t * w for (_, t), w in self.atoms), self.mode))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({s},{t}):{w}" for (s, t), w in self.atoms)
@@ -698,15 +693,10 @@ def disintegrate(joint: JointMeasure):
     by_point: dict = {}
     for (s, t), w in joint.atoms:
         by_point.setdefault(s, []).append((t, w))
-    marginal = DiscreteMeasure(
-        [(s, sum(w for _, w in entries)) for s, entries in by_point.items()],
-        mode=joint.mode,
-    )
-    rows = {}
-    for s, entries in by_point.items():
-        total = sum(w for _, w in entries)
-        rows[s] = DiscreteMeasure([(t, w / total) for t, w in entries], mode=joint.mode)
-    return marginal, MarkovKernel(rows)
+    totals = {s: _sum((w for _, w in entries), joint.mode) for s, entries in by_point.items()}
+    rows = {s: DiscreteMeasure([(t, w / totals[s]) for t, w in entries], mode=joint.mode)
+            for s, entries in by_point.items()}
+    return DiscreteMeasure(totals.items(), mode=joint.mode), MarkovKernel(rows)
 
 
 # ---------------------------------------------------------------------------

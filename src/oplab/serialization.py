@@ -9,6 +9,9 @@ Readers take the payload and, last, ``where``: the payload's path in the
 config, used only in messages.  Every object field is read through `field`,
 so a missing field or one of the wrong JSON type raises `ConfigError`
 naming its path, such as ``inputs.partition.cells[1] must be an object``.
+A field whose entries are lists, such as the ``[point, weight]`` atoms of a
+measure, checks them too (``inputs.measure.atoms[0] must be a list``), so a
+string is never unpacked character by character.
 """
 
 from __future__ import annotations
@@ -38,12 +41,14 @@ _REQUIRED = object()
 _JSON_TYPES = {dict: "an object", list: "a list"}
 
 
-def field(payload, name: str, where: str, kind: type = None, default=_REQUIRED):
+def field(payload, name: str, where: str, kind: type = None, default=_REQUIRED, *,
+          items: type = None):
     """``payload[name]``, where ``payload`` is the JSON object at ``where``.
 
     Raises ConfigError when ``payload`` is not an object, when the field is
-    missing and has no ``default``, or when ``kind`` (``dict`` or ``list``)
-    is given and the value is not of that JSON type.
+    missing and has no ``default``, when ``kind`` (``dict`` or ``list``) is
+    given and the value is not of that JSON type, or when ``items`` is given
+    and an entry of the list or a value of the object is not of that type.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{where} must be an object")
@@ -54,6 +59,12 @@ def field(payload, name: str, where: str, kind: type = None, default=_REQUIRED):
     value = payload[name]
     if kind is not None and not isinstance(value, kind):
         raise ConfigError(f"{where}.{name} must be {_JSON_TYPES[kind]}")
+    if items is not None:
+        keyed = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, entry in keyed:
+            if not isinstance(entry, items):
+                at = f".{key}" if isinstance(value, dict) else f"[{key}]"
+                raise ConfigError(f"{where}.{name}{at} must be {_JSON_TYPES[items]}")
     return value
 
 
@@ -94,7 +105,7 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
 
 def measure_from_json(payload: Mapping, mode: str = RATIONAL,
                       where: str = "measure") -> DiscreteMeasure:
-    return DiscreteMeasure(field(payload, "atoms", where, list), mode=mode)
+    return DiscreteMeasure(field(payload, "atoms", where, list, items=list), mode=mode)
 
 
 def _endpoint_to_json(value):
@@ -112,7 +123,7 @@ def borel_to_json(delta: BorelSet) -> dict:
 
 
 def borel_from_json(payload: Mapping, where: str = "set") -> BorelSet:
-    return BorelSet(field(payload, "intervals", where, list, []),
+    return BorelSet(field(payload, "intervals", where, list, [], items=list),
                     field(payload, "singletons", where, list, []))
 
 
@@ -200,12 +211,13 @@ def _operator_maps(payload: Mapping, where: str):
 def labsystem_from_json(payload: Mapping, where: str = "system") -> LabSystem:
     observables, states = _operator_maps(payload, where)
     return LabSystem(observables, states,
-                     [tuple(pair) for pair in field(payload, "suitability", where, list)])
+                     [tuple(pair) for pair in field(payload, "suitability", where, list,
+                                                    items=list)])
 
 
 def relations_from_json(payload: Mapping, where: str = "relations") -> DeclaredRelations:
     def entries(name):
-        return field(payload, name, where, list, [])
+        return field(payload, name, where, list, [], items=list)
 
     return DeclaredRelations(
         powers=tuple((b, int(n), p) for b, n, p in entries("powers")),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,23 @@ class TestErrors:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
         assert "truth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        [], ["simulate"], ["bogus", "--config", "c.json"],
+        ["simulate", "--config", "c.json", "--seed", "abc"],
+    ])
+    def test_usage_errors_exit_1(self, capsys, argv):
+        # Exit 2 means a validation failure; argparse would exit 2 here.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
     def test_kind_mismatch(self, tmp_path):
         config = write_config(tmp_path, SIMULATE)
         assert main(["entropy", "--config", str(config), "--out", str(tmp_path)]) == 1
@@ -345,12 +363,13 @@ def _containers(node, path=()):
             yield from _containers(child, path + (key,))
 
 
+def _at(payload, path):
+    return reduce(lambda node, key: node[key], path, payload)
+
+
 def _replaced(payload, path, value):
     payload = json.loads(json.dumps(payload))
-    node = payload
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _at(payload, path[:-1])[path[-1]] = value
     return payload
 
 
@@ -375,6 +394,51 @@ class TestConfigCorruption:
                 if code not in (0, 1, 2) or (code == 1 and not err.startswith("error: ")):
                     failures.append((path, value, code, err))
         assert failures == []
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_each_list_replaced_by_a_string_exits_1(self, tmp_path, capsys, name):
+        # "01" unpacks like a pair, so a reader that takes any iterable would
+        # read it character by character and run on.
+        failures = []
+        for path in _containers(CONFIGS[name]):
+            if not isinstance(_at(CONFIGS[name], path), list):
+                continue
+            payload = _replaced(CONFIGS[name], path, "01")
+            config = write_config(tmp_path, payload)
+            code = main([payload["kind"], "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if code != 1 or not err.startswith("error: "):
+                failures.append((path, code, err))
+        assert failures == []
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("entropy", ("inputs", "measure", "atoms"), ["01"],
+         "inputs.measure.atoms[0] must be a list"),
+        ("simulate", ("inputs", "target"), {"intervals": ["01"]},
+         "inputs.target.intervals[0] must be a list"),
+        ("entropy", ("inputs", "partition", "cells", 1), {"intervals": [["1", "2"], "01"]},
+         "inputs.partition.cells[1].intervals[1] must be a list"),
+        ("kolmogorov_ok", ("inputs", "outcomes", "a"), "01", "inputs.outcomes.a must be a list"),
+        ("validate", ("inputs", "relations", "compatible"), ["zz"],
+         "inputs.relations.compatible[0] must be a list"),
+        ("validate", ("inputs", "relations", "powers"), ["z2z"],
+         "inputs.relations.powers[0] must be a list"),
+        ("validate", ("inputs", "system", "suitability", 1), "mz",
+         "inputs.system.suitability[1] must be a list"),
+        ("validate", ("inputs", "center"), "z2", "inputs.center must be a list"),
+        ("validate", ("inputs", "embedding_families"), {"z": "mix"},
+         "inputs.embedding_families.z must be a list"),
+        ("validate", ("inputs", "embedding_families"), [],
+         "inputs.embedding_families must be an object"),
+    ])
+    def test_string_for_a_list_names_the_field(self, tmp_path, capsys, name, path, value,
+                                               message):
+        payload = _replaced(CONFIGS[name], path, value)
+        config = write_config(tmp_path, payload)
+        assert main([payload["kind"], "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("name, path, message", [
         ("simulate", ("inputs", "target"), "inputs.target must be an object"),

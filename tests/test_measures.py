@@ -2,6 +2,8 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -375,6 +377,30 @@ float_weights = st.one_of(
 rational_coords = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
 rational_weights = st.builds(F, st.integers(0, 5), st.sampled_from([1, 4, 7]))
 
+# Weighted means at these magnitudes round by an ulp, more than
+# FLOAT_MERGE_TOL: merged run by run, the float atoms of BIG_ATOMS would sort
+# out of order and those of TWIN_ATOMS would share one point, so their runs
+# join.
+BIG = 255321120.96853784
+BIG_ATOMS = [(BIG, 0.6645385878596914), (BIG, 0.8085794114042175),
+             (BIG, 0.268503178698661), (BIG, 0.3755020528476283),
+             (math.nextafter(BIG, math.inf), 0.2705756500399875)]
+TWIN = 509673262.7545747
+TWIN_ATOMS = [(TWIN, 0.48492511222773416), (TWIN, 0.3567899645449557),
+              (math.nextafter(TWIN, math.inf), 0.3460779190181549)]
+
+
+@st.composite
+def big_float_pairs(draw):
+    """Atoms a few ulps or fractions of FLOAT_MERGE_TOL around one point of
+    magnitude up to 1e15.  From about 8e6 on an ulp exceeds the tolerance, so
+    a run's weighted mean can round onto or past the next run."""
+    centre = draw(st.floats(1e6, 1e15) | st.sampled_from([BIG, TWIN]))
+    centre *= draw(st.sampled_from([1, -1]))
+    step = draw(st.sampled_from([math.ulp(centre), FLOAT_MERGE_TOL / 3, FLOAT_MERGE_TOL]))
+    offsets = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=10))
+    return [(centre + k * step, draw(st.floats(1e-3, 1.0))) for k in offsets]
+
 
 class TestCanonicalAtoms:
     @settings(max_examples=150, deadline=None)
@@ -408,6 +434,31 @@ class TestCanonicalAtoms:
                              "float")
         assert [(point[axis], w) for point, w in joint.atoms] == list(
             DiscreteMeasure(pairs, "float").atoms)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=big_float_pairs())
+    def test_float_line_atoms_strictly_increase_at_any_magnitude(self, pairs):
+        m = DiscreteMeasure(pairs, "float")
+        assert all(p < q for p, q in zip(m.support, m.support[1:]))
+        for p, w in m.atoms:
+            assert m.weight_at(p) == w
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=big_float_pairs(), other=st.sampled_from([0.0, BIG, -1e15]),
+           axis=st.sampled_from([0, 1]))
+    def test_float_plane_on_a_line_merges_like_the_line_at_any_magnitude(
+            self, pairs, other, axis):
+        joint = JointMeasure([((x, other) if axis == 0 else (other, x), w) for x, w in pairs],
+                             "float")
+        assert [(point[axis], w) for point, w in joint.atoms] == list(
+            DiscreteMeasure(pairs, "float").atoms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(-50, 50), st.floats(1e-6, 1e6)), max_size=20))
+    def test_float_mass_is_the_left_to_right_sum(self, pairs):
+        # Builtin sum compensates float sums from Python 3.12 on.
+        m = DiscreteMeasure(pairs, "float")
+        assert repr(m.mass) == repr(reduce(add, (w for _, w in m.atoms), 0.0))
 
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(st.tuples(rational_coords, rational_coords),
@@ -571,6 +622,18 @@ def reference_measure_of(measure, delta, singleton_tol=0):
     return total
 
 
+def reference_restrict(measure, delta):
+    return DiscreteMeasure([(p, w) for p, w in measure.atoms if delta.contains(p)], measure.mode)
+
+
+def reference_bayes_condition(measure, delta):
+    denom = reference_measure_of(measure, delta)
+    if denom == 0:
+        raise ConditioningOnNull(f"conditioning set has measure zero: {delta!r}")
+    return DiscreteMeasure([(p, w / denom) for p, w in measure.atoms if delta.contains(p)],
+                           measure.mode)
+
+
 def reference_weight_at(measure, point):
     point = to_scalar(point, measure.mode)
     for p, w in measure.atoms:
@@ -589,16 +652,6 @@ def outcome(fn, *args):
 
 GRID = [F(k, 4) for k in range(-12, 13)]
 TINY = F(1, 10 ** 9)
-# Weighted means at these magnitudes round by an ulp, more than
-# FLOAT_MERGE_TOL: the canonical float atoms of BIG_ATOMS sort out of order,
-# and those of TWIN_ATOMS share one point.
-BIG = 255321120.96853784
-BIG_ATOMS = [(BIG, 0.6645385878596914), (BIG, 0.8085794114042175),
-             (BIG, 0.268503178698661), (BIG, 0.3755020528476283),
-             (math.nextafter(BIG, math.inf), 0.2705756500399875)]
-TWIN = 509673262.7545747
-TWIN_ATOMS = [(TWIN, 0.48492511222773416), (TWIN, 0.3567899645449557),
-              (math.nextafter(TWIN, math.inf), 0.3460779190181549)]
 
 
 @st.composite
@@ -668,7 +721,7 @@ def measures_on_the_grid(draw):
 
 
 class TestIndexedQueries:
-    """The sorted piece and point indices against linear scans."""
+    """The sorted piece index and the atom bisection against linear scans."""
 
     @settings(max_examples=200, deadline=None)
     @given(cells=grid_cells(), xs=st.lists(queries, min_size=1, max_size=12))
@@ -692,6 +745,9 @@ class TestIndexedQueries:
     def test_measure_of_and_weight_at_match_linear_scan(self, m, cells, stray, xs):
         for delta in cells + [stray, BorelSet.real_line(), BorelSet(singletons=m.support)]:
             assert outcome(m.measure_of, delta) == outcome(reference_measure_of, m, delta)
+            assert outcome(m.restrict, delta) == outcome(reference_restrict, m, delta)
+            assert outcome(m.bayes_condition, delta) == outcome(
+                reference_bayes_condition, m, delta)
             assert repr(m.measure_of(delta, FLOAT_MERGE_TOL)) == repr(
                 reference_measure_of(m, delta, FLOAT_MERGE_TOL))
         for x in xs + list(m.support):
@@ -718,11 +774,12 @@ class TestIndexedQueries:
     def test_unsorted_and_twin_float_atoms(self):
         unsorted = DiscreteMeasure([(0.0, 0.7)] + BIG_ATOMS, "float")
         twins = DiscreteMeasure(TWIN_ATOMS, "float")
-        assert unsorted.support[1] > unsorted.support[2]
-        assert twins.support[0] == twins.support[1]
-        # Summed in sorted order, the real line reads ...853 instead of ...857.
-        assert repr(unsorted.measure_of(BorelSet.real_line())) == "3.0876988808501857"
-        assert twins.weight_at(twins.support[0]) == twins.atoms[0][1]
+        # The runs whose means would cross or meet join into one atom each.
+        assert len(unsorted) == 2 and len(twins) == 1
+        for m in (unsorted, twins):
+            assert all(p < q for p, q in zip(m.support, m.support[1:]))
+        assert repr(unsorted.measure_of(BorelSet.real_line())) == "3.0876988808501853"
+        assert twins.weight_at(twins.support[0]) == twins.mass
         for m in (unsorted, twins):
             for x in m.support + (BIG, TWIN):
                 assert repr(m.weight_at(x)) == repr(reference_weight_at(m, x))
