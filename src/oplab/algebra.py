@@ -26,12 +26,18 @@ from .spectral import (
     DensityState,
     HermitianObservable,
     LabSystem,
+    _max_abs,
     commutator_norm,
     commuting_eigenframe,  # noqa: F401  re-exported; lives next to the spectral core
 )
 
 RESIDUAL_TOL = 1e-9
 NEGATIVE_WEIGHT_TOL = 1e-9
+# Slack added to an image's own eigenvalue grouping tolerance when a system
+# spectral point is looked up in the image spectrum.
+SPECTRUM_MATCH_TOL = 1e-9
+PURITY_TOL = 1e-10
+ORTHONORMAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,6 @@ class ConditionReport:
     witness: str = ""
 
 
-def _matrix_gap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b))) if a.size else 0.0
-
-
 def _condition(name: str, tol: float, gaps) -> ConditionReport:
     """Fold ``(gap, witness)`` pairs into one report: the worst gap with its
     witness, passing when every gap is within ``tol``."""
@@ -141,13 +143,13 @@ def arba_validate(
 
     return (
         _condition("polynomial", tol, (
-            (_matrix_gap(image(p), np.linalg.matrix_power(image(base), n)), f"{base}^{n} vs {p}")
+            (_max_abs(image(p) - np.linalg.matrix_power(image(base), n)), f"{base}^{n} vs {p}")
             for base, n, p in relations.powers)),
         _condition("sum-on-compatibility", tol, (
-            (_matrix_gap(image(c), image(a) + image(b)), f"{a}+{b} vs {c}")
+            (_max_abs(image(c) - (image(a) + image(b))), f"{a}+{b} vs {c}")
             for a, b, c in relations.sums)),
         _condition("scalar-homogeneity", tol, (
-            (_matrix_gap(image(scaled), float(factor) * image(label)),
+            (_max_abs(image(scaled) - float(factor) * image(label)),
              f"{factor}*{label} vs {scaled}")
             for label, factor, scaled in relations.scalings)),
         _condition("expectation-matching", tol, (
@@ -187,7 +189,7 @@ def embedding_check(
         )
         system_spectrum = alg.system.observables[obs_label].spectrum
         preserved = all(
-            any(abs(s - t) <= image.dedup_tol + 1e-9 for t in image.spectrum)
+            any(abs(s - t) <= image.dedup_tol + SPECTRUM_MATCH_TOL for t in image.spectrum)
             for s in system_spectrum
         )
         gap = radius - family_norm
@@ -224,7 +226,7 @@ def center_check(
             (commutator_norm(image(z), image(label)), f"[{z},{label}]")
             for z in center_labels for label in sorted(alg.observable_images))),
         _condition("center-products", RESIDUAL_TOL, (
-            (_matrix_gap(image(c), image(a) @ image(b)), f"{a}*{b} vs {c}")
+            (_max_abs(image(c) - image(a) @ image(b)), f"{a}*{b} vs {c}")
             for a, b, c in relations.products if a in centers or b in centers)),
     )
 
@@ -232,7 +234,7 @@ def center_check(
 def purity_preservation_check(
     alg: Algebraization,
     extremal_state_labels: Sequence[str],
-    tol: float = 1e-10,
+    tol: float = PURITY_TOL,
 ) -> Tuple[Tuple[str, float], ...]:
     """States declared extremal whose images are mixed.
 
@@ -305,7 +307,7 @@ class ReconstructionProblem:
         if len(expectations) != n or frame_matrix.shape[1] != n:
             raise ValueError("observable, expectation and frame counts must agree")
         gram = frame_matrix.conj().T @ frame_matrix
-        if float(np.max(np.abs(gram - np.eye(n)))) > 1e-10:
+        if _max_abs(gram - np.eye(n)) > ORTHONORMAL_TOL:
             raise ValueError("frame is not orthonormal")
         self.dim = dim
         self.observables = observables

@@ -17,32 +17,31 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import (
-    Algebraization,
     arba_validate,
     center_check,
     embedding_check,
     reports_to_records,
     tomography_reconstruct,
 )
-from .dynamics import EvolutionTrace, decompose_evolution
+from .dynamics import decompose_evolution
 from .ensembles import estimate_probability, min_trials, run_ensemble
-from .errors import CapacityError, NoRealizableFrame, OplabError, SingularFrame
+from .errors import NoRealizableFrame, OplabError, SingularFrame
 from .information import shannon_entropy, vn_entropy_and_purity
 from .kolmogorov import kolmogorov_check
 from .measures import FLOAT, RATIONAL
 from .serialization import (
     ConfigError,
-    _operator_maps,
-    borel_from_json,
     constraint_of,
+    ensemble_of,
+    evolution_of,
     field,
     format_scalar,
-    labsystem_from_json,
-    matrix_from_json,
     measure_from_json,
+    operator_of,
+    outcomes_of,
     partition_from_json,
     reconstruction_from_json,
-    relations_from_json,
+    validation_of,
 )
 from .spectral import DensityState, HermitianObservable, spectral_measure
 
@@ -51,7 +50,7 @@ EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 
 
-def _fmt(value, mode: str) -> str:
+def _fmt(value) -> str:
     if isinstance(value, Fraction):
         return format_scalar(value, RATIONAL)
     if isinstance(value, float):
@@ -59,11 +58,22 @@ def _fmt(value, mode: str) -> str:
     return str(value)
 
 
+def _create(path: Path):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        raise ConfigError(f"cannot write {path}: {_reason(exc)}") from exc
+
+
+def _reason(exc: Exception):
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+
+
 def _write_csv(path: Path, header, rows, footer: dict) -> None:
     # Every row is computed before the file is opened, so a row that fails
     # leaves no truncated table behind.
     rows = list(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -84,6 +94,8 @@ def _load_config(path: Path) -> tuple:
         config = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     digest = hashlib.sha256(raw).hexdigest()
@@ -99,15 +111,16 @@ def _resolve_seed(args, config) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"OPLAB_SEED is not an integer: {env!r}") from exc
-    if "seed" in config and config["seed"] is not None:
-        return int(config["seed"])
-    raise ConfigError("no seed: give --seed, set OPLAB_SEED, or add a seed field")
+    seed = field(config, "seed", "config", int, None)
+    if seed is None:
+        raise ConfigError("no seed: give --seed, set OPLAB_SEED, or add a seed field")
+    return seed
 
 
 def _resolve_mode(args, config) -> str:
-    mode = args.mode or config.get("mode", RATIONAL)
+    mode = args.mode or field(config, "mode", "config", str, RATIONAL)
     if mode not in (RATIONAL, FLOAT):
-        raise ConfigError(f"unknown mode {mode!r}")
+        raise ConfigError(f"config.mode: unknown mode {mode!r}")
     return mode
 
 
@@ -115,19 +128,17 @@ def _trial_log(args, config, inputs, footer):
     """The seeded ensemble that ``simulate`` and ``estimate`` report on."""
     mode = _resolve_mode(args, config)
     footer["seed"] = seed = _resolve_seed(args, config)
-    truth = measure_from_json(field(inputs, "truth", "inputs"), mode, "inputs.truth")
-    target = borel_from_json(field(inputs, "target", "inputs"), "inputs.target")
-    trials = int(field(inputs, "trials", "inputs"))
-    try:
-        return run_ensemble(truth, target, trials, seed)
-    except CapacityError as exc:
-        raise ConfigError(f"inputs.trials: {exc}") from exc
+    truth, target, trials = ensemble_of(inputs, mode)
+    return run_ensemble(truth, target, trials, seed)
 
 
 def _out_path(args, config, default_name: str) -> Path:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / config.get("output", default_name)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {_reason(exc)}") from exc
+    return out_dir / field(config, "output", "config", str, default_name)
 
 
 def _table(args, config, default_name: str, header, rows, footer, code=EXIT_OK):
@@ -147,7 +158,7 @@ def _cmd_simulate(args, config, inputs, footer):
     path = _out_path(args, config, "simulate.csv")
     # Imported here, so that no other kind compiles the two-process writer.
     from .trialcsv import write_rows
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write("i,X_i,xi_i,f_i,w_i\n")
         write_rows(fh, log)
         _write_footer(fh, footer)
@@ -155,7 +166,9 @@ def _cmd_simulate(args, config, inputs, footer):
 
 
 def _cmd_estimate(args, config, inputs, footer):
-    alpha = float(field(inputs, "alpha", "inputs", default=0.01))
+    alpha = field(inputs, "alpha", "inputs", float, 0.01)
+    if not alpha > 0:
+        raise ConfigError("inputs.alpha must be above 0")
     trace = _trial_log(args, config, inputs, footer).trace()
     report = estimate_probability(trace)
     stabilization = min_trials(trace, alpha)
@@ -187,23 +200,20 @@ def _cmd_entropy(args, config, inputs, footer):
     return _table(
         args, config, "entropy.csv",
         ["cell_index", "cell", "probability", "contribution_bits"],
-        ([k, desc, _fmt(p, mode), repr(c)] for k, desc, p, c in report.rows()),
+        ([k, desc, _fmt(p), repr(c)] for k, desc, p, c in report.rows()),
         footer,
     )
 
 
 def _cmd_dissipation(args, config, inputs, footer):
     mode = _resolve_mode(args, config)
-    times = field(inputs, "times", "inputs", list)
-    measures = [measure_from_json(m, mode, f"inputs.measures[{k}]")
-                for k, m in enumerate(field(inputs, "measures", "inputs", list))]
+    trace = evolution_of(inputs, mode)
     partition = partition_from_json(field(inputs, "partition", "inputs"), "inputs.partition")
-    trace = EvolutionTrace(times, measures)
     report = decompose_evolution(trace)
     return _table(
         args, config, "dissipation.csv",
         ["t", "coefficient", "entropy_bits", "escaped_mass"],
-        ([repr(t), _fmt(chi, mode), repr(bits), _fmt(esc, mode)]
+        ([repr(t), _fmt(chi), repr(bits), _fmt(esc)]
          for t, chi, bits, esc in report.rows(partition)),
         footer,
     )
@@ -230,8 +240,8 @@ def _cmd_tomography(args, config, inputs, footer):
 
 
 def _cmd_kolmogorov(args, config, inputs, footer):
-    spaces = field(inputs, "outcomes", "inputs", dict, items=list)
-    constraints = [constraint_of(c, f"inputs.constraints[{k}]")
+    spaces = outcomes_of(inputs)
+    constraints = [constraint_of(c, f"inputs.constraints[{k}]", spaces)
                    for k, c in enumerate(field(inputs, "constraints", "inputs", list))]
     result = kolmogorov_check(spaces, constraints)
     if result.feasible:
@@ -250,8 +260,9 @@ def _cmd_kolmogorov(args, config, inputs, footer):
 
 
 def _cmd_spectral(args, config, inputs, footer):
-    observable = HermitianObservable(matrix_from_json(field(inputs, "observable", "inputs")))
-    state = DensityState(matrix_from_json(field(inputs, "state", "inputs")))
+    observable = operator_of(HermitianObservable, field(inputs, "observable", "inputs"),
+                             "inputs.observable")
+    state = operator_of(DensityState, field(inputs, "state", "inputs"), "inputs.state")
     measure = spectral_measure(observable, state)
     rows = [["atom", repr(p), repr(w)] for p, w in measure.atoms]
     rows.append(["mean", "", repr(float(measure.mean()))])
@@ -263,26 +274,16 @@ def _cmd_spectral(args, config, inputs, footer):
 
 
 def _cmd_validate(args, config, inputs, footer):
-    system = labsystem_from_json(field(inputs, "system", "inputs"), "inputs.system")
-    if "algebraization" in inputs:
-        alg = Algebraization(system, *_operator_maps(inputs["algebraization"],
-                                                     "inputs.algebraization"))
-    else:
-        alg = Algebraization.identity(system)
-    relations = relations_from_json(field(inputs, "relations", "inputs", default={}),
-                                    "inputs.relations")
+    alg, relations, center, families = validation_of(inputs)
     reports = list(arba_validate(alg, relations))
-    if "center" in inputs:
-        reports.extend(center_check(alg, field(inputs, "center", "inputs", list), relations))
-    if "embedding_families" in inputs:
-        families = field(inputs, "embedding_families", "inputs", dict, items=list)
+    if center is not None:
+        reports.extend(center_check(alg, center, relations))
+    if families is not None:
         reports.extend(embedding_check(alg, families))
     records = reports_to_records(reports)
     json_path = _out_path(args, config, "validation.json")
-    json_path.write_text(
-        json.dumps({"conditions": records}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    with _create(json_path) as fh:
+        fh.write(json.dumps({"conditions": records}, indent=2, sort_keys=True) + "\n")
     csv_path = json_path.with_suffix(".csv")
     _write_csv(
         csv_path,
@@ -294,27 +295,26 @@ def _cmd_validate(args, config, inputs, footer):
     return (EXIT_OK if all_pass else EXIT_VALIDATION), [json_path, csv_path]
 
 
-def _read_artifact(path: Path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    rows = list(csv.reader(lines))
+def _read_artifact(path: Path, where: str):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader([line for line in fh if not line.startswith("#")]))
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8, a NUL in the name
+        raise ConfigError(f"{where}: cannot read artifact {path}: {_reason(exc)}") from exc
     if not rows:
-        raise ConfigError(f"artifact {path} is empty")
+        raise ConfigError(f"{where}: artifact {path} is empty")
     return rows[0], rows[1:]
 
 
 def _cmd_report(args, config, inputs, footer):
-    artifacts = field(inputs, "artifacts", "inputs", list)
+    artifacts = field(inputs, "artifacts", "inputs", list, items=str)
     if not artifacts:
-        raise ConfigError("no artifacts to report on")
+        raise ConfigError("inputs.artifacts must be a non-empty list")
     loaded = []
-    for name in artifacts:
-        path = Path(name)
-        if not path.is_absolute():
-            path = Path(args.config).parent / path
-        if not path.exists():
-            raise ConfigError(f"missing artifact {path}")
-        header, rows = _read_artifact(path)
+    for k, name in enumerate(artifacts):
+        # An absolute name replaces the config's directory.
+        path = Path(args.config).parent / name
+        header, rows = _read_artifact(path, f"inputs.artifacts[{k}]")
         loaded.append((path.name, header, rows))
     joinable = [entry for entry in loaded if entry[1] and entry[1][0] == "t"]
     if len(joinable) >= 2:
@@ -328,7 +328,10 @@ def _cmd_report(args, config, inputs, footer):
             table = {
                 t: vals + incoming[t] for t, vals in table.items() if t in incoming
             }
-        rows = [[t] + vals for t, vals in sorted(table.items(), key=lambda kv: float(kv[0]))]
+        try:
+            rows = [[t] + vals for t, vals in sorted(table.items(), key=lambda kv: float(kv[0]))]
+        except ValueError as exc:
+            raise ConfigError(f"inputs.artifacts: t column: {exc}") from exc
         return _table(args, config, "report.csv", header, rows, footer)
     rows = [[name, len(rows_), ";".join(header)] for name, header, rows_ in loaded]
     return _table(args, config, "report.csv", ["artifact", "rows", "columns"], rows, footer)
@@ -375,16 +378,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, digest = _load_config(Path(args.config))
-        kind = config.get("kind", args.command)
+        kind = field(config, "kind", "config", str, args.command)
         if kind != args.command:
-            raise ConfigError(f"config kind {kind!r} does not match command {args.command!r}")
+            raise ConfigError(f"config.kind {kind!r} does not match command {args.command!r}")
         footer = {"config_hash": f"sha256:{digest}", "version": f"oplab-{__version__}"}
-        inputs = field(config, "inputs", "config")
+        inputs = field(config, "inputs", "config", dict)
         code, paths = _COMMANDS[args.command](args, config, inputs, footer)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OplabError, KeyError, ValueError, TypeError) as exc:
+    except OplabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     for path in paths:

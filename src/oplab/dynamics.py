@@ -8,6 +8,7 @@ along the surviving part, and entropy/affinity diagnostics live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -23,6 +24,9 @@ from .measures import (
     to_scalar,
 )
 
+ENTROPY_SLACK = 1e-12
+AFFINE_TOL = 1e-12
+
 
 class EvolutionTrace:
     """Strictly increasing times starting at zero, one probability measure
@@ -36,6 +40,8 @@ class EvolutionTrace:
         measures = tuple(measures)
         if len(times) != len(measures) or not times:
             raise ValueError("need matching nonempty times and measures")
+        if not all(map(math.isfinite, times)):
+            raise ValueError("times must be finite")
         if times[0] != 0.0:
             raise ValueError("trace must start at time zero")
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
@@ -200,7 +206,7 @@ class EntropyEvolutionReport:
 
 
 def entropy_checks(
-    trace: EvolutionTrace, partitions: Sequence[Partition], slack: float = 1e-12
+    trace: EvolutionTrace, partitions: Sequence[Partition], slack: float = ENTROPY_SLACK
 ) -> EntropyEvolutionReport:
     """Entropy never below the initial value = monotone; always equal =
     dissipation-free."""
@@ -242,7 +248,7 @@ def affine_split_check(
     second: EvolutionTrace,
     mixed: EvolutionTrace,
     ratio,
-    tol: float = 1e-12,
+    tol: float = AFFINE_TOL,
 ) -> AffineReport:
     """Does the evolved mixture equal the mixture of the evolved parts?
 

@@ -31,6 +31,12 @@ _WORD = 2 ** 64
 # trial: the outcomes (1), f and w (8 each) and the min_trials membership (1).
 MAX_TRIALS = 10 ** 8
 CHUNK = 1 << 16
+# Rounding slack of float frequencies and running averages: how far they may
+# stray below 0 or above 1, and below the harmonic lower bound.
+FREQUENCY_TOL = 1e-12
+# Smallest binomial variance p(1 - p) the place-selection check divides by.
+VARIANCE_FLOOR = 1e-12
+COUNT_MONOTONE_TOL = 1e-9
 
 
 def _mix64(state: np.ndarray) -> np.ndarray:
@@ -203,7 +209,7 @@ class FrequencyTrace:
             raise ValueError("frequency trace must be a nonempty vector")
         # fmin/fmax skip NaN, as the elementwise comparisons they replace do.
         lo, hi = np.fmin.reduce(f), np.fmax.reduce(f)
-        if lo < -1e-12 or hi > 1 + 1e-12:
+        if lo < -FREQUENCY_TOL or hi > 1 + FREQUENCY_TOL:
             raise ValueError("frequencies outside [0, 1]")
         if lo < 0.0 or hi > 1.0:
             np.clip(f, 0.0, 1.0, out=f)
@@ -214,7 +220,7 @@ class FrequencyTrace:
     def n(self) -> int:
         return int(self.f.size)
 
-    def is_count_monotone(self, tol: float = 1e-9) -> bool:
+    def is_count_monotone(self, tol: float = COUNT_MONOTONE_TOL) -> bool:
         for s, e in _chunks(0, self.n):
             lo = max(s - 1, 0)
             counts = self.f[lo:e] * np.arange(lo + 1, e + 1, dtype=np.float64)
@@ -386,7 +392,7 @@ def _cesaro_scan(chunks, n: int, alpha_grid, epsilon_report, delta_report) -> Ce
     total = None
     s = 0
     for chunk in chunks:
-        if np.any(chunk < -1e-12):
+        if np.any(chunk < -FREQUENCY_TOL):
             raise ValueError("sequence must be nonnegative")
         part = np.clip(chunk, 0.0, None)
         for j, alpha in enumerate(alphas):
@@ -491,7 +497,7 @@ def place_selection_check(log: TrialLog) -> PlaceSelectionReport:
     evens = log.outcomes[1::2]
     selected = float(np.mean(evens))
     p = float(log.success_probability)
-    sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / evens.size)
+    sigma = math.sqrt(max(p * (1.0 - p), VARIANCE_FLOOR) / evens.size)
     gap = abs(selected - full)
     return PlaceSelectionReport(
         full_frequency=full,
@@ -532,8 +538,9 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
     bound on w_n seeded by the first success and checks it against the
     recorded trace.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    # Written so that NaN fails it.
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be finite and positive")
     n, f, w = trace.n, trace.f, trace.w
     membership = np.ones(n, dtype=bool)
     for s, e in _chunks(1, n):
@@ -544,19 +551,20 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
     first_success = _first_positive(f)
     if first_success is None:
         bound = 0.0
-        # min propagates NaN, so this is False exactly when np.all(w >= -1e-12) is.
-        holds = bool(w.min() >= -1e-12)
+        # min propagates NaN, so this is False exactly when
+        # np.all(w >= -FREQUENCY_TOL) is.
+        holds = bool(w.min() >= -FREQUENCY_TOL)
     else:
         # Bound at index m: f_at * H(m - first_success) / m, with H(0) = 0 up to
         # the first success and the harmonic sum H streamed after it.
         f_at = float(f[first_success - 1])
-        holds = bool(w[:first_success].min() + 1e-12 >= 0.0)
+        holds = bool(w[:first_success].min() + FREQUENCY_TOL >= 0.0)
         harmonic = 0.0
         for s, e in _chunks(first_success, n):
             terms = 1.0 / np.arange(s + 1 - first_success, e + 1 - first_success)
             harmonic = _cumsum_into(terms, harmonic)
             bounds = f_at * terms / np.arange(s + 1, e + 1, dtype=np.float64)
-            holds = holds and bool(np.all(w[s:e] + 1e-12 >= bounds))
+            holds = holds and bool(np.all(w[s:e] + FREQUENCY_TOL >= bounds))
         bound = float(f_at * harmonic / n)
     return MinTrialsReport(
         alpha=float(alpha),

@@ -24,6 +24,7 @@ from .spectral import DensityState
 LN2 = math.log(2.0)
 # How far from 1 a schema's total mass may be once any weight is a float.
 SCHEMA_MASS_TOL = 1e-9
+INFORMATIVITY_TOL = 1e-12
 
 
 def entropy_bits(weights: Sequence) -> float:
@@ -266,7 +267,7 @@ def informativity_compare(
     first: DiscreteMeasure,
     second: DiscreteMeasure,
     partitions: Optional[Sequence[Partition]] = None,
-    tol: float = 1e-12,
+    tol: float = INFORMATIVITY_TOL,
 ) -> InformativityVerdict:
     """Compare entropies cell family by cell family.
 

@@ -33,6 +33,8 @@ FLOAT = "float"
 
 FLOAT_MERGE_TOL = 1e-9
 FLOAT_MASS_TOL = 1e-12
+# Default weight tolerance of `measures_close`.
+CLOSE_WEIGHT_TOL = 1e-9
 # Largest decimal exponent a scalar string may carry: Fraction("1eN") builds
 # 10**N, so an unbounded exponent costs unbounded time and memory.
 MAX_SCALAR_EXPONENT = 10_000
@@ -495,7 +497,7 @@ def measures_close(
     a: DiscreteMeasure,
     b: DiscreteMeasure,
     point_tol: float = FLOAT_MERGE_TOL,
-    weight_tol: float = 1e-9,
+    weight_tol: float = CLOSE_WEIGHT_TOL,
 ) -> bool:
     """Atomwise comparison with tolerances; exact equality in rational mode."""
     if a.mode == RATIONAL and b.mode == RATIONAL:

@@ -1,27 +1,39 @@
 """JSON wire formats for measures, partitions, matrices, systems and
-constraints.
+constraints, and the one place where a config value is checked.
 
 Rational-mode scalars serialize as exact strings: terminating decimals where
 the denominator allows it, ``p/q`` otherwise, so nothing is rounded on the
 way out or back in.  Float-mode scalars are plain JSON numbers.
 
 Readers take the payload and, last, ``where``: the payload's path in the
-config, used only in messages.  Every object field is read through `field`,
-so a missing field or one of the wrong JSON type raises `ConfigError`
-naming its path, such as ``inputs.partition.cells[1] must be an object``.
-A field whose entries are lists, such as the ``[point, weight]`` atoms of a
-measure, checks them too (``inputs.measure.atoms[0] must be a list``), so a
-string is never unpacked character by character.
+config, used only in messages.  Every bad value raises `ConfigError` naming
+its path, down to single scalars:
+
+- an object field is read through `field`, which checks its JSON type, or
+  reads it as an integer, a finite number or a string, and may check each
+  entry of a list or value of an object the same way
+  (``inputs.trials must be an integer``, ``inputs.measure.atoms[0] must be a
+  list``), so a string is never unpacked character by character;
+- a payload is handed to its constructor as it is, and only when the
+  constructor refuses it is the payload walked against its shape, to name
+  the first scalar at fault (``inputs.measures[0].atoms[2][1]: zero
+  denominator``) or else the payload itself (``inputs.times: times must be
+  strictly increasing``), so a valid config pays nothing for the walk;
+- a label that refers to another part of the config, such as an observable
+  named by a constraint or a relation, is checked where it is read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from . import _np as np
-from .algebra import DeclaredRelations, ReconstructionProblem
+from .algebra import Algebraization, DeclaredRelations, ReconstructionProblem
+from .dynamics import EvolutionTrace
+from .ensembles import MAX_TRIALS
 from .kolmogorov import (
     ConditionalConstraint,
     CorrelationConstraint,
@@ -29,7 +41,15 @@ from .kolmogorov import (
     JointConstraint,
     MarginalConstraint,
 )
-from .measures import FLOAT, RATIONAL, BorelSet, DiscreteMeasure, Partition, to_scalar
+from .measures import (
+    FLOAT,
+    RATIONAL,
+    BorelSet,
+    DiscreteMeasure,
+    Partition,
+    _to_endpoint,
+    to_scalar,
+)
 from .spectral import DensityState, HermitianObservable, LabSystem
 
 
@@ -38,7 +58,26 @@ class ConfigError(Exception):
 
 
 _REQUIRED = object()
-_JSON_TYPES = {dict: "an object", list: "a list"}
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a finite number"}
+
+
+def _as(value, kind):
+    """``value`` read as ``kind``, or None when it is not one.
+
+    An ``int`` is a JSON integer or a string that ``int()`` reads; a ``float``
+    is a JSON number or a string that ``float()`` reads, and finite.  Neither
+    is ever a boolean.  Other kinds are JSON types, taken as they are.
+    """
+    if kind is not int and kind is not float:
+        return value if isinstance(value, kind) else None
+    if isinstance(value, bool) or not isinstance(value, (str, int, kind)):
+        return None
+    try:
+        value = kind(value)
+    except (ValueError, OverflowError):
+        return None
+    return value if kind is int or math.isfinite(value) else None
 
 
 def field(payload, name: str, where: str, kind: type = None, default=_REQUIRED, *,
@@ -46,9 +85,10 @@ def field(payload, name: str, where: str, kind: type = None, default=_REQUIRED, 
     """``payload[name]``, where ``payload`` is the JSON object at ``where``.
 
     Raises ConfigError when ``payload`` is not an object, when the field is
-    missing and has no ``default``, when ``kind`` (``dict`` or ``list``) is
-    given and the value is not of that JSON type, or when ``items`` is given
-    and an entry of the list or a value of the object is not of that type.
+    missing and has no ``default``, when ``kind`` is given and the value is
+    not one (see `_KINDS`; an ``int`` or ``float`` is returned as read), or
+    when ``items`` is given and an entry of the list or a value of the object
+    is not one (the entries are returned as read).
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{where} must be an object")
@@ -57,15 +97,109 @@ def field(payload, name: str, where: str, kind: type = None, default=_REQUIRED, 
             raise ConfigError(f"missing field {name!r} in {where}")
         return default
     value = payload[name]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{where}.{name} must be {_JSON_TYPES[kind]}")
+    if kind is not None:
+        value = _as(value, kind)
+        if value is None:
+            raise ConfigError(f"{where}.{name} must be {_KINDS[kind]}")
     if items is not None:
-        keyed = value.items() if isinstance(value, dict) else enumerate(value)
-        for key, entry in keyed:
-            if not isinstance(entry, items):
-                at = f".{key}" if isinstance(value, dict) else f"[{key}]"
-                raise ConfigError(f"{where}.{name}{at} must be {_JSON_TYPES[items]}")
+        keys = list(value) if isinstance(value, dict) else range(len(value))
+        read = [_as(value[key], items) for key in keys]
+        if None in read:
+            key = keys[read.index(None)]
+            at = f".{key}" if isinstance(value, dict) else f"[{key}]"
+            raise ConfigError(f"{where}.{name}{at} must be {_KINDS[items]}")
+        value = dict(zip(keys, read)) if isinstance(value, dict) else read
     return value
+
+
+def _fault(node, shape, where: str):
+    """The first part of ``node`` that does not fit ``shape``, as a message
+    naming its path, or None.
+
+    A shape is a leaf check, a function that raises ValueError, TypeError or
+    OverflowError on a bad scalar; ``[s]``, a list whose entries fit ``s``; a
+    tuple of shapes, a list of that many entries that fit them in turn; or a
+    dict of shapes, an object whose fields, where present, fit theirs.
+    """
+    if callable(shape):
+        try:
+            shape(node)
+        except (ValueError, TypeError, OverflowError) as exc:
+            return f"{where}: {exc}"
+        return None
+    if isinstance(shape, dict):
+        parts = [(node[key], sub, f"{where}.{key}") for key, sub in shape.items() if key in node]
+    elif not isinstance(node, list):
+        return f"{where} must be a list"
+    elif isinstance(shape, tuple) and len(node) != len(shape):
+        return f"{where} must have {len(shape)} entries"
+    else:
+        subs = shape if isinstance(shape, tuple) else shape * len(node)
+        parts = [(entry, sub, f"{where}[{k}]") for k, (entry, sub) in enumerate(zip(node, subs))]
+    return next(filter(None, (_fault(*part) for part in parts)), None)
+
+
+def _check(node, shape, where: str) -> None:
+    """Raise ConfigError naming the first part of ``node`` that does not fit
+    ``shape``."""
+    fault = _fault(node, shape, where)
+    if fault is not None:
+        raise ConfigError(fault)
+
+
+def _built(build, where: str, node=None, shape=None):
+    """``build()``, a constructor called on the payload ``node`` at ``where``.
+
+    Only if it raises ValueError, TypeError, KeyError or OverflowError is
+    ``node`` walked: ConfigError names the first part of it that does not fit
+    ``shape``, or else ``where`` with the constructor's message.
+    """
+    try:
+        return build()
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        if shape is not None:
+            _check(node, shape, where)
+        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise ConfigError(f"{where}: {reason}") from exc
+
+
+_rational = partial(to_scalar, mode=RATIONAL)
+
+
+def _part(value) -> None:
+    """Leaf check of a matrix entry's real or imaginary part: a JSON number
+    that ``complex()`` takes, finite as a double."""
+    try:
+        finite = math.isfinite(complex(value, 0).real)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError("not a finite number")
+
+
+def _number(value) -> None:
+    if _as(value, float) is None:
+        raise ValueError(f"not {_KINDS[float]}")
+
+
+def _exponent(value) -> None:
+    n = _as(value, int)
+    if n is None or n < 0:
+        raise ValueError("not an integer of at least 0")
+
+
+def _label(labels, what: str):
+    """Leaf check of a label: a string, and one of ``labels`` unless that is
+    None."""
+    def check(value):
+        if not isinstance(value, str):
+            raise TypeError(f"{what} label must be a string")
+        if labels is not None and value not in labels:
+            raise ValueError(f"unknown {what} label {value!r}")
+    return check
+
+
+_ENDPOINTS = (_to_endpoint, _to_endpoint)
 
 
 def format_scalar(value, mode: str):
@@ -91,9 +225,6 @@ def format_scalar(value, mode: str):
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-parse_scalar = to_scalar
-
-
 def measure_to_json(measure: DiscreteMeasure) -> dict:
     return {
         "atoms": [
@@ -105,7 +236,10 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
 
 def measure_from_json(payload: Mapping, mode: str = RATIONAL,
                       where: str = "measure") -> DiscreteMeasure:
-    return DiscreteMeasure(field(payload, "atoms", where, list, items=list), mode=mode)
+    atoms = field(payload, "atoms", where, list, items=list)
+    scalar = partial(to_scalar, mode=mode)
+    return _built(lambda: DiscreteMeasure(atoms, mode=mode), where,
+                  payload, {"atoms": [(scalar, scalar)]})
 
 
 def _endpoint_to_json(value):
@@ -123,8 +257,10 @@ def borel_to_json(delta: BorelSet) -> dict:
 
 
 def borel_from_json(payload: Mapping, where: str = "set") -> BorelSet:
-    return BorelSet(field(payload, "intervals", where, list, [], items=list),
-                    field(payload, "singletons", where, list, []))
+    intervals = field(payload, "intervals", where, list, [], items=list)
+    singletons = field(payload, "singletons", where, list, [])
+    return _built(lambda: BorelSet(intervals, singletons), where,
+                  payload, {"intervals": [_ENDPOINTS], "singletons": [_rational]})
 
 
 def partition_to_json(partition: Partition) -> dict:
@@ -137,8 +273,30 @@ def partition_to_json(partition: Partition) -> dict:
 
 def partition_from_json(payload: Mapping, where: str = "partition") -> Partition:
     window = field(payload, "window", where, list)
-    return Partition(window, [borel_from_json(cell, f"{where}.cells[{k}]")
-                              for k, cell in enumerate(field(payload, "cells", where, list))])
+    cells = [borel_from_json(cell, f"{where}.cells[{k}]")
+             for k, cell in enumerate(field(payload, "cells", where, list))]
+    return _built(lambda: Partition(window, cells), where, payload, {"window": _ENDPOINTS})
+
+
+def ensemble_of(payload: Mapping, mode: str, where: str = "inputs"):
+    """The truth measure, the target set and the number of trials of a
+    ``simulate`` or ``estimate`` config."""
+    truth = measure_from_json(field(payload, "truth", where), mode, f"{where}.truth")
+    target = borel_from_json(field(payload, "target", where), f"{where}.target")
+    trials = field(payload, "trials", where, int)
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"{where}.trials must be from 1 to MAX_TRIALS = {MAX_TRIALS}")
+    return truth, target, trials
+
+
+def evolution_of(payload: Mapping, mode: str, where: str = "inputs") -> EvolutionTrace:
+    """The `EvolutionTrace` of the ``times`` and ``measures`` of ``payload``;
+    a measure that is not a probability raises NotProbability naming it."""
+    times = field(payload, "times", where, list, items=float)
+    measures = [measure_from_json(m, mode, f"{where}.measures[{k}]")
+                .require_probability(f"{where}.measures[{k}]")
+                for k, m in enumerate(field(payload, "measures", where, list))]
+    return _built(lambda: EvolutionTrace(times, measures), f"{where}.times")
 
 
 def matrix_to_json(matrix) -> list:
@@ -146,46 +304,48 @@ def matrix_to_json(matrix) -> list:
     return [[[float(entry.real), float(entry.imag)] for entry in row] for row in m]
 
 
-def matrix_from_json(payload) -> np.ndarray:
+def matrix_from_json(payload, where: str = "matrix") -> np.ndarray:
     """A complex matrix from a non-empty list of equally long rows of
-    [re, im] pairs of numbers; anything else raises ValueError naming the
-    row and entry at fault."""
+    [re, im] pairs of finite numbers."""
+    return _built(lambda: _finite(_complex_rows(payload)), where, payload, [[(_part, _part)]])
+
+
+def vector_from_json(payload, where: str = "vector") -> np.ndarray:
+    """A complex vector from a non-empty list of [re, im] pairs of finite
+    numbers."""
+    return _built(lambda: _finite(_complex_pairs(payload, "vector")), where,
+                  payload, [(_part, _part)])
+
+
+def _complex_rows(payload) -> np.ndarray:
     if not isinstance(payload, list) or not payload:
-        raise ValueError("matrix must be a non-empty list of rows")
-    rows = [_complex_pairs(row, f"matrix row {i}") for i, row in enumerate(payload)]
+        raise ValueError("must be a non-empty list of rows")
+    rows = [_complex_pairs(row, f"row {i}") for i, row in enumerate(payload)]
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]):
-            raise ValueError(f"matrix row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
     return np.array(rows)
-
-
-def vector_from_json(payload) -> np.ndarray:
-    """A complex vector from a non-empty list of [re, im] pairs of numbers;
-    anything else raises ValueError naming the entry at fault."""
-    return _complex_pairs(payload, "vector")
 
 
 def _complex_pairs(payload, name: str) -> np.ndarray:
     """``complex(re, im)`` of each [re, im] pair in ``payload``, which keeps
-    both parts bit for bit, ``-0.0`` included.  Only a payload that fails is
-    walked again, to find the entry at fault."""
+    both parts bit for bit, ``-0.0`` included."""
     if not isinstance(payload, list) or not payload:
         raise ValueError(f"{name} must be a non-empty list of [re, im] pairs")
-    try:
-        return np.asarray([complex(real, imag) for real, imag in payload], dtype=complex)
-    except (ValueError, TypeError, OverflowError):
-        j = next(j for j, entry in enumerate(payload) if not _is_pair(entry))
-        raise ValueError(f"{name} entry {j} is not a [re, im] pair of numbers: "
-                         f"{repr(payload[j])[:80]}") from None
+    return np.asarray([complex(real, imag) for real, imag in payload], dtype=complex)
 
 
-def _is_pair(entry) -> bool:
-    try:
-        real, imag = entry
-        complex(real, imag)
-    except (ValueError, TypeError, OverflowError):
-        return False
-    return True
+def _finite(array: np.ndarray) -> np.ndarray:
+    if not np.isfinite(array).all():
+        raise ValueError("entries must be finite")
+    return array
+
+
+def operator_of(kind, payload, where: str):
+    """``kind(matrix)``, a `HermitianObservable` or a `DensityState` of the
+    matrix ``payload``."""
+    matrix = matrix_from_json(payload, where)
+    return _built(lambda: kind(matrix), where)
 
 
 def labsystem_to_json(system: LabSystem) -> dict:
@@ -201,62 +361,119 @@ def labsystem_to_json(system: LabSystem) -> dict:
 def _operator_maps(payload: Mapping, where: str):
     """The ``observables`` and ``states`` objects of ``payload``, each label
     mapped to its operator."""
-    observables = {label: HermitianObservable(matrix_from_json(m))
-                   for label, m in field(payload, "observables", where, dict).items()}
-    states = {label: DensityState(matrix_from_json(m))
-              for label, m in field(payload, "states", where, dict).items()}
-    return observables, states
+    return [{label: operator_of(kind, m, f"{where}.{name}.{label}")
+             for label, m in field(payload, name, where, dict).items()}
+            for name, kind in (("observables", HermitianObservable), ("states", DensityState))]
 
 
 def labsystem_from_json(payload: Mapping, where: str = "system") -> LabSystem:
     observables, states = _operator_maps(payload, where)
-    return LabSystem(observables, states,
-                     [tuple(pair) for pair in field(payload, "suitability", where, list,
-                                                    items=list)])
+    pairs = field(payload, "suitability", where, list, items=list)
+    _check(pairs, [(_label(states, "state"), _label(observables, "observable"))],
+           f"{where}.suitability")
+    return _built(lambda: LabSystem(observables, states, [tuple(pair) for pair in pairs]),
+                  where)
 
 
-def relations_from_json(payload: Mapping, where: str = "relations") -> DeclaredRelations:
-    def entries(name):
-        return field(payload, name, where, list, [], items=list)
-
+def relations_from_json(payload: Mapping, where: str = "relations",
+                        labels=None) -> DeclaredRelations:
+    """The declared relations; each label must be one of ``labels``, unless
+    that is None."""
+    label = _label(labels, "observable")
+    shapes = {"powers": [(label, _exponent, label)], "sums": [(label, label, label)],
+              "scalings": [(label, _number, label)], "compatible": [(label, label)],
+              "products": [(label, label, label)]}
+    entries = {name: field(payload, name, where, list, [], items=list) for name in shapes}
+    _check(entries, shapes, where)
     return DeclaredRelations(
-        powers=tuple((b, int(n), p) for b, n, p in entries("powers")),
-        sums=tuple(tuple(entry) for entry in entries("sums")),
-        scalings=tuple((a, float(r), s) for a, r, s in entries("scalings")),
-        compatible=tuple(tuple(entry) for entry in entries("compatible")),
-        products=tuple(tuple(entry) for entry in entries("products")),
+        powers=tuple((b, int(n), p) for b, n, p in entries["powers"]),
+        sums=tuple(tuple(entry) for entry in entries["sums"]),
+        scalings=tuple((a, float(r), s) for a, r, s in entries["scalings"]),
+        compatible=tuple(tuple(entry) for entry in entries["compatible"]),
+        products=tuple(tuple(entry) for entry in entries["products"]),
     )
 
 
-def constraint_of(payload: Mapping, where: str = "constraint"):
-    """One `oplab.kolmogorov` constraint from its object, chosen by its
-    ``type`` field."""
-    def get(name, kind=None):
-        return field(payload, name, where, kind)
+def validation_of(payload: Mapping, where: str = "inputs"):
+    """The algebraization, declared relations, center labels (or None) and
+    embedding families (or None) of a ``validate`` config.  Every label they
+    name must be one of the system's."""
+    system = labsystem_from_json(field(payload, "system", where), f"{where}.system")
+    images = field(payload, "algebraization", where, dict, None)
+    if images is None:
+        alg = Algebraization.identity(system)
+    else:
+        at = f"{where}.algebraization"
+        alg = _built(lambda: Algebraization(system, *_operator_maps(images, at)), at)
+    relations = relations_from_json(field(payload, "relations", where, default={}),
+                                    f"{where}.relations", system.observables)
+    observable = _label(system.observables, "observable")
+    center = field(payload, "center", where, list, None, items=str)
+    if center is not None:
+        _check(center, [observable], f"{where}.center")
+    families = field(payload, "embedding_families", where, dict, None, items=list)
+    for label, family in (families or {}).items():
+        at = f"{where}.embedding_families.{label}"
+        _check(label, observable, at)
+        if not family:
+            raise ConfigError(f"{at} must be a non-empty list")
+        _check(family, [_label(system.states, "state")], at)
+    return alg, relations, center, families
 
-    kind = get("type")
+
+def outcomes_of(payload: Mapping, where: str = "inputs") -> dict:
+    """The ``outcomes`` object of ``payload``: each observable's non-empty
+    list of outcome values, exact rationals."""
+    outcomes = field(payload, "outcomes", where, dict, items=list)
+    for name, values in outcomes.items():
+        if not values:
+            raise ConfigError(f"{where}.outcomes.{name} must be a non-empty list")
+        _check(values, [_rational], f"{where}.outcomes.{name}")
+    return outcomes
+
+
+def constraint_of(payload: Mapping, where: str = "constraint", outcomes: Mapping = None):
+    """One `oplab.kolmogorov` constraint from its object, chosen by its
+    ``type`` field.  Each observable it names must be a key of ``outcomes``,
+    unless that is None; values and probabilities are kept as written, so a
+    certificate shows them that way."""
+    observable = _label(outcomes, "observable")
+
+    def get(name, shape):
+        value = field(payload, name, where)
+        _check(value, shape, f"{where}.{name}")
+        return value
+
+    def events(name):
+        chosen = field(payload, name, where, dict)
+        for label, value in chosen.items():
+            _check(label, observable, f"{where}.{name}.{label}")
+            _check(value, _rational, f"{where}.{name}.{label}")
+        return chosen
+
+    kind = field(payload, "type", where, str)
     if kind == "marginal":
-        return MarginalConstraint(get("observable"), get("value"), get("prob"))
+        return MarginalConstraint(get("observable", observable), get("value", _rational),
+                                  get("prob", _rational))
     if kind == "joint":
-        return JointConstraint.of(get("events", dict), get("prob"))
+        return JointConstraint.of(events("events"), get("prob", _rational))
     if kind == "conditional":
-        return ConditionalConstraint.of(get("event", dict), get("given", dict), get("prob"))
+        return ConditionalConstraint.of(events("event"), events("given"), get("prob", _rational))
     if kind == "correlation":
-        observables = tuple(get("observables", list))
-        if len(observables) != 2:
-            raise ConfigError(f"correlation constraint field 'observables' needs 2 names, "
-                              f"got {len(observables)}")
-        return CorrelationConstraint(observables, get("value"))
+        return CorrelationConstraint(tuple(get("observables", (observable, observable))),
+                                     get("value", _rational))
     if kind == "expectation":
-        return ExpectationConstraint(get("observable"), get("value"))
-    raise ConfigError(f"unknown constraint type {kind!r}")
+        return ExpectationConstraint(get("observable", observable), get("value", _rational))
+    raise ConfigError(f"{where}.type: unknown constraint type {kind!r}")
 
 
 def reconstruction_from_json(payload: Mapping, where: str = "problem") -> ReconstructionProblem:
-    observables = [HermitianObservable(matrix_from_json(m))
-                   for m in field(payload, "observables", where, list)]
-    frame = [vector_from_json(v) for v in field(payload, "frame", where, list)]
-    return ReconstructionProblem(observables, field(payload, "expectations", where, list), frame)
+    observables = [operator_of(HermitianObservable, m, f"{where}.observables[{k}]")
+                   for k, m in enumerate(field(payload, "observables", where, list))]
+    frame = [vector_from_json(v, f"{where}.frame[{k}]")
+             for k, v in enumerate(field(payload, "frame", where, list))]
+    expectations = field(payload, "expectations", where, list, items=float)
+    return _built(lambda: ReconstructionProblem(observables, expectations, frame), where)
 
 
 def reconstruction_to_json(problem: ReconstructionProblem) -> dict:

@@ -29,6 +29,8 @@ IDEMPOTENT_TOL = 1e-9
 DEDUP_REL_TOL = 1e-8
 COMMUTATOR_TOL = 1e-10
 PSD_TOL = 1e-10
+MIX_WEIGHT_TOL = 1e-12
+MEAN_RANGE_TOL = 1e-12
 
 
 def _square_complex(matrix) -> np.ndarray:
@@ -40,6 +42,19 @@ def _square_complex(matrix) -> np.ndarray:
 
 def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def _hermitian_part(matrix, what: str) -> np.ndarray:
+    """``(M + M*) / 2`` of the square matrix ``M``.  The deviation check is
+    written so that NaN fails it, and so does ±inf, through ``inf - inf``."""
+    m = _square_complex(matrix)
+    gap = _max_abs(m - m.conj().T)
+    if not gap <= HERMITIAN_TOL:
+        raise NotHermitian(f"{what} deviates from Hermitian by {gap:.3e}")
+    m = (m + m.conj().T) / 2.0
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} entries overflow a double")
+    return m
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -75,12 +90,7 @@ class HermitianObservable:
                  "_groups", "dedup_tol")
 
     def __init__(self, matrix):
-        m = _square_complex(matrix)
-        if _max_abs(m - m.conj().T) > HERMITIAN_TOL:
-            raise NotHermitian(
-                f"matrix deviates from Hermitian by {_max_abs(m - m.conj().T):.3e}"
-            )
-        m = (m + m.conj().T) / 2.0
+        m = _hermitian_part(matrix, "matrix")
         evals, evecs = np.linalg.eigh(m)
         self.matrix = m
         self.dim = m.shape[0]
@@ -166,10 +176,7 @@ class DensityState:
     __slots__ = ("matrix", "dim", "eigenvalues")
 
     def __init__(self, matrix):
-        m = _square_complex(matrix)
-        if _max_abs(m - m.conj().T) > HERMITIAN_TOL:
-            raise NotHermitian("density matrix is not Hermitian")
-        m = (m + m.conj().T) / 2.0
+        m = _hermitian_part(matrix, "density matrix")
         evals = np.linalg.eigvalsh(m)
         if evals[0] < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {evals[0]:.3e}")
@@ -197,7 +204,7 @@ class DensityState:
     def mix(cls, components: Sequence) -> "DensityState":
         """Convex combination ``sum w_i rho_i``."""
         total = sum(w for w, _ in components)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > MIX_WEIGHT_TOL:
             raise ValueError("mixture weights must sum to one")
         dim = components[0][1].dim
         out = np.zeros((dim, dim), dtype=complex)
@@ -283,7 +290,7 @@ def sps_witness(observable: HermitianObservable, target_mean: float) -> DensityS
     lo = float(observable.eigenvalues[0])
     hi = float(observable.eigenvalues[-1])
     s = float(target_mean)
-    if s < lo - 1e-12 or s > hi + 1e-12:
+    if s < lo - MEAN_RANGE_TOL or s > hi + MEAN_RANGE_TOL:
         raise OutOfSpectralRange(f"{s} outside [{lo}, {hi}]")
     v_lo = observable.eigenvectors[:, 0]
     v_hi = observable.eigenvectors[:, -1]

@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oplab
-from oplab import trialcsv
+from oplab import errors as oplab_errors
+from oplab import cli, trialcsv
 from oplab.cli import main
 from oplab.ensembles import CHUNK, MAX_TRIALS
 
@@ -333,8 +340,8 @@ class TestErrors:
         })
         assert main(["spectral", "--config", str(config), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: ") and "Traceback" not in err
-        assert "matrix row 1 entry 0 is not a [re, im] pair" in err
+        assert err in ("error: inputs.observable[1][0] must have 2 entries\n",
+                       "error: inputs.observable[1][0][0]: not a finite number\n")
         assert not list(tmp_path.glob("*.csv"))
 
 
@@ -363,6 +370,61 @@ def _containers(node, path=()):
             yield from _containers(child, path + (key,))
 
 
+def _leaves(node, path=()):
+    """The path of every scalar below ``node``, depth first."""
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(child, (dict, list)):
+            yield from _leaves(child, path + (key,))
+        else:
+            yield path + (key,)
+
+
+# Wrong JSON types, then values of the right type that are out of range or
+# unreadable.  No valid but huge size, such as trials near MAX_TRIALS.
+SCALAR_POOL = WRONG_TYPES + (True, 1.5, -1, 0, math.nan, math.inf, -math.inf,
+                             "1/0", "1e100000", 10 ** 30)
+OPLAB_ERRORS = tuple(name for name, obj in vars(oplab_errors).items()
+                     if isinstance(obj, type) and issubclass(obj, oplab_errors.OplabError))
+
+
+def _dotted(path):
+    """``("inputs", "measures", 0, "atoms")`` as ``inputs.measures[0].atoms``;
+    a top-level field as ``config.<name>``."""
+    text = "config" if path[0] != "inputs" else ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+def _names_a_path(err, paths):
+    """Whether ``err`` is an oplab error line or names one of ``paths`` or an
+    ancestor below ``inputs``."""
+    if err.startswith(tuple(f"error: {name}: " for name in OPLAB_ERRORS)):
+        return True
+    named = {_dotted(path[:k]) for path in paths for k in range(2, len(path) + 1)}
+    named |= {_dotted(path) for path in paths}
+    return any(re.search(re.escape(name) + r"(?![\w\[.])", err) for name in named)
+
+
+_PARSER = cli.build_parser()
+
+
+def _run_corrupted(tmp_path, name, payload):
+    """(exit code, stderr) of the command of ``CONFIGS[name]`` on ``payload``;
+    an exception that escapes ``main`` stands in for the exit code.  Every run
+    shares one argument parser: building it is most of a run's time."""
+    config = write_config(tmp_path, payload)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                mock.patch.object(cli, "build_parser", lambda: _PARSER):
+            code = main([CONFIGS[name]["kind"], "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+    except Exception as exc:  # noqa: BLE001 - any escape is the failure
+        return repr(exc), err.getvalue()
+    return code, err.getvalue()
+
+
 def _at(payload, path):
     return reduce(lambda node, key: node[key], path, payload)
 
@@ -374,8 +436,9 @@ def _replaced(payload, path, value):
 
 
 class TestConfigCorruption:
-    """A config with one object or list field of the wrong JSON type exits
-    0, 1 or 2, and exit 1 comes with an ``error:`` line, never a traceback."""
+    """A config with fields of the wrong JSON type or scalars out of range
+    exits 0, 1 or 2, and exit 1 comes with an ``error:`` line that names the
+    field, never a traceback."""
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_each_container_field_of_each_wrong_type(self, tmp_path, capsys, name):
@@ -394,6 +457,84 @@ class TestConfigCorruption:
                 if code not in (0, 1, 2) or (code == 1 and not err.startswith("error: ")):
                     failures.append((path, value, code, err))
         assert failures == []
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_each_scalar_of_each_pool_value(self, tmp_path, name):
+        # Exit 1 names the replaced scalar or an ancestor, unless the library
+        # refused the value with one of its own errors.
+        failures = []
+        for path in _leaves(CONFIGS[name]):
+            for value in SCALAR_POOL:
+                code, err = _run_corrupted(tmp_path, name, _replaced(CONFIGS[name], path, value))
+                if code not in (0, 1, 2) or (code == 1 and not _names_a_path(err, [path])):
+                    failures.append((_dotted(path), value, code, err))
+        assert failures == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_to_three_corruptions_at_once(self, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(CONFIGS)))
+        payload = json.loads(json.dumps(CONFIGS[name]))
+        replaced = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = sorted(set(_containers(payload)) | set(_leaves(payload)), key=repr)
+            if not paths:
+                break
+            path = data.draw(st.sampled_from(paths))
+            payload = _replaced(payload, path, data.draw(st.sampled_from(SCALAR_POOL + ("01",))))
+            replaced.append(path)
+        code, err = _run_corrupted(tmp_path_factory.mktemp("fuzz"), name, payload)
+        assert code in (0, 1, 2), (replaced, err)
+        # A replaced container can leave a reference elsewhere dangling, such
+        # as a constraint naming a dropped observable: any path may be named.
+        assert code != 1 or _names_a_path(err, replaced) or re.fullmatch(
+            r"error: .*\b(inputs|config)\b.*\n", err), (replaced, err)
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("simulate", ("inputs", "trials"), 1.5, "inputs.trials must be an integer"),
+        ("simulate", ("inputs", "trials"), True, "inputs.trials must be an integer"),
+        ("simulate", ("inputs", "trials"), 0, "inputs.trials must be from 1 to MAX_TRIALS = 100000000"),
+        ("simulate", ("seed",), 1.5, "config.seed must be an integer"),
+        ("simulate", ("kind",), 5, "config.kind must be a string"),
+        ("estimate", ("inputs", "alpha"), math.nan, "inputs.alpha must be a finite number"),
+        ("estimate", ("inputs", "alpha"), 0, "inputs.alpha must be above 0"),
+        ("dissipation", ("inputs", "times", 1), math.nan, "inputs.times[1] must be a finite number"),
+        ("dissipation", ("inputs", "times"), [0, 0],
+         "inputs.times: times must be strictly increasing"),
+        ("entropy", ("inputs", "measure", "atoms", 1, 1), "1/0",
+         "inputs.measure.atoms[1][1]: zero denominator"),
+        ("entropy", ("inputs", "partition", "cells", 1, "singletons", 0), [],
+         "inputs.partition.cells[1].singletons[0]: cannot convert list to rational scalar"),
+        ("spectral", ("inputs", "observable", 1, 1, 0), math.nan,
+         "inputs.observable[1][1][0]: not a finite number"),
+        ("spectral", ("inputs", "state", 0, 0, 0), 2, "inputs.state: trace 2.5 differs from one"),
+        ("tomography", ("inputs", "problem", "expectations", 0), "x",
+         "inputs.problem.expectations[0] must be a finite number"),
+        ("kolmogorov_ok", ("inputs", "outcomes", "b"), [], "inputs.outcomes.b must be a non-empty list"),
+        ("kolmogorov_ok", ("inputs", "constraints", 0, "observable"), "x",
+         "inputs.constraints[0].observable: unknown observable label 'x'"),
+        ("kolmogorov_bad", ("inputs", "constraints", 1, "observables", 1), "d",
+         "inputs.constraints[1].observables[1]: unknown observable label 'd'"),
+        ("validate", ("inputs", "system", "suitability", 1, 0), "pure",
+         "inputs.system.suitability[1][0]: unknown state label 'pure'"),
+        ("validate", ("inputs", "relations", "powers", 0, 1), -1,
+         "inputs.relations.powers[0][1]: not an integer of at least 0"),
+        ("validate", ("inputs", "relations", "compatible", 0, 1), "x",
+         "inputs.relations.compatible[0][1]: unknown observable label 'x'"),
+        ("validate", ("inputs", "center", 0), "mix", "inputs.center[0]: unknown observable label 'mix'"),
+        ("validate", ("inputs", "embedding_families"), {"x": ["mix"]},
+         "inputs.embedding_families.x: unknown observable label 'x'"),
+        ("validate", ("inputs", "embedding_families"), {"z": ["z"]},
+         "inputs.embedding_families.z[0]: unknown state label 'z'"),
+        ("validate", ("inputs", "embedding_families"), {"z": []},
+         "inputs.embedding_families.z must be a non-empty list"),
+    ])
+    def test_scalar_names_its_path(self, tmp_path, capsys, name, path, value, message):
+        payload = _replaced(CONFIGS[name], path, value)
+        config = write_config(tmp_path, payload)
+        assert main([CONFIGS[name]["kind"], "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_each_list_replaced_by_a_string_exits_1(self, tmp_path, capsys, name):
@@ -585,6 +726,56 @@ class TestReport:
             "kind": "report", "inputs": {"artifacts": ["nope.csv"]},
         })
         assert main(["report", "--config", str(config), "--out", str(tmp_path)]) == 1
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 1 with one ``error:`` line
+    that names it."""
+
+    @staticmethod
+    def _fails(capsys, argv, *named):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(name in err for name in named), err
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        config = write_config(tmp_path, ENTROPY)
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        self._fails(capsys, ["entropy", "--config", str(config), "--out", str(out)], str(out))
+
+    def test_output_in_a_missing_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**ENTROPY, "output": "nosuch/x.csv"})
+        self._fails(capsys, ["entropy", "--config", str(config), "--out", str(tmp_path)],
+                    str(tmp_path / "nosuch" / "x.csv"))
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(json.dumps(ENTROPY).encode("utf-16"))
+        self._fails(capsys, ["entropy", "--config", str(config), "--out", str(tmp_path)],
+                    str(config))
+
+    def _report(self, tmp_path, capsys, *named):
+        config = write_config(tmp_path, {
+            "kind": "report", "inputs": {"artifacts": ["a.csv", "b.csv"]}}, "report.json")
+        self._fails(capsys, ["report", "--config", str(config), "--out", str(tmp_path / "out")],
+                    *named)
+
+    def test_artifact_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_text("t,x\n0,1\n", encoding="utf-8")
+        (tmp_path / "b.csv").mkdir()
+        self._report(tmp_path, capsys, "inputs.artifacts[1]", str(tmp_path / "b.csv"))
+
+    def test_artifact_that_is_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_bytes(b"t,x\n0,\xff\n")
+        (tmp_path / "b.csv").write_text("t,y\n0,1\n", encoding="utf-8")
+        self._report(tmp_path, capsys, "inputs.artifacts[0]", str(tmp_path / "a.csv"))
+
+    def test_joined_time_that_is_not_a_number(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_text("t,x\n0,1\nlater,2\n", encoding="utf-8")
+        (tmp_path / "b.csv").write_text("t,y\n0,1\nlater,2\n", encoding="utf-8")
+        self._report(tmp_path, capsys, "inputs.artifacts", "'later'")
 
 
 class TestSpotCheck:

@@ -32,6 +32,13 @@ class TestEvolutionTrace:
         with pytest.raises(ValueError):
             EvolutionTrace([0, 0], [DiscreteMeasure.dirac(0)] * 2)
 
+    @pytest.mark.parametrize("last", [float("nan"), float("inf")])
+    def test_times_must_be_finite(self, last):
+        # Comparisons with NaN are always False, so an ordering check alone
+        # lets NaN through; inf is strictly above every finite time.
+        with pytest.raises(ValueError, match="finite"):
+            EvolutionTrace([0, last], [DiscreteMeasure.dirac(0)] * 2)
+
     def test_probability_required(self):
         with pytest.raises(ValueError):
             EvolutionTrace([0], [DiscreteMeasure([(0, F(1, 2))])])

@@ -252,6 +252,11 @@ class TestMinTrials:
             expected = trace.f[j - 1] * sum(1.0 / k for k in range(1, n - j + 1)) / n
             assert report.lower_bound_at_horizon == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf")])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            min_trials(FrequencyTrace(np.full(10, 0.5)), alpha)
+
     def test_all_zero_trace(self):
         report = min_trials(FrequencyTrace(np.zeros(100)), 0.1)
         assert report.first_success_index is None

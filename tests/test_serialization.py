@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oplab.measures import BorelSet, DiscreteMeasure, Partition
+from oplab.measures import BorelSet, DiscreteMeasure, Partition, to_scalar
 from oplab.serialization import (
     ConfigError,
     borel_from_json,
@@ -17,7 +17,6 @@ from oplab.serialization import (
     matrix_to_json,
     measure_from_json,
     measure_to_json,
-    parse_scalar,
     partition_from_json,
     partition_to_json,
     reconstruction_from_json,
@@ -47,11 +46,11 @@ class TestScalars:
     def test_round_trip(self, rng):
         for _ in range(200):
             q = F(rng.randint(-999, 999), rng.randint(1, 999))
-            assert parse_scalar(format_scalar(q, "rational"), "rational") == q
+            assert to_scalar(format_scalar(q, "rational"), "rational") == q
 
     def test_float_mode(self):
         assert format_scalar(0.25, "float") == 0.25
-        assert parse_scalar("0.25", "float") == 0.25
+        assert to_scalar("0.25", "float") == 0.25
 
 
 class TestMeasureJson:
@@ -103,24 +102,38 @@ class TestMatrices:
         assert vector.view(np.float64).tobytes() == reference[0].view(np.float64).tobytes()
 
     @pytest.mark.parametrize("payload, message", [
-        ([[[]]], r"matrix row 0 entry 0 is not a \[re, im\] pair"),
-        ([[[1, 0], [1]]], r"matrix row 0 entry 1 "),
-        ([[[1, 0]], [[1, 2, 3]]], r"matrix row 1 entry 0 "),
-        ([[[1, 0]], [["1", 0]]], r"matrix row 1 entry 0 "),
-        ([[[None, 0]]], r"matrix row 0 entry 0 "),
-        ([[[1, 0]], [[1, 0], [2, 0]]], r"row 1 has 2 entries, row 0 has 1"),
-        ([[[1, 0]], []], r"row 1 must be a non-empty list"),
-        ([], r"matrix must be a non-empty list"),
-        ({"re": 1}, r"matrix must be a non-empty list"),
-        ([[[10 ** 400, 0]]], r"matrix row 0 entry 0 "),
+        pytest.param([[[]]], "matrix[0][0] must have 2 entries",
+                     id="payload0-matrix entry without parts"),
+        pytest.param([[[1, 0], [1]]], "matrix[0][1] must have 2 entries",
+                     id="payload1-matrix entry with one part"),
+        pytest.param([[[1, 0]], [[1, 2, 3]]], "matrix[1][0] must have 2 entries",
+                     id="payload2-matrix entry with three parts"),
+        pytest.param([[[1, 0]], [["1", 0]]], "matrix[1][0][0]: not a finite number",
+                     id="payload3-matrix part that is a string"),
+        pytest.param([[[None, 0]]], "matrix[0][0][0]: not a finite number",
+                     id="payload4-matrix part that is null"),
+        ([[[1, 0]], [[1, 0], [2, 0]]], "row 1 has 2 entries, row 0 has 1"),
+        ([[[1, 0]], []], "row 1 must be a non-empty list of [re, im] pairs"),
+        pytest.param([], "matrix: must be a non-empty list of rows",
+                     id="payload7-matrix without rows"),
+        ({"re": 1}, "matrix must be a list"),
+        pytest.param([[[10 ** 400, 0]]], "matrix[0][0][0]: not a finite number",
+                     id="payload9-matrix part beyond a double"),
+        pytest.param([[[1, 0]], [[0, math.nan]]], "matrix[1][0][1]: not a finite number",
+                     id="payload10-matrix part that is NaN"),
+        pytest.param([[[math.inf, 0]]], "matrix[0][0][0]: not a finite number",
+                     id="payload11-matrix part that is infinite"),
     ])
     def test_matrix_entries_must_be_pairs_of_numbers(self, payload, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ConfigError) as info:
             matrix_from_json(payload)
+        # A row-level fault names the matrix, then the row: "matrix: row 1 ...".
+        assert str(info.value).endswith(message)
 
-    @pytest.mark.parametrize("payload", [[], [[1, 0], [2]], [[1, 0], "ab"], "ab"])
+    @pytest.mark.parametrize("payload", [[], [[1, 0], [2]], [[1, 0], "ab"], "ab",
+                                         [[1, -math.inf]]])
     def test_vector_entries_must_be_pairs_of_numbers(self, payload):
-        with pytest.raises(ValueError, match="vector"):
+        with pytest.raises(ConfigError, match="vector"):
             vector_from_json(payload)
 
     def test_labsystem_round_trip(self):

@@ -45,6 +45,18 @@ class TestConstruction:
         with pytest.raises(NotHermitian):
             HermitianObservable([[0, 1], [0, 0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", [HermitianObservable, DensityState])
+    def test_rejects_non_finite_entries(self, kind, bad):
+        # On the diagonal, NaN - NaN and inf - inf are NaN, which a plain
+        # "deviation > tolerance" check lets through.
+        with pytest.raises(NotHermitian):
+            kind(np.diag([bad, 0.5]))
+
+    def test_entries_that_overflow_when_symmetrized(self):
+        with pytest.raises(ValueError, match="overflow"):
+            HermitianObservable([[1e308, 1e308], [1e308, -1e308]])
+
     def test_symmetrizes_within_tolerance(self):
         m = np.array([[1.0, 1e-12], [0.0, 2.0]])
         obs = HermitianObservable(m)
