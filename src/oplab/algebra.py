@@ -10,6 +10,7 @@ data over a declared orthonormal frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
@@ -114,10 +115,11 @@ class ConditionReport:
 
 def _condition(name: str, tol: float, gaps) -> ConditionReport:
     """Fold ``(gap, witness)`` pairs into one report: the worst gap with its
-    witness, passing when every gap is within ``tol``."""
+    witness, passing when every gap is within ``tol``.  A NaN gap is the
+    worst gap, and the first one stays the witness."""
     worst, witness, ok = 0.0, "", True
     for gap, label in gaps:
-        if gap > worst:
+        if not math.isnan(worst) and not gap <= worst:
             worst, witness = gap, label
         ok = ok and gap <= tol
     return ConditionReport(name, ok, worst, witness)
@@ -294,6 +296,9 @@ class ReconstructionProblem:
     ):
         observables = tuple(observables)
         expectations = tuple(float(y) for y in expectations)
+        # Written so that NaN fails it.
+        if not all(math.isfinite(y) for y in expectations):
+            raise ValueError("expectations must be finite")
         frame_matrix = np.column_stack([np.asarray(v, dtype=complex) for v in frame])
         if not observables:
             raise ValueError("need at least one observable")

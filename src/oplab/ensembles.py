@@ -4,10 +4,10 @@ Trials are generated by a counter-based generator keyed by (seed, index), so
 the log for n trials extends the log for m < n trials without recomputation:
 adding a copy to the ensemble never rewrites history.  All estimators are
 pure functions of the recorded trace; limits are never asserted from finite
-data, only diagnosed.  Generation and every reduction run over fixed chunks
-of CHUNK trials with their running sums carried from chunk to chunk, so the
-only arrays as long as the ensemble are the public ones, and every value
-equals the whole-vector computation bit for bit.
+data, only diagnosed.  Generation and every reduction run over chunks with
+their running sums carried from chunk to chunk, so an estimate keeps about 2
+bytes per trial (the outcomes and the ``min_trials`` membership), and every
+value equals the whole-vector computation bit for bit.
 """
 
 from __future__ import annotations
@@ -26,11 +26,20 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _WORD = 2 ** 64
 
-# Largest ensemble run_ensemble allocates.  Generation and every reduction
-# work in chunks of CHUNK trials, so an estimate keeps about 18 bytes per
-# trial: the outcomes (1), f and w (8 each) and the min_trials membership (1).
+# Largest ensemble run_ensemble allocates.  Generation works in chunks of
+# CHUNK trials and the estimators in pieces of at most PIECE, so an estimate
+# keeps about 2 bytes per trial: the outcomes and the min_trials membership.
 MAX_TRIALS = 10 ** 8
 CHUNK = 1 << 16
+# Most entries of one piece of the frequency stream.  A piece of float64 is at
+# most 128 KiB, glibc malloc's initial mmap threshold, so its temporaries are
+# reused from the heap instead of being mapped and faulted in afresh.  At 4e6
+# trials (2-core VM, Python 3.11, numpy 2.4) an estimate took about 1 100 page
+# faults at 1 << 14, against 15 000 at 1 << 15 and 37 000 at 1 << 16, and its
+# reductions took 0.25 s at 1 << 14 against 0.27 s at 1 << 13.
+PIECE = 1 << 14
+# Most rows TrialLog.rows converts to Python objects at a time.
+ROW_BATCH = 1 << 13
 # Rounding slack of float frequencies and running averages: how far they may
 # stray below 0 or above 1, and below the harmonic lower bound.
 FREQUENCY_TOL = 1e-12
@@ -71,20 +80,65 @@ def _cumsum_into(part: np.ndarray, carry):
     """
     if carry is not None:
         part[0] += carry
-    np.cumsum(part, out=part)
+    part.cumsum(out=part)
     return part[-1]
 
 
-def _running_mean(x: np.ndarray) -> np.ndarray:
-    """w_k = (x_1 + ... + x_k) / k for k = 1 .. x.size."""
-    w = np.empty_like(x)
-    total = None
-    for s, e in _chunks(0, x.size):
-        part = w[s:e]
-        part[...] = x[s:e]
-        total = _cumsum_into(part, total)
-        part /= np.arange(s + 1, e + 1, dtype=np.float64)
-    return w
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise float sum splits n entries: at the half, rounded
+    down to a multiple of its 8-way unrolling."""
+    h = n // 2
+    return h - h % 8
+
+
+def _piece_ends(n: int, s: int = 0) -> list:
+    """The ends of the pieces that numpy's pairwise sum splits [s, s + n)
+    into, split until a piece has at most PIECE entries; none for n = 0."""
+    if n <= PIECE:
+        return [s + n] if n else []
+    h = _pairwise_half(n)
+    return _piece_ends(h, s) + _piece_ends(n - h, s + h)
+
+
+def _pairwise_total(n: int, sums) -> float:
+    """``np.add.reduce`` of n entries, bit for bit, from the sums of the
+    pieces of ``_piece_ends(n)`` (an iterator, in order), added in the
+    recursion order of numpy's pairwise sum."""
+    if n <= PIECE:
+        return next(sums)
+    h = _pairwise_half(n)
+    return _pairwise_total(h, sums) + _pairwise_total(n - h, sums)
+
+
+def _frequency_chunks(n: int, outcomes=None, frequencies=None, averages: bool = True):
+    """The relative frequencies f and their running averages w, chunk by
+    chunk: (s, e, idx, counts, f, w) for consecutive ranges [s, e) covering
+    0 .. n-1, with ``idx`` the 1-based indices s+1 .. e as floats.
+
+    The sequence is given by its 0/1 ``outcomes``, whose running success
+    counts are ``counts``, or by its ``frequencies`` (``counts`` is then
+    None).  The success count and the running sum are carried from chunk to
+    chunk; without ``averages``, w is None and costs nothing.  The chunks are
+    the pieces of ``_piece_ends(n)``, so that the sums of f per chunk add up
+    to ``np.add.reduce(f)`` (``_pairwise_total``).
+    """
+    count = running = None
+    s = 0
+    for e in _piece_ends(n):
+        idx = np.arange(s + 1, e + 1, dtype=np.float64)
+        if outcomes is None:
+            counts, f = None, frequencies[s:e]
+        else:
+            counts = outcomes[s:e].astype(np.int64)
+            count = _cumsum_into(counts, count)
+            f = counts / idx
+        w = None
+        if averages:
+            w = f.copy()
+            running = _cumsum_into(w, running)
+            w /= idx
+        yield s, e, idx, counts, f, w
+        s = e
 
 
 @dataclass(frozen=True)
@@ -116,19 +170,9 @@ class TrialLog:
         return TrialLog(self.seed, self.truth, self.target,
                         self.outcomes[:m], self.success_probability)
 
-    def _count_chunks(self):
-        """The running success counts as (s, e, counts[s:e]), chunk by chunk."""
-        total = None
-        for s, e in _chunks(0, self.n):
-            counts = self.outcomes[s:e].astype(np.int64)
-            total = _cumsum_into(counts, total)
-            yield s, e, counts
-
     def trace(self) -> "FrequencyTrace":
-        f = np.empty(self.n, dtype=np.float64)
-        for s, e, counts in self._count_chunks():
-            np.divide(counts, np.arange(s + 1, e + 1, dtype=np.float64), out=f[s:e])
-        return FrequencyTrace._adopt(f)
+        """The frequency trace of the log, backed by its outcomes."""
+        return FrequencyTrace._of_outcomes(self.outcomes)
 
     def rows(self, start: int = 0, stop: Optional[int] = None):
         """CSV rows (i, X_i, xi_i, f_i, w_i), the range [start, stop) of all
@@ -136,23 +180,17 @@ class TrialLog:
 
         The running sums still run from the first trial, so each row equals
         the same row of ``rows()`` bit for bit; tuples are built only for the
-        rows yielded.
+        rows yielded, at most ROW_BATCH at a time.
         """
         start, stop, _ = slice(start, stop).indices(self.n)
-        total = None
-        for s, e, counts in self._count_chunks():
+        for s, e, _, counts, f, w in _frequency_chunks(self.n, outcomes=self.outcomes):
             if s >= stop:
                 return
-            idx = np.arange(s + 1, e + 1, dtype=np.int64)
-            f = counts / idx
-            w = f.copy()
-            total = _cumsum_into(w, total)
-            if e <= start:
-                continue
-            w /= idx
-            a, b = max(start - s, 0), min(stop, e) - s
-            yield from zip(idx[a:b].tolist(), self.outcomes[s + a:s + b].tolist(),
-                           counts[a:b].tolist(), f[a:b].tolist(), w[a:b].tolist())
+            for a in range(max(start, s), min(stop, e), ROW_BATCH):
+                b = min(a + ROW_BATCH, stop, e)
+                part = slice(a - s, b - s)
+                yield from zip(range(a + 1, b + 1), self.outcomes[a:b].tolist(),
+                               counts[part].tolist(), f[part].tolist(), w[part].tolist())
 
 
 def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) -> TrialLog:
@@ -187,49 +225,80 @@ def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) ->
 class FrequencyTrace:
     """The sequence f_n of relative frequencies and its running average w_n.
 
-    Frequencies must lie in [0, 1].  Traces built from a TrialLog also
-    satisfy the success-count monotonicity (n+1) f_{n+1} >= n f_n; synthetic
-    traces may not, which `is_count_monotone` reports.
+    Frequencies must lie in [0, 1].  A trace from ``TrialLog.trace`` is backed
+    by the log's outcomes, and the estimators stream f and w from them; the
+    vectors ``f`` and ``w`` are built on first access and then kept.  Traces
+    built from a TrialLog also satisfy the success-count monotonicity
+    (n+1) f_{n+1} >= n f_n; synthetic traces may not, which
+    `is_count_monotone` reports.
     """
 
-    __slots__ = ("f", "w")
+    __slots__ = ("n", "_outcomes", "_f", "_w")
 
     def __init__(self, frequencies: Sequence[float]):
-        self._own(np.array(frequencies, dtype=np.float64))
-
-    @classmethod
-    def _adopt(cls, f: np.ndarray) -> "FrequencyTrace":
-        """A trace that takes over the fresh float64 vector ``f`` without a copy."""
-        trace = cls.__new__(cls)
-        trace._own(f)
-        return trace
-
-    def _own(self, f: np.ndarray) -> None:
-        if f.ndim != 1 or f.size == 0:
-            raise ValueError("frequency trace must be a nonempty vector")
+        f = np.array(frequencies, dtype=np.float64)
+        self._back(f.size if f.ndim == 1 else 0, None, f)
         # fmin/fmax skip NaN, as the elementwise comparisons they replace do.
         lo, hi = np.fmin.reduce(f), np.fmax.reduce(f)
         if lo < -FREQUENCY_TOL or hi > 1 + FREQUENCY_TOL:
             raise ValueError("frequencies outside [0, 1]")
         if lo < 0.0 or hi > 1.0:
             np.clip(f, 0.0, 1.0, out=f)
-        self.f = f
-        self.w = _running_mean(f)
+
+    @classmethod
+    def _of_outcomes(cls, outcomes: np.ndarray) -> "FrequencyTrace":
+        """The trace of the 0/1 ``outcomes``, which it reads without a copy."""
+        trace = cls.__new__(cls)
+        trace._back(outcomes.size, outcomes, None)
+        return trace
+
+    def _back(self, n: int, outcomes, f) -> None:
+        if n == 0:
+            raise ValueError("frequency trace must be a nonempty vector")
+        self.n, self._outcomes, self._f, self._w = int(n), outcomes, f, None
+
+    def _chunks(self, averages: bool = True):
+        """(s, e, idx, counts, f, w) chunk by chunk; see ``_frequency_chunks``."""
+        return _frequency_chunks(self.n, self._outcomes, self._f, averages)
+
+    def _gather(self, k: int) -> np.ndarray:
+        """Field k (4 for f, 5 for w) of every chunk, as one vector."""
+        out = np.empty(self.n, dtype=np.float64)
+        for chunk in self._chunks(averages=k == 5):
+            out[chunk[0]:chunk[1]] = chunk[k]
+        return out
 
     @property
-    def n(self) -> int:
-        return int(self.f.size)
+    def f(self) -> np.ndarray:
+        if self._f is None:
+            self._f = self._gather(4)
+        return self._f
+
+    @property
+    def w(self) -> np.ndarray:
+        if self._w is None:
+            self._w = self._gather(5)
+        return self._w
 
     def is_count_monotone(self, tol: float = COUNT_MONOTONE_TOL) -> bool:
-        for s, e in _chunks(0, self.n):
-            lo = max(s - 1, 0)
-            counts = self.f[lo:e] * np.arange(lo + 1, e + 1, dtype=np.float64)
-            if not np.all(np.diff(counts) >= -tol):
+        last = None
+        for _, _, idx, _, f, _ in self._chunks(averages=False):
+            rises, last = _counts_rise(f, idx, last, tol)
+            if not rises:
                 return False
         return True
 
     def __len__(self) -> int:
         return self.n
+
+
+def _counts_rise(f: np.ndarray, idx: np.ndarray, last, tol: float):
+    """Whether the float counts k f_k of one chunk never fall by more than
+    ``tol``, starting from ``last``, the count that ends the previous chunk
+    (None for the first); and the count that ends this chunk."""
+    counts = f * idx
+    rises = (last is None or counts[0] - last >= -tol) and (counts[1:] - counts[:-1] >= -tol).all()
+    return bool(rises), counts[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +519,33 @@ def estimate_probability(
     density for the estimate to deserve trust) and the gaps between the
     averaged stage measures and the estimated two-point measure on a probe
     function family.
+
+    Two passes over the trace: the first gives p_hat and the sum of f, the
+    second the Cesaro scan and the count monotonicity.
     """
-    if trace.n < min_length:
-        raise TooShort(f"trace length {trace.n} < {min_length}")
-    p_hat = float(trace.w[-1])
-    f = trace.f
-    kvn = _cesaro_scan((np.abs(f[s:e] - p_hat) for s, e in _chunks(0, trace.n)), trace.n,
-                       DEFAULT_ALPHA_GRID, _REPORT_LEVEL, _REPORT_LEVEL)
+    n = trace.n
+    if n < min_length:
+        raise TooShort(f"trace length {n} < {min_length}")
+    sums = []
+    for _, _, _, _, f, w in trace._chunks():
+        sums.append(np.add.reduce(f))
+    p_hat = float(w[-1])  # the last chunk's w ends with w_n
+    # The mean of the stage frequencies, as np.mean(f) sums them.
+    w_bar = float(_pairwise_total(n, iter(sums)) / n)
+    monotone = True
+
+    def deviations():
+        nonlocal monotone
+        last = None
+        for _, _, idx, _, f, _ in trace._chunks(averages=False):
+            rises, last = _counts_rise(f, idx, last, COUNT_MONOTONE_TOL)
+            monotone = monotone and rises
+            yield np.abs(f - p_hat)
+
+    kvn = _cesaro_scan(deviations(), n, DEFAULT_ALPHA_GRID, _REPORT_LEVEL, _REPORT_LEVEL)
     # Stage k puts mass f_k at outcome 1 and 1 - f_k at outcome 0.
     if probes is None:
         probes = _default_probes((0.0, 1.0))
-    w_bar = float(np.mean(trace.f))
     gaps = []
     for name, fn in probes:
         averaged = (1.0 - w_bar) * fn(0.0) + w_bar * fn(1.0)
@@ -468,10 +553,10 @@ def estimate_probability(
         gaps.append((name, abs(averaged - estimated)))
     return EstimateReport(
         p_hat=p_hat,
-        horizon=trace.n,
+        horizon=n,
         cesaro_diagnostics=kvn,
         weak_star_gaps=tuple(gaps),
-        count_monotone=trace.is_count_monotone(),
+        count_monotone=monotone,
     )
 
 
@@ -519,15 +604,6 @@ class MinTrialsReport:
     bound_holds: bool
 
 
-def _first_positive(x: np.ndarray) -> Optional[int]:
-    """1-based index of the first entry of x above zero, or None."""
-    for s, e in _chunks(0, x.size):
-        hit = x[s:e] > 0
-        if hit.any():
-            return s + int(np.argmax(hit)) + 1
-    return None
-
-
 def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
     """Stabilization diagnostics for the running average.
 
@@ -536,36 +612,40 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
     member.  The smallest member is the candidate for the number of trials
     needed at accuracy alpha.  The report also evaluates the harmonic lower
     bound on w_n seeded by the first success and checks it against the
-    recorded trace.
+    recorded trace.  One pass over the trace.
     """
     # Written so that NaN fails it.
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and positive")
-    n, f, w = trace.n, trace.f, trace.w
-    membership = np.ones(n, dtype=bool)
-    for s, e in _chunks(1, n):
-        gaps = np.abs(f[s:e] - w[s - 1:e - 1]) / np.arange(s + 1, e + 1, dtype=np.float64)
-        np.less(gaps, 2.0 * alpha, out=membership[s:e])
-    first_candidate = int(np.argmax(membership)) + 1 if membership.any() else None
-
-    first_success = _first_positive(f)
-    if first_success is None:
-        bound = 0.0
-        # min propagates NaN, so this is False exactly when
-        # np.all(w >= -FREQUENCY_TOL) is.
-        holds = bool(w.min() >= -FREQUENCY_TOL)
-    else:
+    n = trace.n
+    membership = np.empty(n, dtype=bool)
+    # w_0 does not exist: NaN fails the first gap, and membership[0] is set below.
+    before = np.nan
+    first_success = f_at = None
+    holds, harmonic = True, 0.0
+    for s, e, idx, _, f, w in trace._chunks():
+        previous = np.concatenate(([before], w[:-1]))
+        np.less(np.abs(f - previous) / idx, 2.0 * alpha, out=membership[s:e])
+        before = w[-1]
+        if first_success is None:
+            hit = f > 0
+            if hit.any():
+                first_success = s + int(np.argmax(hit)) + 1
+                f_at = float(f[first_success - 1 - s])
         # Bound at index m: f_at * H(m - first_success) / m, with H(0) = 0 up to
         # the first success and the harmonic sum H streamed after it.
-        f_at = float(f[first_success - 1])
-        holds = bool(w[:first_success].min() + FREQUENCY_TOL >= 0.0)
-        harmonic = 0.0
-        for s, e in _chunks(first_success, n):
-            terms = 1.0 / np.arange(s + 1 - first_success, e + 1 - first_success)
+        cut = e - s if first_success is None else min(max(first_success - s, 0), e - s)
+        if cut:
+            # min propagates NaN, so this fails on a NaN as np.all would.
+            holds = holds and bool(w[:cut].min() + FREQUENCY_TOL >= 0.0)
+        if cut < e - s:
+            terms = 1.0 / (idx[cut:] - first_success)
             harmonic = _cumsum_into(terms, harmonic)
-            bounds = f_at * terms / np.arange(s + 1, e + 1, dtype=np.float64)
-            holds = holds and bool(np.all(w[s:e] + FREQUENCY_TOL >= bounds))
-        bound = float(f_at * harmonic / n)
+            bounds = f_at * terms / idx[cut:]
+            holds = holds and bool((w[cut:] + FREQUENCY_TOL >= bounds).all())
+    membership[0] = True
+    first_candidate = int(np.argmax(membership)) + 1
+    bound = 0.0 if first_success is None else float(f_at * harmonic / n)
     return MinTrialsReport(
         alpha=float(alpha),
         membership=membership,

@@ -15,6 +15,7 @@ from oplab.algebra import (
     purity_selection,
     reports_to_records,
     tomography_reconstruct,
+    _condition,
 )
 from oplab.errors import NoRealizableFrame, NotCommuting, SingularFrame
 from oplab.information import vn_entropy_and_purity
@@ -87,6 +88,15 @@ class TestArba:
         images.pop("z")
         with pytest.raises(KeyError):
             Algebraization(system, images, dict(system.states))
+
+    def test_nan_gap_is_the_worst_gap(self):
+        report = _condition("polynomial", 1e-9, [(math.nan, "z^3 vs z2")])
+        assert not report.passed and report.witness == "z^3 vs z2"
+        assert math.isnan(report.residual)
+        report = _condition("polynomial", 1e-9, [(0.5, "a"), (math.nan, "b"), (2.0, "c"),
+                                                 (math.nan, "d")])
+        assert (report.passed, report.witness) == (False, "b")
+        assert math.isnan(report.residual)
 
     def test_records_shape(self):
         alg = Algebraization.identity(qubit_system())
@@ -195,6 +205,15 @@ class TestTomography:
         )
         with pytest.raises(SingularFrame):
             tomography_reconstruct(problem)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_expectations_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ReconstructionProblem(
+                observables=[HermitianObservable(PAULI_Z), HermitianObservable(np.eye(2))],
+                expectations=[bad, 1.0],
+                frame=[np.array([1.0, 0]), np.array([0, 1.0])],
+            )
 
     def test_frame_must_be_orthonormal(self):
         with pytest.raises(ValueError):

@@ -637,6 +637,21 @@ class TestValidateCommand:
         failed = [entry["name"] for entry in report["conditions"] if not entry["pass"]]
         assert "expectation-matching" in failed
 
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    def test_nan_gap_fails_with_its_witness(self, tmp_path):
+        """z^3 overflows to inf and inf * 0 is NaN: the polynomial condition
+        fails with a NaN residual, not 0.0, and names its witness."""
+        payload = json.loads(json.dumps(VALIDATE_OK))
+        payload["inputs"]["system"]["observables"]["z"] = [[[0, 0], [1e200, 0]],
+                                                           [[1e200, 0], [0, 0]]]
+        payload["inputs"]["relations"] = {"powers": [["z", 3, "z2"]]}
+        config = write_config(tmp_path, payload)
+        assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 2
+        report = json.loads((tmp_path / "validation.json").read_text())
+        entry, = [e for e in report["conditions"] if e["name"] == "polynomial"]
+        assert not entry["pass"] and entry["witness"] == "z^3 vs z2"
+        assert math.isnan(entry["residual"])
+
 
 class TestOtherCommands:
     def test_entropy_rows(self, tmp_path):

@@ -1,13 +1,19 @@
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oplab
 from oplab.ensembles import (
     CHUNK,
     CONVERGENT,
@@ -15,6 +21,7 @@ from oplab.ensembles import (
     NOT_CONVERGENT,
     FrequencyTrace,
     NaturalSubset,
+    TrialLog,
     counter_words,
     estimate_probability,
     kvn_equivalence,
@@ -26,6 +33,7 @@ from oplab.ensembles import (
 from oplab.errors import CapacityError, HorizonExceeded, NotProbability, TooShort
 from oplab.measures import BorelSet, DiscreteMeasure
 
+SRC = Path(oplab.__file__).resolve().parent.parent
 TRUTH = DiscreteMeasure([(0, F(7, 10)), (1, F(3, 10))])
 TARGET = BorelSet.point(1)
 
@@ -415,6 +423,17 @@ ROW_BOUNDS = st.none() | st.sampled_from(
 ) | st.integers(-_RANGED_N - 2, _RANGED_N + 2)
 
 
+# Runs the command in argv, its output discarded, and prints its exit code
+# and its ru_maxrss.
+_MAXRSS_OF = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
 def _bits(rows) -> bytes:
     """The rows as float64 bytes: as strict as comparing reprs, and faster."""
     return np.array(rows, dtype=np.float64).tobytes()
@@ -434,6 +453,8 @@ class TestChunkedPipeline:
     @given(n=SIZES, p=PROBABILITIES, seed=st.integers(0, 2 ** 64 - 1),
            alpha=st.sampled_from([0.01, 1e-7]))
     @example(n=2 * CHUNK + 1, p=F(3, 10), seed=1, alpha=0.01)
+    # np.mean splits this n into pieces that end at no multiple of PIECE or CHUNK.
+    @example(n=1_000_003, p=F(3, 10), seed=2, alpha=0.01)
     def test_run_log(self, n, p, seed, alpha):
         truth = DiscreteMeasure([(0, 1 - p), (1, p)]) if 0 < p < 1 else DiscreteMeasure.dirac(int(p))
         log = run_ensemble(truth, TARGET, n, seed)
@@ -467,6 +488,12 @@ class TestChunkedPipeline:
         log = run_ensemble(TRUTH, TARGET, n, seed=3)
         assert repr(list(log.rows())) == repr(_ref_rows(log.outcomes))
 
+    def test_empty_log_has_no_rows(self):
+        log = TrialLog(1, TRUTH, TARGET, [], F(3, 10))
+        assert list(log.rows()) == []
+        with pytest.raises(ValueError, match="nonempty"):
+            log.trace()
+
     @settings(max_examples=40, deadline=None)
     @given(a=ROW_BOUNDS, b=ROW_BOUNDS)
     @example(a=CHUNK, b=2 * CHUNK)
@@ -495,3 +522,44 @@ class TestChunkedPipeline:
         finally:
             tracemalloc.stop()
         assert peak < 24 * n + 4 * 2 ** 20
+
+    def test_estimate_keeps_about_two_bytes_per_trial(self):
+        """Beyond the outcomes and the min_trials membership (1 byte per trial
+        each), the estimators hold only chunks: no f or w as long as the log."""
+        n = 2 ** 20 + 1
+        tracemalloc.start()
+        try:
+            log = run_ensemble(TRUTH, TARGET, n, seed=1)
+            estimate_probability(log.trace())
+            min_trials(log.trace(), 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n + 4 * 2 ** 20
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_estimate_process_peak_barely_grows_with_trials(self, tmp_path):
+        """A fresh ``oplab.cli estimate`` process at 2**22 trials peaks less
+        than 16 MiB above one at 2**14; 16 bytes per trial would add 64 MiB.
+
+        A small launcher forks the command, because Linux charges a child's
+        ru_maxrss with the resident size of the process that forked it."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        peaks = {}
+        for trials in (2 ** 14, 2 ** 22):
+            config = tmp_path / f"estimate_{trials}.json"
+            config.write_text(json.dumps({
+                "kind": "estimate", "seed": 1,
+                "inputs": {"truth": {"atoms": [["0", "7/10"], ["1", "3/10"]]},
+                           "target": {"singletons": ["1"]}, "trials": trials},
+            }), encoding="utf-8")
+            done = subprocess.run(
+                [sys.executable, "-c", _MAXRSS_OF, sys.executable, "-m", "oplab.cli", "estimate",
+                 "--config", str(config), "--out", str(tmp_path / str(trials))],
+                env=env, capture_output=True, text=True, timeout=120)
+            code, peaks[trials] = map(int, done.stdout.split())
+            assert code == 0, done.stderr
+        # ru_maxrss is in KiB on Linux, bytes on macOS.
+        unit = 1 if sys.platform == "darwin" else 1024
+        assert (peaks[2 ** 22] - peaks[2 ** 14]) * unit < 16 * 2 ** 20, peaks
