@@ -15,19 +15,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from .algebra import (
-    arba_validate,
-    center_check,
-    embedding_check,
-    reports_to_records,
-    tomography_reconstruct,
-)
-from .dynamics import decompose_evolution
-from .ensembles import estimate_probability, min_trials, run_ensemble
+from . import __version__, algebra, dynamics, ensembles, information, kolmogorov, spectral
 from .errors import NoRealizableFrame, OplabError, SingularFrame
-from .information import shannon_entropy, vn_entropy_and_purity
-from .kolmogorov import kolmogorov_check
 from .measures import FLOAT, RATIONAL
 from .serialization import (
     ConfigError,
@@ -43,7 +32,6 @@ from .serialization import (
     reconstruction_from_json,
     validation_of,
 )
-from .spectral import DensityState, HermitianObservable, spectral_measure
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -129,7 +117,7 @@ def _trial_log(args, config, inputs, footer):
     mode = _resolve_mode(args, config)
     footer["seed"] = seed = _resolve_seed(args, config)
     truth, target, trials = ensemble_of(inputs, mode)
-    return run_ensemble(truth, target, trials, seed)
+    return ensembles.run_ensemble(truth, target, trials, seed)
 
 
 def _out_path(args, config, default_name: str) -> Path:
@@ -170,8 +158,8 @@ def _cmd_estimate(args, config, inputs, footer):
     if not alpha > 0:
         raise ConfigError("inputs.alpha must be above 0")
     trace = _trial_log(args, config, inputs, footer).trace()
-    report = estimate_probability(trace)
-    stabilization = min_trials(trace, alpha)
+    report = ensembles.estimate_probability(trace)
+    stabilization = ensembles.min_trials(trace, alpha)
     rows = [
         ["p_hat", repr(report.p_hat)],
         ["horizon", report.horizon],
@@ -195,7 +183,7 @@ def _cmd_entropy(args, config, inputs, footer):
     mode = _resolve_mode(args, config)
     measure = measure_from_json(field(inputs, "measure", "inputs"), mode, "inputs.measure")
     partition = partition_from_json(field(inputs, "partition", "inputs"), "inputs.partition")
-    report = shannon_entropy(measure, partition)
+    report = information.shannon_entropy(measure, partition)
     footer["H_bits"] = repr(report.bits)
     return _table(
         args, config, "entropy.csv",
@@ -209,7 +197,7 @@ def _cmd_dissipation(args, config, inputs, footer):
     mode = _resolve_mode(args, config)
     trace = evolution_of(inputs, mode)
     partition = partition_from_json(field(inputs, "partition", "inputs"), "inputs.partition")
-    report = decompose_evolution(trace)
+    report = dynamics.decompose_evolution(trace)
     return _table(
         args, config, "dissipation.csv",
         ["t", "coefficient", "entropy_bits", "escaped_mass"],
@@ -222,13 +210,13 @@ def _cmd_dissipation(args, config, inputs, footer):
 def _cmd_tomography(args, config, inputs, footer):
     problem = reconstruction_from_json(field(inputs, "problem", "inputs"), "inputs.problem")
     try:
-        result = tomography_reconstruct(problem)
+        result = algebra.tomography_reconstruct(problem)
     except (NoRealizableFrame, SingularFrame) as exc:
         footer["failure"] = type(exc).__name__
         return _table(args, config, "tomography.csv", ["metric", "value"],
                       [["status", type(exc).__name__], ["detail", str(exc)]], footer,
                       EXIT_VALIDATION)
-    entropy, purity = vn_entropy_and_purity(result.state)
+    entropy, purity = information.vn_entropy_and_purity(result.state)
     rows = [["status", "reconstructed"],
             ["purity", repr(purity)],
             ["entropy_nats", repr(entropy)]]
@@ -243,7 +231,7 @@ def _cmd_kolmogorov(args, config, inputs, footer):
     spaces = outcomes_of(inputs)
     constraints = [constraint_of(c, f"inputs.constraints[{k}]", spaces)
                    for k, c in enumerate(field(inputs, "constraints", "inputs", list))]
-    result = kolmogorov_check(spaces, constraints)
+    result = kolmogorov.kolmogorov_check(spaces, constraints)
     if result.feasible:
         header = list(result.observables) + ["probability"]
         rows = [
@@ -260,10 +248,10 @@ def _cmd_kolmogorov(args, config, inputs, footer):
 
 
 def _cmd_spectral(args, config, inputs, footer):
-    observable = operator_of(HermitianObservable, field(inputs, "observable", "inputs"),
+    observable = operator_of(spectral.HermitianObservable, field(inputs, "observable", "inputs"),
                              "inputs.observable")
-    state = operator_of(DensityState, field(inputs, "state", "inputs"), "inputs.state")
-    measure = spectral_measure(observable, state)
+    state = operator_of(spectral.DensityState, field(inputs, "state", "inputs"), "inputs.state")
+    measure = spectral.spectral_measure(observable, state)
     rows = [["atom", repr(p), repr(w)] for p, w in measure.atoms]
     rows.append(["mean", "", repr(float(measure.mean()))])
     rows.append(["variance", "", repr(float(measure.variance()))])
@@ -275,12 +263,12 @@ def _cmd_spectral(args, config, inputs, footer):
 
 def _cmd_validate(args, config, inputs, footer):
     alg, relations, center, families = validation_of(inputs)
-    reports = list(arba_validate(alg, relations))
+    reports = list(algebra.arba_validate(alg, relations))
     if center is not None:
-        reports.extend(center_check(alg, center, relations))
+        reports.extend(algebra.center_check(alg, center, relations))
     if families is not None:
-        reports.extend(embedding_check(alg, families))
-    records = reports_to_records(reports)
+        reports.extend(algebra.embedding_check(alg, families))
+    records = algebra.reports_to_records(reports)
     json_path = _out_path(args, config, "validation.json")
     with _create(json_path) as fh:
         fh.write(json.dumps({"conditions": records}, indent=2, sort_keys=True) + "\n")

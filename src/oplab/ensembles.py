@@ -26,11 +26,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _WORD = 2 ** 64
 
-# Largest ensemble run_ensemble allocates.  Generation works in chunks of
-# CHUNK trials and the estimators in pieces of at most PIECE, so an estimate
-# keeps about 2 bytes per trial: the outcomes and the min_trials membership.
+# Largest ensemble run_ensemble allocates.  Generation works in steps of STEP
+# trials and the estimators in pieces of at most PIECE, so an estimate keeps
+# about 2 bytes per trial: the outcomes and the min_trials membership.
 MAX_TRIALS = 10 ** 8
-CHUNK = 1 << 16
 # Most entries of one piece of the frequency stream.  A piece of float64 is at
 # most 128 KiB, glibc malloc's initial mmap threshold, so its temporaries are
 # reused from the heap instead of being mapped and faulted in afresh.  At 4e6
@@ -38,6 +37,14 @@ CHUNK = 1 << 16
 # faults at 1 << 14, against 15 000 at 1 << 15 and 37 000 at 1 << 16, and its
 # reductions took 0.25 s at 1 << 14 against 0.27 s at 1 << 13.
 PIECE = 1 << 14
+# Trials run_ensemble generates, and entries kvn_equivalence scans, at a time.
+# Generation makes several uint64 temporaries per step, and freed together
+# they would let glibc trim the heap and fault them in afresh on the next
+# step.  At 4e6 trials (same machine, 5 fresh processes) run_ensemble took
+# 1 045 minor page faults and 0.027-0.035 s at 1 << 13, against 32 229 and
+# 0.064-0.096 s at 1 << 14, 15 101 and 0.056-0.062 s at 1 << 16, and 1 005
+# and 0.037-0.050 s at 1 << 12.  Every step edge is also a PIECE edge.
+STEP = PIECE // 2
 # Most rows TrialLog.rows converts to Python objects at a time.
 ROW_BATCH = 1 << 13
 # Rounding slack of float frequencies and running averages: how far they may
@@ -64,10 +71,10 @@ def counter_words(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _chunks(start: int, stop: int):
-    """Consecutive half-open ranges [s, e) of at most CHUNK indices covering
+    """Consecutive half-open ranges [s, e) of at most STEP indices covering
     start .. stop-1."""
-    for s in range(start, stop, CHUNK):
-        yield s, min(s + CHUNK, stop)
+    for s in range(start, stop, STEP):
+        yield s, min(s + STEP, stop)
 
 
 def _cumsum_into(part: np.ndarray, carry):

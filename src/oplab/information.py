@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import _np as np
+from . import spectral
 from .errors import PartitionDoesNotCover, ZeroCell
 from .measures import (FLOAT, RATIONAL, BorelSet, DiscreteMeasure, Partition, is_unit_mass,
                        to_scalar)
-from .spectral import DensityState
 
 LN2 = math.log(2.0)
 # How far from 1 a schema's total mass may be once any weight is a float.
@@ -299,7 +299,7 @@ def informativity_compare(
 # ---------------------------------------------------------------------------
 
 
-def vn_entropy_and_purity(state: DensityState) -> Tuple[float, float]:
+def vn_entropy_and_purity(state: spectral.DensityState) -> Tuple[float, float]:
     """Von Neumann entropy in nats and purity (trace of the square)."""
     evals = state.eigenvalues
     entropy = float(-np.sum(evals[evals > 0] * np.log(evals[evals > 0])))
@@ -309,7 +309,7 @@ def vn_entropy_and_purity(state: DensityState) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class EntropyBridge:
-    state: DensityState
+    state: spectral.DensityState
     vn_nats: float
     shannon_bits: float
 
@@ -330,7 +330,7 @@ def partition_density_matrix(measure: DiscreteMeasure, partition: Partition) -> 
     for k, w in enumerate(weights):
         if w <= 0:
             raise ZeroCell(f"cell {k} carries no mass")
-    state = DensityState(np.diag(weights))
+    state = spectral.DensityState(np.diag(weights))
     vn, _ = vn_entropy_and_purity(state)
     return EntropyBridge(state=state, vn_nats=vn, shannon_bits=report.bits)
 

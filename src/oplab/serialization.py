@@ -31,16 +31,7 @@ from functools import partial
 from typing import Mapping
 
 from . import _np as np
-from .algebra import Algebraization, DeclaredRelations, ReconstructionProblem
-from .dynamics import EvolutionTrace
-from .ensembles import MAX_TRIALS
-from .kolmogorov import (
-    ConditionalConstraint,
-    CorrelationConstraint,
-    ExpectationConstraint,
-    JointConstraint,
-    MarginalConstraint,
-)
+from . import algebra, dynamics, ensembles, kolmogorov, spectral
 from .measures import (
     FLOAT,
     RATIONAL,
@@ -50,7 +41,6 @@ from .measures import (
     _to_endpoint,
     to_scalar,
 )
-from .spectral import DensityState, HermitianObservable, LabSystem
 
 
 class ConfigError(Exception):
@@ -284,19 +274,19 @@ def ensemble_of(payload: Mapping, mode: str, where: str = "inputs"):
     truth = measure_from_json(field(payload, "truth", where), mode, f"{where}.truth")
     target = borel_from_json(field(payload, "target", where), f"{where}.target")
     trials = field(payload, "trials", where, int)
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ConfigError(f"{where}.trials must be from 1 to MAX_TRIALS = {MAX_TRIALS}")
+    if not 1 <= trials <= ensembles.MAX_TRIALS:
+        raise ConfigError(f"{where}.trials must be from 1 to MAX_TRIALS = {ensembles.MAX_TRIALS}")
     return truth, target, trials
 
 
-def evolution_of(payload: Mapping, mode: str, where: str = "inputs") -> EvolutionTrace:
+def evolution_of(payload: Mapping, mode: str, where: str = "inputs") -> dynamics.EvolutionTrace:
     """The `EvolutionTrace` of the ``times`` and ``measures`` of ``payload``;
     a measure that is not a probability raises NotProbability naming it."""
     times = field(payload, "times", where, list, items=float)
     measures = [measure_from_json(m, mode, f"{where}.measures[{k}]")
                 .require_probability(f"{where}.measures[{k}]")
                 for k, m in enumerate(field(payload, "measures", where, list))]
-    return _built(lambda: EvolutionTrace(times, measures), f"{where}.times")
+    return _built(lambda: dynamics.EvolutionTrace(times, measures), f"{where}.times")
 
 
 def matrix_to_json(matrix) -> list:
@@ -348,7 +338,7 @@ def operator_of(kind, payload, where: str):
     return _built(lambda: kind(matrix), where)
 
 
-def labsystem_to_json(system: LabSystem) -> dict:
+def labsystem_to_json(system: spectral.LabSystem) -> dict:
     return {
         "observables": {label: matrix_to_json(obs.matrix)
                         for label, obs in sorted(system.observables.items())},
@@ -363,20 +353,21 @@ def _operator_maps(payload: Mapping, where: str):
     mapped to its operator."""
     return [{label: operator_of(kind, m, f"{where}.{name}.{label}")
              for label, m in field(payload, name, where, dict).items()}
-            for name, kind in (("observables", HermitianObservable), ("states", DensityState))]
+            for name, kind in (("observables", spectral.HermitianObservable),
+                               ("states", spectral.DensityState))]
 
 
-def labsystem_from_json(payload: Mapping, where: str = "system") -> LabSystem:
+def labsystem_from_json(payload: Mapping, where: str = "system") -> spectral.LabSystem:
     observables, states = _operator_maps(payload, where)
     pairs = field(payload, "suitability", where, list, items=list)
     _check(pairs, [(_label(states, "state"), _label(observables, "observable"))],
            f"{where}.suitability")
-    return _built(lambda: LabSystem(observables, states, [tuple(pair) for pair in pairs]),
+    return _built(lambda: spectral.LabSystem(observables, states, [tuple(pair) for pair in pairs]),
                   where)
 
 
 def relations_from_json(payload: Mapping, where: str = "relations",
-                        labels=None) -> DeclaredRelations:
+                        labels=None) -> algebra.DeclaredRelations:
     """The declared relations; each label must be one of ``labels``, unless
     that is None."""
     label = _label(labels, "observable")
@@ -385,7 +376,7 @@ def relations_from_json(payload: Mapping, where: str = "relations",
               "products": [(label, label, label)]}
     entries = {name: field(payload, name, where, list, [], items=list) for name in shapes}
     _check(entries, shapes, where)
-    return DeclaredRelations(
+    return algebra.DeclaredRelations(
         powers=tuple((b, int(n), p) for b, n, p in entries["powers"]),
         sums=tuple(tuple(entry) for entry in entries["sums"]),
         scalings=tuple((a, float(r), s) for a, r, s in entries["scalings"]),
@@ -401,10 +392,10 @@ def validation_of(payload: Mapping, where: str = "inputs"):
     system = labsystem_from_json(field(payload, "system", where), f"{where}.system")
     images = field(payload, "algebraization", where, dict, None)
     if images is None:
-        alg = Algebraization.identity(system)
+        alg = algebra.Algebraization.identity(system)
     else:
         at = f"{where}.algebraization"
-        alg = _built(lambda: Algebraization(system, *_operator_maps(images, at)), at)
+        alg = _built(lambda: algebra.Algebraization(system, *_operator_maps(images, at)), at)
     relations = relations_from_json(field(payload, "relations", where, default={}),
                                     f"{where}.relations", system.observables)
     observable = _label(system.observables, "observable")
@@ -453,30 +444,33 @@ def constraint_of(payload: Mapping, where: str = "constraint", outcomes: Mapping
 
     kind = field(payload, "type", where, str)
     if kind == "marginal":
-        return MarginalConstraint(get("observable", observable), get("value", _rational),
-                                  get("prob", _rational))
+        return kolmogorov.MarginalConstraint(get("observable", observable),
+                                             get("value", _rational), get("prob", _rational))
     if kind == "joint":
-        return JointConstraint.of(events("events"), get("prob", _rational))
+        return kolmogorov.JointConstraint.of(events("events"), get("prob", _rational))
     if kind == "conditional":
-        return ConditionalConstraint.of(events("event"), events("given"), get("prob", _rational))
+        return kolmogorov.ConditionalConstraint.of(events("event"), events("given"),
+                                                   get("prob", _rational))
     if kind == "correlation":
-        return CorrelationConstraint(tuple(get("observables", (observable, observable))),
-                                     get("value", _rational))
+        return kolmogorov.CorrelationConstraint(
+            tuple(get("observables", (observable, observable))), get("value", _rational))
     if kind == "expectation":
-        return ExpectationConstraint(get("observable", observable), get("value", _rational))
+        return kolmogorov.ExpectationConstraint(get("observable", observable),
+                                                get("value", _rational))
     raise ConfigError(f"{where}.type: unknown constraint type {kind!r}")
 
 
-def reconstruction_from_json(payload: Mapping, where: str = "problem") -> ReconstructionProblem:
-    observables = [operator_of(HermitianObservable, m, f"{where}.observables[{k}]")
+def reconstruction_from_json(payload: Mapping,
+                             where: str = "problem") -> algebra.ReconstructionProblem:
+    observables = [operator_of(spectral.HermitianObservable, m, f"{where}.observables[{k}]")
                    for k, m in enumerate(field(payload, "observables", where, list))]
     frame = [vector_from_json(v, f"{where}.frame[{k}]")
              for k, v in enumerate(field(payload, "frame", where, list))]
     expectations = field(payload, "expectations", where, list, items=float)
-    return _built(lambda: ReconstructionProblem(observables, expectations, frame), where)
+    return _built(lambda: algebra.ReconstructionProblem(observables, expectations, frame), where)
 
 
-def reconstruction_to_json(problem: ReconstructionProblem) -> dict:
+def reconstruction_to_json(problem: algebra.ReconstructionProblem) -> dict:
     return {
         "observables": [matrix_to_json(obs.matrix) for obs in problem.observables],
         "expectations": list(problem.expectations),

@@ -9,6 +9,10 @@ import pytest
 from oplab.measures import DiscreteMeasure, JointMeasure
 from oplab.spectral import DensityState, HermitianObservable
 
+# The step ensembles were once generated in; sizes at its edges stay among the
+# cases beside the edges of ``oplab.ensembles.PIECE``.
+CHUNK = 1 << 16
+
 
 def random_rational_probability(rng: random.Random, max_atoms: int = 16) -> DiscreteMeasure:
     n = rng.randint(1, max_atoms)

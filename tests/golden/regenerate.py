@@ -3,13 +3,18 @@
 ``configs/`` holds one config per case: ``kolmogorov`` feasible and
 infeasible, ``entropy`` and ``dissipation`` in each mode, ``report`` on the
 two ``dissipation`` tables, ``simulate`` just below and just above
-``oplab.trialcsv.FORK_MIN_TRIALS``, and ``estimate``.  ``expected.json`` pins
-each case's exit code and the SHA-256 of its output; ``tests/test_golden.py``
+``oplab.trialcsv.FORK_MIN_TRIALS``, ``estimate``, ``spectral``,
+``tomography`` reconstructed and unrealizable, and ``validate`` with and
+without an ``algebraization``.  Each config's ``output`` field names its
+output; ``validate`` writes its JSON report there and a CSV beside it.
+``expected.json`` pins each case's exit code and the SHA-256 of its output
+(and of the CSV, ``csv_sha256``, for ``validate``); ``tests/test_golden.py``
 checks them.  All kinds but those in ``NUMPY_KINDS`` use neither LAPACK nor a
 numpy reduction, so their outputs must be the same bytes on every Python,
-numpy and BLAS build.  A case of ``NUMPY_KINDS`` also pins the numpy version
-and the values of its output: under that numpy its hash must match, under
-another one its values, within ``VALUE_TOL``.
+numpy and BLAS build.  A case of ``NUMPY_KINDS`` also pins the numpy version,
+for ``LAPACK_KINDS`` the BLAS build as well, and the values of its output:
+where both match, its hash must match; elsewhere its values, within
+``VALUE_TOL``.
 
 A change that alters an output on purpose bumps ``oplab.__version__``
 (every footer carries it) and regenerates the pins:
@@ -19,6 +24,7 @@ A change that alters an output on purpose bumps ``oplab.__version__``
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -34,18 +40,35 @@ import numpy
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent.parent / "src"
 EXPECTED = HERE / "expected.json"
+# Kinds whose output goes through LAPACK, whose last bits may differ between
+# BLAS builds.
+LAPACK_KINDS = ("spectral", "tomography", "validate")
 # Kinds whose output goes through a numpy float reduction whose rounding a
 # numpy release may change: ``estimate`` reports np.mean's pairwise sum.
-NUMPY_KINDS = ("estimate",)
+NUMPY_KINDS = ("estimate",) + LAPACK_KINDS
 # How far a number in the output of a NUMPY_KINDS case may stray from its pin,
-# relative and absolute, under another numpy.  The pairwise sum moves the
-# weak-star gaps by about 1e-15.
+# relative and absolute, under another numpy or BLAS.  The pairwise sum moves
+# the weak-star gaps by about 1e-15.
 VALUE_TOL = 1e-12
+
+
+def blas() -> str:
+    """The BLAS that numpy was built against, as ``name version``, or
+    ``unknown`` where numpy cannot say (before numpy 1.26)."""
+    try:
+        info = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{info.get('name')} {info.get('version')}"
 
 
 def configs() -> list:
     """The config paths, ``report`` last, since it reads the other outputs."""
     return sorted((HERE / "configs").glob("*.json"), key=lambda p: (p.stem == "report", p.name))
+
+
+def _sha256(path: Path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
 def run(out_dir: Path) -> dict:
@@ -58,41 +81,74 @@ def run(out_dir: Path) -> dict:
     for config in configs():
         local = out_dir / config.name
         shutil.copyfile(config, local)
-        kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        kind = payload["kind"]
         proc = subprocess.run(
             [sys.executable, "-m", "oplab.cli", kind, "--config", str(local), "--out", str(out_dir)],
             env=env, capture_output=True, check=False)
-        output = out_dir / f"{config.stem}.csv"
-        digest = hashlib.sha256(output.read_bytes()).hexdigest() if output.exists() else None
-        results[config.stem] = {"exit": proc.returncode, "sha256": digest}
+        output = out_dir / payload["output"]
+        result = results[config.stem] = {"exit": proc.returncode, "sha256": _sha256(output)}
+        if kind == "validate":
+            result["csv_sha256"] = _sha256(output.with_suffix(".csv"))
         if kind in NUMPY_KINDS:
-            results[config.stem].update(
-                numpy=numpy.__version__, values=values(output) if output.exists() else None)
+            result.update(numpy=numpy.__version__,
+                          values=values(output) if output.exists() else None)
+        if kind in LAPACK_KINDS:
+            result["blas"] = blas()
     return results
 
 
 def values(output: Path) -> dict:
-    """The values of a ``metric,value`` table and of its ``# key=value``
-    footer, by name, each as an int, a float or else a string."""
+    """The values of an output, by name, each as an int, a float or else a
+    string.
+
+    A CSV table gives its ``# key=value`` footer and its rows: the row
+    ``name,value`` of a two-column table as ``name``, and a row of a wider
+    one as ``name[k]``, its k-th row of that name, whose value is the list
+    of its other cells.  A JSON output gives its parsed object, and, for a
+    ``validate`` report, its CSV beside it as ``csv``."""
+    if output.suffix == ".json":
+        found = json.loads(output.read_text(encoding="utf-8"))
+        found["csv"] = values(output.with_suffix(".csv"))
+        return found
     found = {}
+    seen = {}
     for line in output.read_text(encoding="utf-8").splitlines()[1:]:
-        name, value = line[2:].split("=", 1) if line.startswith("# ") else line.split(",", 1)
-        for parse in (int, float, str):
-            try:
-                found[name] = parse(value)
-                break
-            except ValueError:
-                pass
+        if line.startswith("# "):
+            name, value = line[2:].split("=", 1)
+            found[name] = _scalar(value)
+            continue
+        name, *cells = next(csv.reader([line]))
+        if len(cells) == 1:
+            found[name] = _scalar(cells[0])
+        else:
+            k = seen[name] = seen.get(name, -1) + 1
+            found[f"{name}[{k}]"] = [_scalar(cell) for cell in cells]
     return found
 
 
-def values_close(got: dict, pinned: dict) -> bool:
-    """The same names and, name by name, the same int or string, or a float
-    within VALUE_TOL."""
-    return got.keys() == pinned.keys() and all(
-        math.isclose(got[k], v, rel_tol=VALUE_TOL, abs_tol=VALUE_TOL)
-        if isinstance(v, float) and isinstance(got[k], float) else got[k] == v
-        for k, v in pinned.items())
+def _scalar(text: str):
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def values_close(got, pinned) -> bool:
+    """The same names, lengths, ints and strings, and floats within VALUE_TOL
+    (NaN matches NaN), compared through nested objects and lists."""
+    if isinstance(pinned, dict):
+        return (isinstance(got, dict) and got.keys() == pinned.keys()
+                and all(values_close(got[k], v) for k, v in pinned.items()))
+    if isinstance(pinned, list):
+        return (isinstance(got, list) and len(got) == len(pinned)
+                and all(map(values_close, got, pinned)))
+    if isinstance(pinned, float) and isinstance(got, float):
+        return (math.isclose(got, pinned, rel_tol=VALUE_TOL, abs_tol=VALUE_TOL)
+                or (math.isnan(got) and math.isnan(pinned)))
+    return got == pinned
 
 
 def main() -> int:

@@ -18,7 +18,9 @@ import oplab
 from oplab import errors as oplab_errors
 from oplab import cli, trialcsv
 from oplab.cli import main
-from oplab.ensembles import CHUNK, MAX_TRIALS
+from oplab.ensembles import MAX_TRIALS, PIECE
+
+from conftest import CHUNK
 
 SIMULATE = {
     "kind": "simulate",
@@ -882,7 +884,8 @@ class TestSimulateWorker:
 
     @pytest.mark.parametrize("p", ["0", "3/10", "1"])
     @pytest.mark.parametrize("trials", [1, trialcsv.FORK_MIN_TRIALS - 1, trialcsv.FORK_MIN_TRIALS,
-                                        CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 200_000])
+                                        PIECE - 1, PIECE, PIECE + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                        2 * CHUNK + 1, 200_000])
     def test_two_processes_equal_serial(self, tmp_path, monkeypatch, forks, parent, trials, p):
         monkeypatch.setattr(trialcsv, "available_cpus", lambda: 1)
         serial = _simulate(tmp_path, trials, p, "serial")

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 import oplab
 from oplab.ensembles import (
-    CHUNK,
     CONVERGENT,
     MAX_TRIALS,
     NOT_CONVERGENT,
+    PIECE,
+    STEP,
     FrequencyTrace,
     NaturalSubset,
     TrialLog,
@@ -32,6 +33,8 @@ from oplab.ensembles import (
 )
 from oplab.errors import CapacityError, HorizonExceeded, NotProbability, TooShort
 from oplab.measures import BorelSet, DiscreteMeasure
+
+from conftest import CHUNK
 
 SRC = Path(oplab.__file__).resolve().parent.parent
 TRUTH = DiscreteMeasure([(0, F(7, 10)), (1, F(3, 10))])
@@ -387,7 +390,8 @@ def _synthetic(kind, n, seed):
     return x
 
 
-EDGES = [1, 2, 100, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
+EDGES = [1, 2, 100, STEP - 1, STEP + 1, PIECE - 1, PIECE, PIECE + 1,
+         CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
 SIZES = st.sampled_from(EDGES) | st.integers(1, 3 * CHUNK)
 PROBABILITIES = st.sampled_from([F(0), F(1, 10 ** 5), F(3, 10), F(1, 2), F(999, 1000), F(1)])
 
@@ -418,7 +422,7 @@ def _assert_matches_reference(trace, f_in, alpha):
 
 _RANGED_N = 2 * CHUNK + 3
 ROW_BOUNDS = st.none() | st.sampled_from(
-    [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
+    [0, 1, PIECE - 1, PIECE, PIECE + 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
      _RANGED_N - 1, _RANGED_N, _RANGED_N + 7, -1, -CHUNK - 1]
 ) | st.integers(-_RANGED_N - 2, _RANGED_N + 2)
 
@@ -478,12 +482,13 @@ class TestChunkedPipeline:
                      report.cesaro_checkpoints)) == repr((cesaro, exceed, checkpoints))
 
     def test_count_drop_at_a_chunk_edge(self):
-        x = np.full(CHUNK + 1, 0.5)
-        x[CHUNK] = 0.0
-        assert not FrequencyTrace(x).is_count_monotone()
-        assert FrequencyTrace(x[:CHUNK]).is_count_monotone()
+        for edge in (PIECE, CHUNK):
+            x = np.full(edge + 1, 0.5)
+            x[edge] = 0.0
+            assert not FrequencyTrace(x).is_count_monotone()
+            assert FrequencyTrace(x[:edge]).is_count_monotone()
 
-    @pytest.mark.parametrize("n", [CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("n", [PIECE - 1, PIECE + 1, CHUNK + 1, 2 * CHUNK + 1])
     def test_rows(self, n):
         log = run_ensemble(TRUTH, TARGET, n, seed=3)
         assert repr(list(log.rows())) == repr(_ref_rows(log.outcomes))
@@ -498,6 +503,7 @@ class TestChunkedPipeline:
     @given(a=ROW_BOUNDS, b=ROW_BOUNDS)
     @example(a=CHUNK, b=2 * CHUNK)
     @example(a=CHUNK - 1, b=CHUNK + 1)
+    @example(a=PIECE - 1, b=PIECE + 1)
     @example(a=0, b=None)
     def test_row_range_is_a_slice_of_all_rows(self, a, b):
         log, rows = _ranged_log()
