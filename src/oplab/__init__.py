@@ -7,24 +7,46 @@ Importing the package runs no layer.  Each layer module is registered in
 ``importlib.util.LazyLoader``: its body runs the first time one of its
 attributes is read.  The public names resolve on first access (PEP 562), so
 a CLI kind runs only the layers it uses, and a broken layer fails on first
-use rather than at ``import oplab``.
+use rather than at ``import oplab``, with its own error on every use.
 """
 
 import importlib.util
 import sys
+import types
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # The layers, in no particular order: each one's body runs on first use.
 _LAYERS = ("errors", "measures", "simplex", "kolmogorov", "spectral", "ensembles",
            "information", "dynamics", "algebra", "serialization")
 
 
+class _Loader:
+    """A layer's loader under LazyLoader.  The import system drops a lazy load's
+    error, so a failed body leaves a ``__getattr__`` that raises it again."""
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def __getattr__(self, name):
+        return getattr(self.loader, name)
+
+    def exec_module(self, module):
+        try:
+            self.loader.exec_module(module)
+        except Exception as exc:
+            def __getattr__(name, error=exc):
+                raise error
+            # A newer LazyLoader leaves the module lazy; a plain one reads __getattr__.
+            module.__class__, module.__getattr__ = types.ModuleType, __getattr__
+            raise
+
+
 def _register(name: str):
     """The module ``oplab.<name>``, in ``sys.modules`` but not yet run."""
     fullname = f"{__name__}.{name}"
     spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = importlib.util.LazyLoader(_Loader(spec.loader))
     module = importlib.util.module_from_spec(spec)
     sys.modules[fullname] = module
     spec.loader.exec_module(module)

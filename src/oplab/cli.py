@@ -270,9 +270,11 @@ def _cmd_validate(args, config, inputs, footer):
         reports.extend(algebra.embedding_check(alg, families))
     records = algebra.reports_to_records(reports)
     json_path = _out_path(args, config, "validation.json")
+    csv_path = json_path.with_suffix(".csv")
+    if csv_path == json_path:
+        raise ConfigError(f"config.output: the CSV beside {json_path.name!r} would overwrite it")
     with _create(json_path) as fh:
         fh.write(json.dumps({"conditions": records}, indent=2, sort_keys=True) + "\n")
-    csv_path = json_path.with_suffix(".csv")
     _write_csv(
         csv_path,
         ["name", "pass", "witness", "residual"],

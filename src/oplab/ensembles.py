@@ -70,11 +70,11 @@ def counter_words(seed: int, start: int, count: int) -> np.ndarray:
     return _mix64(base + idx * np.uint64(_GOLDEN))
 
 
-def _chunks(start: int, stop: int):
-    """Consecutive half-open ranges [s, e) of at most STEP indices covering
-    start .. stop-1."""
-    for s in range(start, stop, STEP):
-        yield s, min(s + STEP, stop)
+def _chunks(n: int, size: int = STEP):
+    """Consecutive half-open ranges [s, e) of at most ``size`` indices
+    covering 0 .. n-1."""
+    for s in range(0, n, size):
+        yield s, min(s + size, n)
 
 
 def _cumsum_into(part: np.ndarray, carry):
@@ -91,32 +91,6 @@ def _cumsum_into(part: np.ndarray, carry):
     return part[-1]
 
 
-def _pairwise_half(n: int) -> int:
-    """Where numpy's pairwise float sum splits n entries: at the half, rounded
-    down to a multiple of its 8-way unrolling."""
-    h = n // 2
-    return h - h % 8
-
-
-def _piece_ends(n: int, s: int = 0) -> list:
-    """The ends of the pieces that numpy's pairwise sum splits [s, s + n)
-    into, split until a piece has at most PIECE entries; none for n = 0."""
-    if n <= PIECE:
-        return [s + n] if n else []
-    h = _pairwise_half(n)
-    return _piece_ends(h, s) + _piece_ends(n - h, s + h)
-
-
-def _pairwise_total(n: int, sums) -> float:
-    """``np.add.reduce`` of n entries, bit for bit, from the sums of the
-    pieces of ``_piece_ends(n)`` (an iterator, in order), added in the
-    recursion order of numpy's pairwise sum."""
-    if n <= PIECE:
-        return next(sums)
-    h = _pairwise_half(n)
-    return _pairwise_total(h, sums) + _pairwise_total(n - h, sums)
-
-
 def _frequency_chunks(n: int, outcomes=None, frequencies=None, averages: bool = True):
     """The relative frequencies f and their running averages w, chunk by
     chunk: (s, e, idx, counts, f, w) for consecutive ranges [s, e) covering
@@ -125,13 +99,11 @@ def _frequency_chunks(n: int, outcomes=None, frequencies=None, averages: bool = 
     The sequence is given by its 0/1 ``outcomes``, whose running success
     counts are ``counts``, or by its ``frequencies`` (``counts`` is then
     None).  The success count and the running sum are carried from chunk to
-    chunk; without ``averages``, w is None and costs nothing.  The chunks are
-    the pieces of ``_piece_ends(n)``, so that the sums of f per chunk add up
-    to ``np.add.reduce(f)`` (``_pairwise_total``).
+    chunk; without ``averages``, w is None and costs nothing.  The chunks
+    hold PIECE entries each, the last one the rest.
     """
     count = running = None
-    s = 0
-    for e in _piece_ends(n):
+    for s, e in _chunks(n, PIECE):
         idx = np.arange(s + 1, e + 1, dtype=np.float64)
         if outcomes is None:
             counts, f = None, frequencies[s:e]
@@ -145,7 +117,6 @@ def _frequency_chunks(n: int, outcomes=None, frequencies=None, averages: bool = 
             running = _cumsum_into(w, running)
             w /= idx
         yield s, e, idx, counts, f, w
-        s = e
 
 
 @dataclass(frozen=True)
@@ -223,7 +194,7 @@ def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) ->
     else:
         outcomes = np.empty(n, dtype=np.uint8)
         cut = np.uint64(threshold)
-        for s, e in _chunks(0, n):
+        for s, e in _chunks(n):
             np.less(counter_words(seed, s + 1, e - s), cut, out=outcomes[s:e])
     return TrialLog(seed=seed, truth=truth, target=target,
                     outcomes=outcomes, success_probability=p_exact)
@@ -451,7 +422,7 @@ def kvn_equivalence(
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sequence must be a nonempty vector")
-    return _cesaro_scan((arr[s:e] for s, e in _chunks(0, arr.size)), arr.size,
+    return _cesaro_scan((arr[s:e] for s, e in _chunks(arr.size)), arr.size,
                         alpha_grid, epsilon_report, delta_report)
 
 
@@ -525,20 +496,19 @@ def estimate_probability(
     the Cesaro analysis of |f_k - p_hat| (which must converge to zero in
     density for the estimate to deserve trust) and the gaps between the
     averaged stage measures and the estimated two-point measure on a probe
-    function family.
+    function family.  The averaged measure's mass at 1, the mean w_bar of
+    f_1 .. f_n, is w_n itself, from the same running sum as p_hat, so every
+    gap on a two-point probe is exactly 0.0.
 
-    Two passes over the trace: the first gives p_hat and the sum of f, the
-    second the Cesaro scan and the count monotonicity.
+    Two passes over the trace: the first gives p_hat, the second the Cesaro
+    scan and the count monotonicity.
     """
     n = trace.n
     if n < min_length:
         raise TooShort(f"trace length {n} < {min_length}")
-    sums = []
-    for _, _, _, _, f, w in trace._chunks():
-        sums.append(np.add.reduce(f))
-    p_hat = float(w[-1])  # the last chunk's w ends with w_n
-    # The mean of the stage frequencies, as np.mean(f) sums them.
-    w_bar = float(_pairwise_total(n, iter(sums)) / n)
+    for _, _, _, _, _, w in trace._chunks():
+        pass
+    p_hat = w_bar = float(w[-1])  # the last chunk's w ends with w_n
     monotone = True
 
     def deviations():
@@ -605,7 +575,7 @@ class MinTrialsReport:
     alpha: float
     membership: np.ndarray
     """membership[m-1] says whether index m passed the stabilization test."""
-    first_candidate: Optional[int]
+    first_candidate: int
     first_success_index: Optional[int]
     lower_bound_at_horizon: float
     bound_holds: bool
@@ -616,23 +586,30 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
 
     Index m >= 2 is a member when |f_m - w_{m-1}| / m < 2 alpha; the first
     index has no previous average to move away from and is counted as a
-    member.  The smallest member is the candidate for the number of trials
-    needed at accuracy alpha.  The report also evaluates the harmonic lower
-    bound on w_n seeded by the first success and checks it against the
-    recorded trace.  One pass over the trace.
+    member.  The candidate for the number of trials needed at accuracy alpha
+    is the first index from which every later index is a member: the last
+    non-member plus one, or 1 when every index is a member.  The report also
+    evaluates the harmonic lower bound on w_n seeded by the first success and
+    checks it against the recorded trace.  One pass over the trace.
     """
     # Written so that NaN fails it.
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and positive")
     n = trace.n
     membership = np.empty(n, dtype=bool)
-    # w_0 does not exist: NaN fails the first gap, and membership[0] is set below.
+    # w_0 does not exist: NaN fails the first gap, which is then set to pass.
     before = np.nan
     first_success = f_at = None
+    first_candidate = 1
     holds, harmonic = True, 0.0
     for s, e, idx, _, f, w in trace._chunks():
         previous = np.concatenate(([before], w[:-1]))
         np.less(np.abs(f - previous) / idx, 2.0 * alpha, out=membership[s:e])
+        if s == 0:
+            membership[0] = True
+        missed = np.flatnonzero(~membership[s:e])
+        if missed.size:
+            first_candidate = s + int(missed[-1]) + 2
         before = w[-1]
         if first_success is None:
             hit = f > 0
@@ -650,8 +627,6 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
             harmonic = _cumsum_into(terms, harmonic)
             bounds = f_at * terms / idx[cut:]
             holds = holds and bool((w[cut:] + FREQUENCY_TOL >= bounds).all())
-    membership[0] = True
-    first_candidate = int(np.argmax(membership)) + 1
     bound = 0.0 if first_success is None else float(f_at * harmonic / n)
     return MinTrialsReport(
         alpha=float(alpha),

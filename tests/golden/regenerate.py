@@ -10,11 +10,10 @@ output; ``validate`` writes its JSON report there and a CSV beside it.
 ``expected.json`` pins each case's exit code and the SHA-256 of its output
 (and of the CSV, ``csv_sha256``, for ``validate``); ``tests/test_golden.py``
 checks them.  All kinds but those in ``NUMPY_KINDS`` use neither LAPACK nor a
-numpy reduction, so their outputs must be the same bytes on every Python,
-numpy and BLAS build.  A case of ``NUMPY_KINDS`` also pins the numpy version,
-for ``LAPACK_KINDS`` the BLAS build as well, and the values of its output:
-where both match, its hash must match; elsewhere its values, within
-``VALUE_TOL``.
+numpy float reduction, so their outputs must be the same bytes on every
+Python, numpy and BLAS build.  A case of ``NUMPY_KINDS`` also pins the numpy
+version, the BLAS build and the values of its output: where both builds
+match, its hash must match; elsewhere its values, within ``VALUE_TOL``.
 
 A change that alters an output on purpose bumps ``oplab.__version__``
 (every footer carries it) and regenerates the pins:
@@ -41,14 +40,13 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent.parent / "src"
 EXPECTED = HERE / "expected.json"
 # Kinds whose output goes through LAPACK, whose last bits may differ between
-# BLAS builds.
-LAPACK_KINDS = ("spectral", "tomography", "validate")
-# Kinds whose output goes through a numpy float reduction whose rounding a
-# numpy release may change: ``estimate`` reports np.mean's pairwise sum.
-NUMPY_KINDS = ("estimate",) + LAPACK_KINDS
+# numpy releases and BLAS builds.  ``estimate`` is not one of them: its sums
+# are sequential running sums and the rest of its path is elementwise, which
+# every numpy rounds the same way.
+NUMPY_KINDS = ("spectral", "tomography", "validate")
 # How far a number in the output of a NUMPY_KINDS case may stray from its pin,
-# relative and absolute, under another numpy or BLAS.  The pairwise sum moves
-# the weak-star gaps by about 1e-15.
+# relative and absolute, under another numpy or BLAS: eigenvalues and residuals
+# move in their last few bits.
 VALUE_TOL = 1e-12
 
 
@@ -71,49 +69,60 @@ def _sha256(path: Path):
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
+def case_of(config: Path):
+    """A config's kind and output name."""
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    return payload["kind"], payload["output"]
+
+
 def run(out_dir: Path) -> dict:
     """Run each config as a fresh ``python -m oplab.cli`` process, with the
-    config and its output in ``out_dir``.  By case: the exit code and the
-    SHA-256 of the output (None if there is none)."""
+    config and its output in ``out_dir``.  By case, its ``result_of``."""
     env = {key: value for key, value in os.environ.items() if key != "OPLAB_SEED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     results = {}
     for config in configs():
         local = out_dir / config.name
         shutil.copyfile(config, local)
-        payload = json.loads(config.read_text(encoding="utf-8"))
-        kind = payload["kind"]
+        kind, output = case_of(config)
         proc = subprocess.run(
             [sys.executable, "-m", "oplab.cli", kind, "--config", str(local), "--out", str(out_dir)],
             env=env, capture_output=True, check=False)
-        output = out_dir / payload["output"]
-        result = results[config.stem] = {"exit": proc.returncode, "sha256": _sha256(output)}
-        if kind == "validate":
-            result["csv_sha256"] = _sha256(output.with_suffix(".csv"))
-        if kind in NUMPY_KINDS:
-            result.update(numpy=numpy.__version__,
-                          values=values(output) if output.exists() else None)
-        if kind in LAPACK_KINDS:
-            result["blas"] = blas()
+        results[config.stem] = result_of(kind, proc.returncode, out_dir / output)
     return results
+
+
+def result_of(kind: str, code: int, output: Path) -> dict:
+    """What a case pins: the exit code and the SHA-256 of the output (None if
+    there is none), for ``validate`` that of its CSV too, and for
+    ``NUMPY_KINDS`` the numpy version, the BLAS build and the values."""
+    found = {"exit": code, "sha256": _sha256(output)}
+    if kind == "validate":
+        found["csv_sha256"] = _sha256(output.with_suffix(".csv"))
+    if kind in NUMPY_KINDS:
+        found.update(numpy=numpy.__version__, blas=blas(),
+                     values=values(output) if output.exists() else None)
+    return found
 
 
 def values(output: Path) -> dict:
     """The values of an output, by name, each as an int, a float or else a
     string.
 
-    A CSV table gives its ``# key=value`` footer and its rows: the row
-    ``name,value`` of a two-column table as ``name``, and a row of a wider
-    one as ``name[k]``, its k-th row of that name, whose value is the list
-    of its other cells.  A JSON output gives its parsed object, and, for a
-    ``validate`` report, its CSV beside it as ``csv``."""
+    A CSV table gives its header cells as ``header``, its ``# key=value``
+    footer and its rows: the row ``name,value`` of a two-column table as
+    ``name``, and a row of a wider one as ``name[k]``, its k-th row of that
+    name, whose value is the list of its other cells.  A JSON output gives
+    its parsed object, and, for a ``validate`` report, its CSV beside it as
+    ``csv``."""
     if output.suffix == ".json":
         found = json.loads(output.read_text(encoding="utf-8"))
         found["csv"] = values(output.with_suffix(".csv"))
         return found
-    found = {}
+    header, *lines = output.read_text(encoding="utf-8").splitlines()
+    found = {"header": next(csv.reader([header]))}
     seen = {}
-    for line in output.read_text(encoding="utf-8").splitlines()[1:]:
+    for line in lines:
         if line.startswith("# "):
             name, value = line[2:].split("=", 1)
             found[name] = _scalar(value)

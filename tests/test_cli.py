@@ -654,6 +654,16 @@ class TestValidateCommand:
         assert not entry["pass"] and entry["witness"] == "z^3 vs z2"
         assert math.isnan(entry["residual"])
 
+    @pytest.mark.parametrize("output", ["v.csv", "v.json.csv"])
+    def test_report_and_csv_must_not_share_a_path(self, tmp_path, capsys, output):
+        """The CSV goes beside the JSON report, at its path with suffix .csv:
+        an output that already ends in .csv would lose the report."""
+        config = write_config(tmp_path, {**VALIDATE_OK, "output": output})
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(config), "--out", str(out)]) == 1
+        assert "config.output" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestOtherCommands:
     def test_entropy_rows(self, tmp_path):

@@ -223,9 +223,12 @@ class TestEstimate:
         assert not report.count_monotone
 
     def test_weak_star_gaps_vanish_for_two_point_probes(self):
-        trace = run_ensemble(TRUTH, TARGET, 10_000, seed=17).trace()
-        report = estimate_probability(trace)
-        assert max(gap for _, gap in report.weak_star_gaps) < 1e-9
+        """w_bar, the mean of the stage frequencies, is p_hat itself: the
+        identity probe's gap is |w_bar - p_hat|, and every gap is exactly 0."""
+        for n in (10_000, 3 * PIECE + 5):
+            report = estimate_probability(run_ensemble(TRUTH, TARGET, n, seed=17).trace())
+            assert dict(report.weak_star_gaps) == {
+                "cdf_at_0": 0.0, "cdf_at_1": 0.0, "identity": 0.0, "square": 0.0}
 
 
 class TestMinTrials:
@@ -267,6 +270,16 @@ class TestMinTrials:
     def test_alpha_must_be_finite_and_positive(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             min_trials(FrequencyTrace(np.full(10, 0.5)), alpha)
+
+    @pytest.mark.parametrize("at", [STEP, PIECE, PIECE + 1, CHUNK])
+    def test_a_jump_moves_the_candidate_past_it(self, at):
+        """A jump of 1/2 at index ``at`` fails the test there; index m after
+        it passes once (m - 1) m > 1 / (4 alpha), that is from m = 501 on."""
+        x = np.full(2 * CHUNK, 0.5)
+        x[at - 1] = 1.0
+        report = min_trials(FrequencyTrace(x), 1e-6)
+        assert report.first_candidate == at + 1
+        assert not report.membership[at - 1] and report.membership[at:].all()
 
     def test_all_zero_trace(self):
         report = min_trials(FrequencyTrace(np.zeros(100)), 0.1)
@@ -337,8 +350,9 @@ def _ref_kvn(x):
 
 
 def _ref_estimate(f, w):
-    p_hat = float(w[-1])
-    w_bar = float(np.mean(f))
+    # The mean of f_1 .. f_n is w_n: the averaged stage measure and the
+    # estimate come from one sum.
+    p_hat = w_bar = float(w[-1])
     probes = (lambda s: 1.0 if s <= 0.0 else 0.0, lambda s: 1.0 if s <= 1.0 else 0.0,
               lambda s: s, lambda s: s * s)
     gaps = tuple(abs(((1.0 - w_bar) * fn(0.0) + w_bar * fn(1.0))
@@ -352,14 +366,16 @@ def _ref_min_trials(f, w, alpha):
     if n > 1:
         m = np.arange(2, n + 1, dtype=np.float64)
         membership[1:] = np.abs(f[1:] - w[:-1]) / m < 2.0 * alpha
+    missed = np.nonzero(~membership)[0]
+    candidate = int(missed[-1]) + 2 if missed.size else 1
     positive = np.nonzero(f > 0)[0]
     if positive.size == 0:
-        return membership, None, 0.0, bool(np.all(w >= -1e-12))
+        return membership, candidate, None, 0.0, bool(np.all(w >= -1e-12))
     first = int(positive[0]) + 1
     harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n + 1))))
     counts = np.minimum(np.arange(1, n + 1) - first, n).clip(0)
     bounds = float(f[first - 1]) * harmonic[counts] / np.arange(1, n + 1, dtype=np.float64)
-    return membership, first, float(bounds[-1]), bool(np.all(w + 1e-12 >= bounds))
+    return membership, candidate, first, float(bounds[-1]), bool(np.all(w + 1e-12 >= bounds))
 
 
 def _ref_rows(outcomes):
@@ -413,11 +429,24 @@ def _assert_matches_reference(trace, f_in, alpha):
                      kvn.cesaro_checkpoints, report.count_monotone)) == repr(
             (p_hat, cesaro, exceed, checkpoints, monotone))
         assert repr(tuple(g for _, g in report.weak_star_gaps)) == repr(gaps)
-    membership, first, bound, holds = _ref_min_trials(f, w, alpha)
+        if math.isfinite(p_hat):
+            assert [g for _, g in report.weak_star_gaps] == [0.0] * 4
+    membership, candidate, first, bound, holds = _ref_min_trials(f, w, alpha)
     report = min_trials(trace, alpha)
     assert np.array_equal(report.membership, membership)
-    assert (report.first_success_index, repr(report.lower_bound_at_horizon),
-            report.bound_holds) == (first, repr(bound), holds)
+    assert (report.first_candidate, report.first_success_index,
+            repr(report.lower_bound_at_horizon), report.bound_holds) == (
+        candidate, first, repr(bound), holds)
+    _assert_first_candidate_is_stable(report)
+
+
+def _assert_first_candidate_is_stable(report):
+    """Every index from the candidate on is a member, and the index before
+    it, if there is one, is not."""
+    k = report.first_candidate
+    assert 1 <= k <= report.membership.size + 1
+    assert report.membership[k - 1:].all()
+    assert k == 1 or not report.membership[k - 2]
 
 
 _RANGED_N = 2 * CHUNK + 3
@@ -457,7 +486,7 @@ class TestChunkedPipeline:
     @given(n=SIZES, p=PROBABILITIES, seed=st.integers(0, 2 ** 64 - 1),
            alpha=st.sampled_from([0.01, 1e-7]))
     @example(n=2 * CHUNK + 1, p=F(3, 10), seed=1, alpha=0.01)
-    # np.mean splits this n into pieces that end at no multiple of PIECE or CHUNK.
+    # A long log whose last piece is short: 1 000 003 = 61 PIECE + 579.
     @example(n=1_000_003, p=F(3, 10), seed=2, alpha=0.01)
     def test_run_log(self, n, p, seed, alpha):
         truth = DiscreteMeasure([(0, 1 - p), (1, p)]) if 0 < p < 1 else DiscreteMeasure.dirac(int(p))
@@ -480,6 +509,18 @@ class TestChunkedPipeline:
         report = kvn_equivalence(x)
         assert repr((report.cesaro_mean, report.exceedance_densities,
                      report.cesaro_checkpoints)) == repr((cesaro, exceed, checkpoints))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=SIZES, at=SIZES, alpha=st.sampled_from([1e-9, 1e-6, 0.01, 10.0]))
+    def test_first_candidate_follows_the_last_non_member(self, n, at, alpha):
+        """A jump at an edge of an otherwise constant trace: the candidate
+        equals the reference's, whichever piece the last non-member ends."""
+        x = np.full(n, 0.5)
+        x[min(at, n) - 1] = 1.0
+        report = min_trials(FrequencyTrace(x), alpha)
+        _, candidate, *_ = _ref_min_trials(*_ref_trace(x), alpha)
+        assert report.first_candidate == candidate
+        _assert_first_candidate_is_stable(report)
 
     def test_count_drop_at_a_chunk_edge(self):
         for edge in (PIECE, CHUNK):

@@ -134,3 +134,32 @@ def test_each_kind_runs_only_its_layers(tmp_path):
         got = _layers_run("oplab.cli", kind, "--config", str(local), "--out", str(tmp_path))
         assert got == sorted(BASE + KIND_LAYERS[kind]), config.name
     assert kinds == set(KIND_LAYERS) == set(oplab.cli._COMMANDS)
+
+
+# Reads oplab.kolmogorov_check twice, and prints the type and message of what
+# each read raised.
+_READ_TWICE = """
+import oplab
+for _ in range(2):
+    try:
+        oplab.kolmogorov_check
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+print(oplab.DiscreteMeasure.__name__)
+"""
+
+
+def test_a_broken_layer_raises_its_own_error(tmp_path):
+    """A syntax error in ``simplex``, which ``kolmogorov`` imports from, shows
+    as that SyntaxError on every read, not as an ImportError and then an
+    AttributeError; the layers that do not need it still run."""
+    shutil.copytree(PACKAGE, tmp_path / "oplab", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "oplab" / "simplex.py", "a", encoding="utf-8") as fh:
+        fh.write("\ndef broken(:\n")
+    proc = subprocess.run([sys.executable, "-c", _READ_TWICE], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(tmp_path),
+                                           "PYTHONDONTWRITEBYTECODE": "1"})
+    first, second, measure = proc.stdout.splitlines()
+    assert first.startswith("SyntaxError ") and "simplex.py" in first, first
+    assert second == first
+    assert measure == "DiscreteMeasure"
