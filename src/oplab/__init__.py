@@ -14,7 +14,7 @@ import importlib.util
 import sys
 import types
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 # The layers, in no particular order: each one's body runs on first use.
 _LAYERS = ("errors", "measures", "simplex", "kolmogorov", "spectral", "ensembles",

@@ -45,8 +45,6 @@ PIECE = 1 << 14
 # 0.064-0.096 s at 1 << 14, 15 101 and 0.056-0.062 s at 1 << 16, and 1 005
 # and 0.037-0.050 s at 1 << 12.  Every step edge is also a PIECE edge.
 STEP = PIECE // 2
-# Most rows TrialLog.rows converts to Python objects at a time.
-ROW_BATCH = 1 << 13
 # Rounding slack of float frequencies and running averages: how far they may
 # stray below 0 or above 1, and below the harmonic lower bound.
 FREQUENCY_TOL = 1e-12
@@ -158,17 +156,16 @@ class TrialLog:
 
         The running sums still run from the first trial, so each row equals
         the same row of ``rows()`` bit for bit; tuples are built only for the
-        rows yielded, at most ROW_BATCH at a time.
+        rows yielded, one piece at a time.
         """
         start, stop, _ = slice(start, stop).indices(self.n)
         for s, e, _, counts, f, w in _frequency_chunks(self.n, outcomes=self.outcomes):
             if s >= stop:
                 return
-            for a in range(max(start, s), min(stop, e), ROW_BATCH):
-                b = min(a + ROW_BATCH, stop, e)
-                part = slice(a - s, b - s)
-                yield from zip(range(a + 1, b + 1), self.outcomes[a:b].tolist(),
-                               counts[part].tolist(), f[part].tolist(), w[part].tolist())
+            a, b = max(start, s), min(stop, e)
+            part = slice(a - s, b - s)
+            yield from zip(range(a + 1, b + 1), self.outcomes[a:b].tolist(),
+                           counts[part].tolist(), f[part].tolist(), w[part].tolist())
 
 
 def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) -> TrialLog:
@@ -259,24 +256,22 @@ class FrequencyTrace:
         return self._w
 
     def is_count_monotone(self, tol: float = COUNT_MONOTONE_TOL) -> bool:
-        last = None
+        """Whether the success counts k f_k never fall by more than ``tol``.
+        A trace backed by a log needs no pass, since its counts are running
+        sums of 0/1 outcomes; the float products k f_k, which only a synthetic
+        trace is checked on, fell by 1.86e-9 on a log of 1.7e7 trials."""
+        if self._outcomes is not None:
+            return True
+        last = 0.0  # no trials, no successes
         for _, _, idx, _, f, _ in self._chunks(averages=False):
-            rises, last = _counts_rise(f, idx, last, tol)
-            if not rises:
+            counts = f * idx
+            if not (np.diff(counts, prepend=last) >= -tol).all():
                 return False
+            last = counts[-1]
         return True
 
     def __len__(self) -> int:
         return self.n
-
-
-def _counts_rise(f: np.ndarray, idx: np.ndarray, last, tol: float):
-    """Whether the float counts k f_k of one chunk never fall by more than
-    ``tol``, starting from ``last``, the count that ends the previous chunk
-    (None for the first); and the count that ends this chunk."""
-    counts = f * idx
-    rises = (last is None or counts[0] - last >= -tol) and (counts[1:] - counts[:-1] >= -tol).all()
-    return bool(rises), counts[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +417,19 @@ def kvn_equivalence(
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sequence must be a nonempty vector")
-    return _cesaro_scan((arr[s:e] for s, e in _chunks(arr.size)), arr.size,
-                        alpha_grid, epsilon_report, delta_report)
+
+    def clipped():
+        for s, e in _chunks(arr.size):
+            if np.any(arr[s:e] < -FREQUENCY_TOL):
+                raise ValueError("sequence must be nonnegative")
+            yield np.clip(arr[s:e], 0.0, None)
+
+    return _cesaro_scan(clipped(), arr.size, alpha_grid, epsilon_report, delta_report)
 
 
 def _cesaro_scan(chunks, n: int, alpha_grid, epsilon_report, delta_report) -> CesaroReport:
-    """kvn_equivalence over a sequence of length n given as consecutive chunks.
+    """kvn_equivalence over a sequence of length n given as consecutive
+    chunks, which must be nonnegative and which the scan overwrites.
 
     Exceedance counts and checkpoint sums are collected chunk by chunk; the
     Cesaro mean is the final carry of the running sum over n.
@@ -438,10 +440,7 @@ def _cesaro_scan(chunks, n: int, alpha_grid, epsilon_report, delta_report) -> Ce
     sums = []
     total = None
     s = 0
-    for chunk in chunks:
-        if np.any(chunk < -FREQUENCY_TOL):
-            raise ValueError("sequence must be nonnegative")
-        part = np.clip(chunk, 0.0, None)
+    for part in chunks:
         for j, alpha in enumerate(alphas):
             exceed[j] += np.count_nonzero(part > alpha)
         total = _cumsum_into(part, total)
@@ -501,7 +500,8 @@ def estimate_probability(
     gap on a two-point probe is exactly 0.0.
 
     Two passes over the trace: the first gives p_hat, the second the Cesaro
-    scan and the count monotonicity.
+    scan.  The count monotonicity is `FrequencyTrace.is_count_monotone`,
+    which needs no pass on a trace backed by a log.
     """
     n = trace.n
     if n < min_length:
@@ -509,17 +509,8 @@ def estimate_probability(
     for _, _, _, _, _, w in trace._chunks():
         pass
     p_hat = w_bar = float(w[-1])  # the last chunk's w ends with w_n
-    monotone = True
-
-    def deviations():
-        nonlocal monotone
-        last = None
-        for _, _, idx, _, f, _ in trace._chunks(averages=False):
-            rises, last = _counts_rise(f, idx, last, COUNT_MONOTONE_TOL)
-            monotone = monotone and rises
-            yield np.abs(f - p_hat)
-
-    kvn = _cesaro_scan(deviations(), n, DEFAULT_ALPHA_GRID, _REPORT_LEVEL, _REPORT_LEVEL)
+    deviations = (np.abs(f - p_hat) for _, _, _, _, f, _ in trace._chunks(averages=False))
+    kvn = _cesaro_scan(deviations, n, DEFAULT_ALPHA_GRID, _REPORT_LEVEL, _REPORT_LEVEL)
     # Stage k puts mass f_k at outcome 1 and 1 - f_k at outcome 0.
     if probes is None:
         probes = _default_probes((0.0, 1.0))
@@ -533,7 +524,7 @@ def estimate_probability(
         horizon=n,
         cesaro_diagnostics=kvn,
         weak_star_gaps=tuple(gaps),
-        count_monotone=monotone,
+        count_monotone=trace.is_count_monotone(),
     )
 
 

@@ -99,6 +99,20 @@ def _sum(values: Iterable, mode: str) -> Scalar:
     return reduce(add, values, to_scalar(0, mode))
 
 
+def _image(f: Callable, args: tuple, at, mode: str) -> Scalar:
+    """``f(*args)`` as a scalar of ``mode``: the image of the atom at ``at``
+    under a pushforward, on the line and on the plane alike.  A call that
+    raises, or a value that is not a scalar, raises DomainError."""
+    try:
+        value = f(*args)
+    except Exception as exc:  # noqa: BLE001 - report as domain failure
+        raise DomainError(f"function undefined at {at}: {exc}") from exc
+    try:
+        return to_scalar(value, mode)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"function value at {at} not a scalar") from exc
+
+
 def _check_mode(mode: str) -> str:
     if mode not in (RATIONAL, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -451,22 +465,14 @@ class DiscreteMeasure(_FiniteMeasure):
 
         Atoms whose images coincide are merged, so mass is preserved.
         """
-        images = []
-        for p, w in self.atoms:
-            if isinstance(f, Mapping):
-                if p not in f:
+        if isinstance(f, Mapping):
+            table = f
+            for p, _ in self.atoms:
+                if p not in table:
                     raise DomainError(f"lookup table undefined at {p}")
-                value = f[p]
-            else:
-                try:
-                    value = f(p)
-                except Exception as exc:  # noqa: BLE001 - report as domain failure
-                    raise DomainError(f"function undefined at {p}: {exc}") from exc
-            try:
-                images.append((to_scalar(value, self.mode), w))
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"function value at {p} not a scalar") from exc
-        return DiscreteMeasure(images, mode=self.mode)
+            f = table.__getitem__
+        return DiscreteMeasure([(_image(f, (p,), p, self.mode), w) for p, w in self.atoms],
+                               mode=self.mode)
 
     def bayes_condition(self, delta: BorelSet) -> "DiscreteMeasure":
         """Conditional measure ``A -> m(A & delta) / m(delta)``."""
@@ -620,14 +626,8 @@ class JointMeasure(_FiniteMeasure):
 
     def pushforward(self, f: Callable) -> DiscreteMeasure:
         """Image measure on the line under ``f(s, t)``."""
-        images = []
-        for (s, t), w in self.atoms:
-            try:
-                value = f(s, t)
-            except Exception as exc:  # noqa: BLE001
-                raise DomainError(f"function undefined at {(s, t)}: {exc}") from exc
-            images.append((value, w))
-        return DiscreteMeasure(images, mode=self.mode)
+        return DiscreteMeasure([(_image(f, p, p, self.mode), w) for p, w in self.atoms],
+                               mode=self.mode)
 
     def means(self):
         """Coordinatewise expectation pair."""

@@ -46,12 +46,15 @@ def _max_abs(m: np.ndarray) -> float:
 
 def _hermitian_part(matrix, what: str) -> np.ndarray:
     """``(M + M*) / 2`` of the square matrix ``M``.  The deviation check is
-    written so that NaN fails it, and so does ±inf, through ``inf - inf``."""
+    written so that NaN fails it, and so does ±inf, through ``inf - inf``.
+    Both refusals are the verdict on such entries, so numpy's warnings on
+    them are silenced."""
     m = _square_complex(matrix)
-    gap = _max_abs(m - m.conj().T)
-    if not gap <= HERMITIAN_TOL:
-        raise NotHermitian(f"{what} deviates from Hermitian by {gap:.3e}")
-    m = (m + m.conj().T) / 2.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = _max_abs(m - m.conj().T)
+        if not gap <= HERMITIAN_TOL:
+            raise NotHermitian(f"{what} deviates from Hermitian by {gap:.3e}")
+        m = (m + m.conj().T) / 2.0
     if not np.isfinite(m).all():
         raise ValueError(f"{what} entries overflow a double")
     return m

@@ -14,8 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oplab
+from oplab import ensembles
 from oplab.ensembles import (
     CONVERGENT,
+    COUNT_MONOTONE_TOL,
     MAX_TRIALS,
     NOT_CONVERGENT,
     PIECE,
@@ -114,6 +116,28 @@ class TestFrequencyTrace:
         log = run_ensemble(TRUTH, TARGET, 2000, seed=5)
         assert log.trace().is_count_monotone()
 
+    def test_a_log_trace_is_count_monotone_without_a_pass(self, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass over the trace")
+
+        trace = run_ensemble(TRUTH, TARGET, 2000, seed=5).trace()
+        monkeypatch.setattr(ensembles, "_frequency_chunks", no_pass)
+        assert trace.is_count_monotone()
+        with pytest.raises(AssertionError, match="a pass"):
+            FrequencyTrace(np.full(10, 0.5)).is_count_monotone()
+
+    def test_a_long_log_is_count_monotone(self):
+        """The float products k f_k of this log fall by more than
+        COUNT_MONOTONE_TOL at trial 16 818 838, but its success counts, running
+        sums of 0/1 outcomes, never fall."""
+        log = run_ensemble(TRUTH, TARGET, 17_000_000, seed=1)
+        k = 16_818_838
+        before, count = (int(log.outcomes[:m].sum(dtype=np.int64)) for m in (k - 1, k))
+        assert count / k * k - before / (k - 1) * (k - 1) < -COUNT_MONOTONE_TOL
+        trace = log.trace()
+        assert trace.is_count_monotone()
+        assert estimate_probability(trace).count_monotone
+
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
             FrequencyTrace([0.5, 1.5])
@@ -195,6 +219,13 @@ class TestKvn:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             kvn_equivalence([-0.5, 0.5])
+
+    @pytest.mark.parametrize("at", [0, STEP - 1, STEP, STEP + 1, 2 * STEP + 2])
+    def test_negative_rejected_in_any_chunk(self, at):
+        x = np.full(2 * STEP + 3, 0.5)
+        x[at] = -0.5
+        with pytest.raises(ValueError, match="nonnegative"):
+            kvn_equivalence(x)
 
 
 class TestEstimate:
@@ -450,6 +481,8 @@ def _assert_first_candidate_is_stable(report):
 
 
 _RANGED_N = 2 * CHUNK + 3
+# Rows are built one piece at a time, so the bounds straddle piece edges
+# (PIECE, and CHUNK = 4 PIECE) and the ends of the log.
 ROW_BOUNDS = st.none() | st.sampled_from(
     [0, 1, PIECE - 1, PIECE, PIECE + 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
      _RANGED_N - 1, _RANGED_N, _RANGED_N + 7, -1, -CHUNK - 1]
@@ -545,6 +578,7 @@ class TestChunkedPipeline:
     @example(a=CHUNK, b=2 * CHUNK)
     @example(a=CHUNK - 1, b=CHUNK + 1)
     @example(a=PIECE - 1, b=PIECE + 1)
+    @example(a=PIECE + 1, b=2 * PIECE - 1)
     @example(a=0, b=None)
     def test_row_range_is_a_slice_of_all_rows(self, a, b):
         log, rows = _ranged_log()

@@ -153,6 +153,16 @@ class TestPushforward:
         m = random_rational_probability(rng)
         assert m.pushforward(lambda t: t % 3).mass == m.mass
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("value", ["x", None, math.nan])
+    def test_a_value_that_is_not_a_scalar_fails_alike_on_line_and_plane(self, value, mode):
+        line = DiscreteMeasure([(0, 1)], mode=mode)
+        plane = JointMeasure([((0, 0), 1)], mode=mode)
+        with pytest.raises(DomainError, match="not a scalar"):
+            line.pushforward(lambda s: value)
+        with pytest.raises(DomainError, match="not a scalar"):
+            plane.pushforward(lambda s, t: value)
+
 
 class TestMeanAndVariance:
     def test_dirac(self):

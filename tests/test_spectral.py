@@ -45,6 +45,8 @@ class TestConstruction:
         with pytest.raises(NotHermitian):
             HermitianObservable([[0, 1], [0, 0]])
 
+    # The refusals come without a numpy warning.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("kind", [HermitianObservable, DensityState])
     def test_rejects_non_finite_entries(self, kind, bad):
@@ -53,6 +55,7 @@ class TestConstruction:
         with pytest.raises(NotHermitian):
             kind(np.diag([bad, 0.5]))
 
+    @pytest.mark.filterwarnings("error")
     def test_entries_that_overflow_when_symmetrized(self):
         with pytest.raises(ValueError, match="overflow"):
             HermitianObservable([[1e308, 1e308], [1e308, -1e308]])
