@@ -466,11 +466,10 @@ class DiscreteMeasure(_FiniteMeasure):
         Atoms whose images coincide are merged, so mass is preserved.
         """
         if isinstance(f, Mapping):
-            table = f
             for p, _ in self.atoms:
-                if p not in table:
+                if p not in f:
                     raise DomainError(f"lookup table undefined at {p}")
-            f = table.__getitem__
+            f = f.__getitem__
         return DiscreteMeasure([(_image(f, (p,), p, self.mode), w) for p, w in self.atoms],
                                mode=self.mode)
 

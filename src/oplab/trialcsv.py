@@ -15,7 +15,6 @@ import signal
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Optional
 
 # Fewest trials for which ``write_rows`` forks a worker.  A worker costs about
 # 4 ms; on a 2-core VM it broke even at 3 000-4 000 trials and saved 22-29 %
@@ -31,49 +30,13 @@ def format_rows(log, start: int = 0, stop=None):
 
 
 def available_cpus() -> int:
-    """CPUs this process may run on: its CPU affinity, capped by its cgroup's
-    CPU quota rounded up.  Pinned to one CPU, a worker changed the command's
-    time by -3 % to +14 % at 10 000 to 200 000 trials."""
+    """CPUs this process may run on.  A CPU quota is not seen; pinned to one
+    CPU, a worker changed the command's time by -3 % to +14 % at 10 000 to
+    200 000 trials."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
-        cpus = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cpus if quota is None else min(cpus, quota)
-
-
-def _cpu_quota(root: Path = Path("/")) -> Optional[int]:
-    """The CPU quota of this process's cgroup as ceil(quota / period), or
-    None where there is none.
-
-    The cgroup is the one ``/proc/self/cgroup`` names, under
-    ``/sys/fs/cgroup``; ``root`` prefixes both.  cgroup v2 gives the quota in
-    ``cpu.max``, v1 in ``cpu/…/cpu.cfs_quota_us`` and ``cpu.cfs_period_us``;
-    where both give one, the smaller counts.  A quota of ``max`` or -1, a
-    missing file and a parse error all mean no limit.  Only reads.
-    """
-    try:
-        entries = (root / "proc/self/cgroup").read_text().splitlines()
-    except (OSError, ValueError):
-        return None
-    quotas = []
-    for entry in entries:
-        controllers, _, path = entry.partition(":")[2].partition(":")
-        group = root / "sys/fs/cgroup"
-        if entry.startswith("0::"):
-            files = [group / path.lstrip("/") / "cpu.max"]
-        elif "cpu" in controllers.split(","):
-            group = group / "cpu" / path.lstrip("/")
-            files = [group / "cpu.cfs_quota_us", group / "cpu.cfs_period_us"]
-        else:
-            continue
-        try:
-            quota, period = (int(v) for v in " ".join(f.read_text() for f in files).split())
-        except (OSError, ValueError):
-            continue
-        if quota > 0 and period > 0:
-            quotas.append(-(-quota // period))
-    return min(quotas, default=None)
+        return os.cpu_count() or 1
 
 
 def write_rows(fh, log) -> None:

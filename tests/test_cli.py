@@ -1012,66 +1012,6 @@ class TestSimulateWorker:
         self._assert_no_child_left()
 
 
-def _cgroup_tree(root, cgroup, files):
-    """A fake ``/proc/self/cgroup`` reading ``cgroup`` and the ``files``
-    (paths under ``/sys/fs/cgroup`` to their text) under ``root``."""
-    (root / "proc/self").mkdir(parents=True)
-    (root / "proc/self/cgroup").write_text(cgroup)
-    for name, text in files.items():
-        path = root / "sys/fs/cgroup" / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    return root
-
-
-V1 = "5:memory:/m\n4:cpu,cpuacct:/jobs/a\n1:name=systemd:/\n"
-V1_FILES = ("cpu/jobs/a/cpu.cfs_quota_us", "cpu/jobs/a/cpu.cfs_period_us")
-
-
-class TestCpuQuota:
-    """``available_cpus`` caps the CPU affinity by the cgroup's CPU quota,
-    read from fake cgroup trees here."""
-
-    @pytest.mark.parametrize("cpu_max, quota", [
-        ("150000 100000\n", 2), ("50000 100000\n", 1), ("100000 100000\n", 1),
-        ("400000 100000\n", 4), ("max 100000\n", None), ("", None), ("1.5 1\n", None),
-        ("100000\n", None), ("0 100000\n", None), ("100000 0\n", None),
-    ])
-    def test_cgroup_v2(self, tmp_path, cpu_max, quota):
-        root = _cgroup_tree(tmp_path, "0::/jobs/a\n", {"jobs/a/cpu.max": cpu_max})
-        assert trialcsv._cpu_quota(root) == quota
-
-    @pytest.mark.parametrize("files, quota", [
-        (("250000\n", "100000\n"), 3), (("-1\n", "100000\n"), None),
-        (("x\n", "100000\n"), None), (("100000\n", ""), None),
-    ])
-    def test_cgroup_v1(self, tmp_path, files, quota):
-        root = _cgroup_tree(tmp_path, V1, dict(zip(V1_FILES, files)))
-        assert trialcsv._cpu_quota(root) == quota
-
-    def test_the_smaller_of_v1_and_v2_counts(self, tmp_path):
-        root = _cgroup_tree(tmp_path, V1 + "0::/jobs/a\n", {
-            V1_FILES[0]: "300000", V1_FILES[1]: "100000", "jobs/a/cpu.max": "120000 100000"})
-        assert trialcsv._cpu_quota(root) == 2
-
-    @pytest.mark.parametrize("cgroup", ["0::/elsewhere\n", "4:cpuacct:/jobs/a\n", "",
-                                        "garbage\n", "4:cpu:/gone\n"])
-    def test_no_quota_file_means_no_limit(self, tmp_path, cgroup):
-        root = _cgroup_tree(tmp_path, cgroup, {
-            "jobs/a/cpu.max": "50000 100000", "cpuacct/jobs/a/cpu.cfs_quota_us": "50000"})
-        assert trialcsv._cpu_quota(root) is None
-
-    def test_no_cgroup_file_means_no_limit(self, tmp_path):
-        assert trialcsv._cpu_quota(tmp_path) is None
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
-    @pytest.mark.parametrize("quota", [None, 1, 10 ** 6])
-    def test_the_quota_caps_the_affinity(self, monkeypatch, quota):
-        affinity = len(os.sched_getaffinity(0))
-        monkeypatch.setattr(trialcsv, "_cpu_quota", lambda: quota)
-        assert trialcsv.available_cpus() == (affinity if quota is None else min(affinity, quota))
-
-
 class TestNumpyOnFirstUse:
     """numpy is imported by the first layer that touches ``np``: the exact
     classical kinds never load it, the matrix kinds do."""
