@@ -1,4 +1,5 @@
 """Batch experiment harness: JSON configs in, deterministic CSV tables out.
+Every table cell and footer value is written by one rule, `_cell`.
 
 Exit codes: 0 success, 2 validation failure (reports still written),
 1 error (usage error, malformed config, missing artifact, bad dimensions).
@@ -24,7 +25,6 @@ from .serialization import (
     ensemble_of,
     evolution_of,
     field,
-    format_scalar,
     measure_from_json,
     operator_of,
     outcomes_of,
@@ -38,12 +38,38 @@ EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 
 
-def _fmt(value) -> str:
+def format_scalar(q: Fraction) -> str:
+    """``q`` as an exact string: a terminating decimal where the denominator
+    allows it, ``p/q`` otherwise.  `oplab.measures.to_scalar` reads it back."""
+    num, den = q.numerator, q.denominator
+    rest, twos, fives = den, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{num}/{den}"
+    digits = max(twos, fives)
+    if digits == 0:
+        return str(num)
+    scaled = num * 10 ** digits // den
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def _cell(value):
+    """How every table cell and footer value is written: a `Fraction`
+    exactly (`format_scalar`), a float, numpy's ``float64`` included, as the
+    shortest ``repr`` of the double, and anything else as it is, for `csv` to
+    write (``None`` as an empty cell, a bool as ``True`` or ``False``)."""
     if isinstance(value, Fraction):
-        return format_scalar(value, RATIONAL)
+        return format_scalar(value)
     if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return repr(float(value))
+    return value
 
 
 def _create(path: Path):
@@ -60,7 +86,7 @@ def _reason(exc: Exception):
 def _write_csv(path: Path, header, rows, footer: dict) -> None:
     # Every row is computed before the file is opened, so a row that fails
     # leaves no truncated table behind.
-    rows = list(rows)
+    rows = [[_cell(value) for value in row] for row in rows]
     with _create(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -70,7 +96,7 @@ def _write_csv(path: Path, header, rows, footer: dict) -> None:
 
 def _write_footer(fh, footer: dict) -> None:
     for key in sorted(footer):
-        fh.write(f"# {key}={footer[key]}\n")
+        fh.write(f"# {key}={_cell(footer[key])}\n")
 
 
 def _load_config(path: Path) -> tuple:
@@ -161,20 +187,20 @@ def _cmd_estimate(args, config, inputs, footer):
     report = ensembles.estimate_probability(trace)
     stabilization = ensembles.min_trials(trace, alpha)
     rows = [
-        ["p_hat", repr(report.p_hat)],
+        ["p_hat", report.p_hat],
         ["horizon", report.horizon],
-        ["cesaro_mean", repr(report.cesaro_diagnostics.cesaro_mean)],
+        ["cesaro_mean", report.cesaro_diagnostics.cesaro_mean],
         ["cesaro_verdict", report.cesaro_diagnostics.verdict],
         ["count_monotone", report.count_monotone],
     ]
     for alpha_level, density in report.cesaro_diagnostics.exceedance_densities:
-        rows.append([f"exceedance_density_alpha={alpha_level:g}", repr(density)])
+        rows.append([f"exceedance_density_alpha={alpha_level:g}", density])
     for name, gap in report.weak_star_gaps:
-        rows.append([f"weak_star_gap_{name}", repr(gap)])
-    rows.append(["stabilization_alpha", repr(alpha)])
+        rows.append([f"weak_star_gap_{name}", gap])
+    rows.append(["stabilization_alpha", alpha])
     rows.append(["first_stable_index", stabilization.first_candidate])
     rows.append(["first_success_index", stabilization.first_success_index])
-    rows.append(["lower_bound_at_horizon", repr(stabilization.lower_bound_at_horizon)])
+    rows.append(["lower_bound_at_horizon", stabilization.lower_bound_at_horizon])
     rows.append(["lower_bound_holds", stabilization.bound_holds])
     return _table(args, config, "estimate.csv", ["metric", "value"], rows, footer)
 
@@ -184,12 +210,11 @@ def _cmd_entropy(args, config, inputs, footer):
     measure = measure_from_json(field(inputs, "measure", "inputs"), mode, "inputs.measure")
     partition = partition_from_json(field(inputs, "partition", "inputs"), "inputs.partition")
     report = information.shannon_entropy(measure, partition)
-    footer["H_bits"] = repr(report.bits)
+    footer["H_bits"] = report.bits
     return _table(
         args, config, "entropy.csv",
         ["cell_index", "cell", "probability", "contribution_bits"],
-        ([k, desc, _fmt(p), repr(c)] for k, desc, p, c in report.rows()),
-        footer,
+        report.rows(), footer,
     )
 
 
@@ -201,9 +226,7 @@ def _cmd_dissipation(args, config, inputs, footer):
     return _table(
         args, config, "dissipation.csv",
         ["t", "coefficient", "entropy_bits", "escaped_mass"],
-        ([repr(t), _fmt(chi), repr(bits), _fmt(esc)]
-         for t, chi, bits, esc in report.rows(partition)),
-        footer,
+        report.rows(partition), footer,
     )
 
 
@@ -218,12 +241,12 @@ def _cmd_tomography(args, config, inputs, footer):
                       EXIT_VALIDATION)
     entropy, purity = information.vn_entropy_and_purity(result.state)
     rows = [["status", "reconstructed"],
-            ["purity", repr(purity)],
-            ["entropy_nats", repr(entropy)]]
+            ["purity", purity],
+            ["entropy_nats", entropy]]
     for k, w in enumerate(result.weights):
-        rows.append([f"weight_{k}", format_scalar(w, RATIONAL)])
+        rows.append([f"weight_{k}", w])
     for k, r in enumerate(result.residuals):
-        rows.append([f"residual_{k}", repr(r)])
+        rows.append([f"residual_{k}", r])
     return _table(args, config, "tomography.csv", ["metric", "value"], rows, footer)
 
 
@@ -234,15 +257,12 @@ def _cmd_kolmogorov(args, config, inputs, footer):
     result = kolmogorov.kolmogorov_check(spaces, constraints)
     if result.feasible:
         header = list(result.observables) + ["probability"]
-        rows = [
-            [format_scalar(v, RATIONAL) for v in cell] + [format_scalar(p, RATIONAL)]
-            for cell, p in sorted(result.joint.items())
-        ]
+        rows = [[*cell, p] for cell, p in sorted(result.joint.items())]
         footer["verdict"] = "feasible"
         return _table(args, config, "kolmogorov.csv", header, rows, footer)
     footer["verdict"] = "infeasible"
-    footer["deficit"] = format_scalar(result.deficit, RATIONAL)
-    rows = [[k, repr(c)] for k, c in enumerate(result.certificate)]
+    footer["deficit"] = result.deficit
+    rows = list(enumerate(result.certificate))
     return _table(args, config, "kolmogorov.csv", ["certificate_index", "constraint"], rows,
                   footer, EXIT_VALIDATION)
 
@@ -252,12 +272,12 @@ def _cmd_spectral(args, config, inputs, footer):
                              "inputs.observable")
     state = operator_of(spectral.DensityState, field(inputs, "state", "inputs"), "inputs.state")
     measure = spectral.spectral_measure(observable, state)
-    rows = [["atom", repr(p), repr(w)] for p, w in measure.atoms]
-    rows.append(["mean", "", repr(float(measure.mean()))])
-    rows.append(["variance", "", repr(float(measure.variance()))])
+    rows = [["atom", p, w] for p, w in measure.atoms]
+    rows.append(["mean", "", measure.mean()])
+    rows.append(["variance", "", measure.variance()])
     for point in observable.spectrum:
-        rows.append(["spectrum_point", repr(point), observable.multiplicity(point)])
-    rows.append(["spectral_radius", "", repr(observable.spectral_radius)])
+        rows.append(["spectrum_point", point, observable.multiplicity(point)])
+    rows.append(["spectral_radius", "", observable.spectral_radius])
     return _table(args, config, "spectral.csv", ["row", "x", "value"], rows, footer)
 
 
@@ -278,7 +298,7 @@ def _cmd_validate(args, config, inputs, footer):
     _write_csv(
         csv_path,
         ["name", "pass", "witness", "residual"],
-        ([r["name"], r["pass"], r["witness"], repr(float(r["residual"]))] for r in records),
+        ([r["name"], r["pass"], r["witness"], r["residual"]] for r in records),
         footer,
     )
     all_pass = all(r["pass"] for r in records)

@@ -18,6 +18,7 @@ from .measures import (
     BorelSet,
     DiscreteMeasure,
     Partition,
+    _image,
     lebesgue_decompose,
     measures_close,
     mixture,
@@ -183,7 +184,8 @@ def koopman_apply(report: DissipationReport, f: Callable, time: float):
 
     Integrates f against the kernel row and the initial measure; positive
     functions transport to positive values, and the constant one transports
-    to one.
+    to one.  A call of ``f`` that raises, or a value that is not a scalar,
+    raises DomainError, as in `DiscreteMeasure.pushforward`.
     """
     entry = report.at(time)
     if entry.surviving is None:
@@ -192,7 +194,7 @@ def koopman_apply(report: DissipationReport, f: Callable, time: float):
     mode = initial.mode
     total = to_scalar(0, mode)
     for s, w in initial.atoms:
-        total += to_scalar(f(s), mode) * entry.kernel[s] * w
+        total += _image(f, (s,), s, mode) * entry.kernel[s] * w
     return total
 
 

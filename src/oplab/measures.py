@@ -100,9 +100,10 @@ def _sum(values: Iterable, mode: str) -> Scalar:
 
 
 def _image(f: Callable, args: tuple, at, mode: str) -> Scalar:
-    """``f(*args)`` as a scalar of ``mode``: the image of the atom at ``at``
-    under a pushforward, on the line and on the plane alike.  A call that
-    raises, or a value that is not a scalar, raises DomainError."""
+    """``f(*args)`` as a scalar of ``mode``: the value of a caller's
+    function at the atom at ``at``, in a pushforward on the line or the plane,
+    an expectation or a Koopman transport.  A call that raises, or a value
+    that is not a scalar, raises DomainError."""
     try:
         value = f(*args)
     except Exception as exc:  # noqa: BLE001 - report as domain failure
@@ -455,8 +456,9 @@ class DiscreteMeasure(_FiniteMeasure):
         return _sum(((p - m) * (p - m) * w for p, w in self.atoms), self.mode)
 
     def expectation(self, f: Callable) -> Scalar:
-        """Integral of ``f`` against the measure."""
-        return _sum((to_scalar(f(p), self.mode) * w for p, w in self.atoms), self.mode)
+        """Integral of ``f`` against the measure.  A call of ``f`` that
+        raises, or a value that is not a scalar, raises DomainError."""
+        return _sum((_image(f, (p,), p, self.mode) * w for p, w in self.atoms), self.mode)
 
     # -- transformations -----------------------------------------------------
 

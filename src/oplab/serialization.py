@@ -1,9 +1,10 @@
-"""JSON wire formats for measures, partitions, matrices, systems and
-constraints, and the one place where a config value is checked.
+"""Config readers: measures, partitions, matrices, systems and constraints
+from their JSON payloads, and the one place where a config value is checked.
+Nothing here writes an output; `oplab.cli` does.
 
-Rational-mode scalars serialize as exact strings: terminating decimals where
-the denominator allows it, ``p/q`` otherwise, so nothing is rounded on the
-way out or back in.  Float-mode scalars are plain JSON numbers.
+Every scalar is read by `to_scalar`.  In rational mode an exact string
+(``"0.3"``, ``"1/3"``) reads as that rational, so nothing is rounded on the
+way in; in float mode a plain JSON number does as well as a string.
 
 Readers take the payload and, last, ``where``: the payload's path in the
 config, used only in messages.  Every bad value raises `ConfigError` naming
@@ -26,14 +27,12 @@ its path, down to single scalars:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import partial
 from typing import Mapping
 
 from . import _np as np
 from . import algebra, dynamics, ensembles, kolmogorov, spectral
 from .measures import (
-    FLOAT,
     RATIONAL,
     BorelSet,
     DiscreteMeasure,
@@ -192,38 +191,6 @@ def _label(labels, what: str):
 _ENDPOINTS = (_to_endpoint, _to_endpoint)
 
 
-def format_scalar(value, mode: str):
-    if mode == FLOAT:
-        return float(value)
-    q = Fraction(value)
-    num, den = q.numerator, q.denominator
-    rest, twos, fives = den, 0, 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
-        return f"{num}/{den}"
-    digits = max(twos, fives)
-    if digits == 0:
-        return str(num)
-    scaled = num * 10 ** digits // den
-    sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
-
-
-def measure_to_json(measure: DiscreteMeasure) -> dict:
-    return {
-        "atoms": [
-            [format_scalar(p, measure.mode), format_scalar(w, measure.mode)]
-            for p, w in measure.atoms
-        ]
-    }
-
-
 def measure_from_json(payload: Mapping, mode: str = RATIONAL,
                       where: str = "measure") -> DiscreteMeasure:
     atoms = field(payload, "atoms", where, list, items=list)
@@ -232,33 +199,11 @@ def measure_from_json(payload: Mapping, mode: str = RATIONAL,
                   payload, {"atoms": [(scalar, scalar)]})
 
 
-def _endpoint_to_json(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format_scalar(value, RATIONAL)
-
-
-def borel_to_json(delta: BorelSet) -> dict:
-    return {
-        "intervals": [[_endpoint_to_json(lo), _endpoint_to_json(hi)]
-                      for lo, hi in delta.intervals],
-        "singletons": [format_scalar(s, RATIONAL) for s in delta.singletons],
-    }
-
-
 def borel_from_json(payload: Mapping, where: str = "set") -> BorelSet:
     intervals = field(payload, "intervals", where, list, [], items=list)
     singletons = field(payload, "singletons", where, list, [])
     return _built(lambda: BorelSet(intervals, singletons), where,
                   payload, {"intervals": [_ENDPOINTS], "singletons": [_rational]})
-
-
-def partition_to_json(partition: Partition) -> dict:
-    lo, hi = partition.window
-    return {
-        "window": [_endpoint_to_json(lo), _endpoint_to_json(hi)],
-        "cells": [borel_to_json(cell) for cell in partition.cells],
-    }
 
 
 def partition_from_json(payload: Mapping, where: str = "partition") -> Partition:
@@ -287,11 +232,6 @@ def evolution_of(payload: Mapping, mode: str, where: str = "inputs") -> dynamics
                 .require_probability(f"{where}.measures[{k}]")
                 for k, m in enumerate(field(payload, "measures", where, list))]
     return _built(lambda: dynamics.EvolutionTrace(times, measures), f"{where}.times")
-
-
-def matrix_to_json(matrix) -> list:
-    m = np.asarray(matrix, dtype=complex)
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in m]
 
 
 def matrix_from_json(payload, where: str = "matrix") -> np.ndarray:
@@ -336,16 +276,6 @@ def operator_of(kind, payload, where: str):
     matrix ``payload``."""
     matrix = matrix_from_json(payload, where)
     return _built(lambda: kind(matrix), where)
-
-
-def labsystem_to_json(system: spectral.LabSystem) -> dict:
-    return {
-        "observables": {label: matrix_to_json(obs.matrix)
-                        for label, obs in sorted(system.observables.items())},
-        "states": {label: matrix_to_json(state.matrix)
-                   for label, state in sorted(system.states.items())},
-        "suitability": [[st, obs] for st, obs in system.suitable_pairs()],
-    }
 
 
 def _operator_maps(payload: Mapping, where: str):
@@ -469,13 +399,3 @@ def reconstruction_from_json(payload: Mapping,
     expectations = field(payload, "expectations", where, list, items=float)
     return _built(lambda: algebra.ReconstructionProblem(observables, expectations, frame), where)
 
-
-def reconstruction_to_json(problem: algebra.ReconstructionProblem) -> dict:
-    return {
-        "observables": [matrix_to_json(obs.matrix) for obs in problem.observables],
-        "expectations": list(problem.expectations),
-        "frame": [
-            [[float(z.real), float(z.imag)] for z in problem.frame[:, k]]
-            for k in range(problem.frame.shape[1])
-        ],
-    }

@@ -249,17 +249,21 @@ def spectral_measure(observable: HermitianObservable, state: DensityState) -> Di
     return DiscreteMeasure(atoms, mode=FLOAT)
 
 
+def _value_at(f: Callable, lam: float) -> float:
+    """``float(f(lam))`` at the eigenvalue ``lam``; a call that raises, or a
+    value that is not a finite real, raises DomainError."""
+    try:
+        value = float(f(lam))
+    except Exception as exc:  # noqa: BLE001
+        raise DomainError(f"function undefined at eigenvalue {lam}: {exc}") from exc
+    if not math.isfinite(value):
+        raise DomainError(f"function not finite at eigenvalue {lam}")
+    return value
+
+
 def functional_calc(observable: HermitianObservable, f: Callable) -> HermitianObservable:
     """Apply a real function to the observable through its eigenvalues."""
-    values = []
-    for lam in observable.eigenvalues:
-        try:
-            value = float(f(float(lam)))
-        except Exception as exc:  # noqa: BLE001
-            raise DomainError(f"function undefined at eigenvalue {lam}: {exc}") from exc
-        if not math.isfinite(value):
-            raise DomainError(f"function not finite at eigenvalue {lam}")
-        values.append(value)
+    values = [_value_at(f, float(lam)) for lam in observable.eigenvalues]
     diag = np.diag(np.asarray(values, dtype=float))
     v = observable.eigenvectors
     return HermitianObservable(v @ diag @ v.conj().T)
@@ -477,16 +481,12 @@ def epsilon_decomposition(
 
     A finite spectrum always admits singleton cells, so the construction
     cannot fail; the bound returned is the exact operator norm of the
-    difference.
+    difference.  ``f`` is evaluated as in `functional_calc`: a call that
+    raises, or a value that is not finite, raises DomainError.
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError("resolution must be positive")
-    values = {}
-    for s in observable.spectrum:
-        try:
-            values[s] = float(f(s))
-        except Exception as exc:  # noqa: BLE001
-            raise DomainError(f"function undefined at {s}: {exc}") from exc
+    values = {s: _value_at(f, s) for s in observable.spectrum}
     ordered = sorted(observable.spectrum, key=lambda s: values[s])
     cells = []
     samples = []

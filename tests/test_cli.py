@@ -6,10 +6,12 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -711,6 +713,26 @@ class TestOtherCommands:
         config2 = write_config(tmp_path, bad, "tomo_bad.json")
         assert main(["tomography", "--config", str(config2), "--out", str(tmp_path / "bad")]) == 2
         assert "NoRealizableFrame" in (tmp_path / "bad" / "tomography.csv").read_text()
+
+
+class TestCell:
+    """Every table cell and footer value is written by one rule."""
+
+    @pytest.mark.parametrize("value, written", [
+        (Fraction(3, 10), "0.3"),
+        (Fraction(1, 3), "1/3"),
+        (Fraction(5), "5"),
+        (Fraction(-7, 2), "-3.5"),
+        (np.float64(0.1), "0.1"),
+        (math.nan, "nan"),
+        (-0.0, "-0.0"),
+    ])
+    def test_a_number_is_written_exactly_or_as_the_shortest_repr(self, value, written):
+        assert cli._cell(value) == written
+
+    @pytest.mark.parametrize("value", [None, True, 3])
+    def test_anything_else_is_left_to_csv(self, value):
+        assert cli._cell(value) is value
 
 
 class TestReport:

@@ -18,6 +18,7 @@ from oplab.errors import (
     NotProbability,
     PartitionDoesNotCover,
 )
+from oplab.dynamics import EvolutionTrace, decompose_evolution, koopman_apply
 from oplab.information import shannon_entropy
 from oplab.measures import (
     FLOAT_MASS_TOL,
@@ -162,6 +163,20 @@ class TestPushforward:
             line.pushforward(lambda s: value)
         with pytest.raises(DomainError, match="not a scalar"):
             plane.pushforward(lambda s, t: value)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("f, message", [
+        (lambda s: 1 / 0, "undefined at 0"),
+        (lambda s: "x", "not a scalar"),
+        (lambda s: math.nan, "not a scalar"),
+    ], ids=["raises", "string", "nan"])
+    def test_expectation_and_koopman_fail_on_a_bad_value_as_pushforward_does(self, f, message,
+                                                                              mode):
+        m = DiscreteMeasure([(0, 1)], mode=mode)
+        report = decompose_evolution(EvolutionTrace([0, 1], [m, m]))
+        for apply in (m.pushforward, m.expectation, lambda g: koopman_apply(report, g, 1)):
+            with pytest.raises(DomainError, match=message):
+                apply(f)
 
 
 class TestMeanAndVariance:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oplab.errors import (
     DimMismatch,
+    DomainError,
     NotAQuestion,
     NotCommuting,
     NotHermitian,
@@ -498,6 +499,29 @@ class TestResolutionDecomposition:
             op_norm = float(np.linalg.norm(exact - approx, ord=2))
             assert op_norm <= eps + 1e-12
             assert dec.error_bound <= eps
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "not finite at eigenvalue 1.0"),
+        (math.inf, "not finite at eigenvalue 1.0"),
+        (None, "undefined at eigenvalue 1.0"),
+    ])
+    def test_a_bad_function_value_raises(self, bad, message):
+        obs = HermitianObservable(np.diag([0.0, 1.0, 2.0]))
+        with pytest.raises(DomainError, match=message):
+            epsilon_decomposition(obs, lambda t: bad if t == 1.0 else t, 0.5)
+
+    def test_a_function_that_raises_fails_as_in_functional_calc(self):
+        obs = HermitianObservable(np.diag([0.0, 1.0, 2.0]))
+        with pytest.raises(DomainError, match="undefined at eigenvalue 0.0: float division by zero"):
+            epsilon_decomposition(obs, lambda t: 1 / t, 0.5)
+        with pytest.raises(DomainError, match="undefined at eigenvalue 0.0: float division by zero"):
+            functional_calc(obs, lambda t: 1 / t)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan])
+    def test_resolution_must_be_positive(self, resolution):
+        obs = HermitianObservable(np.diag([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            epsilon_decomposition(obs, lambda t: t, resolution)
 
 
 class TestUncertainty:
