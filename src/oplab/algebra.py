@@ -11,11 +11,11 @@ data over a declared orthonormal frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import _np as np
+from ._base import record
 from .errors import (
     DimMismatch,
     NoRealizableFrame,
@@ -41,7 +41,7 @@ PURITY_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@record
 class DeclaredRelations:
     """Algebraic relations the system declares between its labels.
 
@@ -105,7 +105,7 @@ class Algebraization:
         return self.state_images[state_label]
 
 
-@dataclass(frozen=True)
+@record
 class ConditionReport:
     name: str
     passed: bool
@@ -164,7 +164,7 @@ def arba_validate(
     )
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingEntry:
     label: str
     spectral_radius: float
@@ -345,7 +345,7 @@ class ReconstructionProblem:
         return c
 
 
-@dataclass(frozen=True)
+@record
 class TomographyResult:
     weights: tuple
     """Exact rational frame weights, normalized to unit sum."""

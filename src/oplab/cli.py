@@ -17,8 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, algebra, dynamics, ensembles, information, kolmogorov, spectral
+from ._base import FLOAT, RATIONAL
 from .errors import NoRealizableFrame, OplabError, SingularFrame
-from .measures import FLOAT, RATIONAL
 from .serialization import (
     ConfigError,
     constraint_of,
@@ -40,7 +40,7 @@ EXIT_VALIDATION = 2
 
 def format_scalar(q: Fraction) -> str:
     """``q`` as an exact string: a terminating decimal where the denominator
-    allows it, ``p/q`` otherwise.  `oplab.measures.to_scalar` reads it back."""
+    allows it, ``p/q`` otherwise.  `oplab._base.to_scalar` reads it back."""
     num, den = q.numerator, q.denominator
     rest, twos, fives = den, 0, 0
     while rest % 2 == 0:

@@ -9,9 +9,9 @@ along the surviving part, and entropy/affinity diagnostics live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
+from ._base import record
 from .errors import GridMismatch, NoAbsolutelyContinuousPart
 from .information import shannon_entropy
 from .measures import (
@@ -103,14 +103,14 @@ class EvolutionTrace:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ContinuityReport:
     observed_rate: float
     declared_rate: Optional[float]
     violations: tuple
 
 
-@dataclass(frozen=True)
+@record
 class TimeSlice:
     """Dissipation data of one evolved measure against the initial one."""
 
@@ -198,7 +198,7 @@ def koopman_apply(report: DissipationReport, f: Callable, time: float):
     return total
 
 
-@dataclass(frozen=True)
+@record
 class EntropyEvolutionReport:
     monotone: bool
     dissipation_free: bool
@@ -234,7 +234,7 @@ def entropy_checks(
     )
 
 
-@dataclass(frozen=True)
+@record
 class AffineReport:
     affine: bool
     max_gap: float

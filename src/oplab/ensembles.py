@@ -13,11 +13,11 @@ value equals the whole-vector computation bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import _np as np
+from ._base import record
 from .errors import CapacityError, HorizonExceeded, NotProbability, TooShort
 from .measures import RATIONAL, BorelSet, DiscreteMeasure, to_scalar
 
@@ -117,7 +117,7 @@ def _frequency_chunks(n: int, outcomes=None, frequencies=None, averages: bool = 
         yield s, e, idx, counts, f, w
 
 
-@dataclass(frozen=True)
+@record
 class TrialLog:
     """Bit sequence of successes for one simulated ensemble."""
 
@@ -351,7 +351,7 @@ def _checkpoints(n: int) -> Tuple[int, ...]:
     return tuple(points)
 
 
-@dataclass(frozen=True)
+@record
 class DensityReport:
     horizon: int
     count: int
@@ -389,7 +389,7 @@ CONVERGENT = "convergent-in-density"
 NOT_CONVERGENT = "not-convergent"
 
 
-@dataclass(frozen=True)
+@record
 class CesaroReport:
     horizon: int
     cesaro_mean: float
@@ -475,7 +475,7 @@ def _default_probes(support: Sequence[float]):
     return probes
 
 
-@dataclass(frozen=True)
+@record
 class EstimateReport:
     p_hat: float
     horizon: int
@@ -528,7 +528,7 @@ def estimate_probability(
     )
 
 
-@dataclass(frozen=True)
+@record
 class PlaceSelectionReport:
     full_frequency: float
     selected_frequency: float
@@ -561,7 +561,7 @@ def place_selection_check(log: TrialLog) -> PlaceSelectionReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class MinTrialsReport:
     alpha: float
     membership: np.ndarray

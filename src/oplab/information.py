@@ -10,13 +10,13 @@ times ln 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import _np as np
 from . import spectral
+from ._base import record
 from .errors import PartitionDoesNotCover, ZeroCell
 from .measures import (FLOAT, RATIONAL, BorelSet, DiscreteMeasure, Partition, is_unit_mass,
                        to_scalar)
@@ -78,7 +78,7 @@ class Schema:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EntropyReport:
     partition: Partition
     cell_probabilities: tuple
@@ -107,7 +107,7 @@ def shannon_entropy(measure: DiscreteMeasure, partition: Partition) -> EntropyRe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AxiomResult:
     name: str
     passed: bool
@@ -237,7 +237,7 @@ class Informativity(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
+@record
 class InformativityVerdict:
     relation: Informativity
     partitions: tuple
@@ -307,7 +307,7 @@ def vn_entropy_and_purity(state: spectral.DensityState) -> Tuple[float, float]:
     return max(entropy, 0.0), purity
 
 
-@dataclass(frozen=True)
+@record
 class EntropyBridge:
     state: spectral.DensityState
     vn_nats: float

@@ -9,18 +9,17 @@ simplex and reported with a Farkas vector and a minimal infeasible core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
+from ._base import RATIONAL, record, to_scalar
 from .errors import CapacityError
-from .measures import RATIONAL, to_scalar
 from .simplex import find_feasible_point
 
 DEFAULT_CELL_BOUND = 10_000
 
 
-@dataclass(frozen=True)
+@record
 class MarginalConstraint:
     """P(observable = value) = prob."""
 
@@ -29,7 +28,7 @@ class MarginalConstraint:
     prob: object
 
 
-@dataclass(frozen=True)
+@record
 class JointConstraint:
     """P(all named observables take their listed values) = prob."""
 
@@ -41,7 +40,7 @@ class JointConstraint:
         return cls(tuple(sorted(events.items())), prob)
 
 
-@dataclass(frozen=True)
+@record
 class ConditionalConstraint:
     """P(event | given) = prob, encoded linearly as P(e & g) - prob * P(g) = 0."""
 
@@ -54,7 +53,7 @@ class ConditionalConstraint:
         return cls(tuple(sorted(event.items())), tuple(sorted(given.items())), prob)
 
 
-@dataclass(frozen=True)
+@record
 class CorrelationConstraint:
     """E[product of the two observables] = value (outcomes must be numeric)."""
 
@@ -62,7 +61,7 @@ class CorrelationConstraint:
     value: object
 
 
-@dataclass(frozen=True)
+@record
 class ExpectationConstraint:
     """E[observable] = value."""
 
@@ -70,10 +69,10 @@ class ExpectationConstraint:
     value: object
 
 
-Constraint = object  # any of the dataclasses above
+Constraint = object  # any of the records above
 
 
-@dataclass(frozen=True)
+@record
 class KolmogorovResult:
     feasible: bool
     joint: Optional[dict]

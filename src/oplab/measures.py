@@ -10,16 +10,23 @@ is a pure function.
 from __future__ import annotations
 
 import math
-import numbers
-import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from operator import add, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
+from ._base import (  # noqa: F401  re-exported: the scalar coercion lives in _base
+    FLOAT,
+    MAX_SCALAR_EXPONENT,
+    RATIONAL,
+    Scalar,
+    _fraction_from_str,
+    _to_endpoint,
+    record,
+    to_scalar,
+)
 from .errors import (
     ConditioningOnNull,
     DomainError,
@@ -28,61 +35,10 @@ from .errors import (
     NotProbability,
 )
 
-RATIONAL = "rational"
-FLOAT = "float"
-
 FLOAT_MERGE_TOL = 1e-9
 FLOAT_MASS_TOL = 1e-12
 # Default weight tolerance of `measures_close`.
 CLOSE_WEIGHT_TOL = 1e-9
-# Largest decimal exponent a scalar string may carry: Fraction("1eN") builds
-# 10**N, so an unbounded exponent costs unbounded time and memory.
-MAX_SCALAR_EXPONENT = 10_000
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
-
-Scalar = Union[Fraction, float]
-ScalarLike = Union[Fraction, float, int, str]
-
-
-def to_scalar(value: ScalarLike, mode: str) -> Scalar:
-    """Coerce ``value`` to the scalar type of ``mode``.
-
-    Accepts Fractions, ints and other ``numbers.Rational`` values (numpy
-    integers included), floats, and decimal or ``"p/q"`` strings.  Rational
-    mode converts floats through their exact binary expansion, so the
-    conversion never rounds.  Non-finite values, zero denominators and
-    decimal exponents beyond ``MAX_SCALAR_EXPONENT`` raise ``ValueError`` in
-    both modes.
-    """
-    if mode == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ValueError("non-finite scalar")
-            return Fraction(value)
-        if isinstance(value, str):
-            return _fraction_from_str(value)
-        if isinstance(value, (int, numbers.Rational)):
-            return Fraction(value)
-        raise TypeError(f"cannot convert {type(value).__name__} to rational scalar")
-    try:
-        out = float(_fraction_from_str(value) if isinstance(value, str) and "/" in value else value)
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise ValueError("non-finite scalar")
-    return out
-
-
-def _fraction_from_str(text: str) -> Fraction:
-    exponent = _EXPONENT.search(text)
-    if exponent is not None and abs(int(exponent.group(1))) > MAX_SCALAR_EXPONENT:
-        raise ValueError(f"scalar exponent beyond MAX_SCALAR_EXPONENT = {MAX_SCALAR_EXPONENT}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator") from None
 
 
 def is_unit_mass(mass: Scalar, mode: str) -> bool:
@@ -130,19 +86,6 @@ def _same_mode(*objects) -> str:
 # ---------------------------------------------------------------------------
 # Borel sets
 # ---------------------------------------------------------------------------
-
-_Endpoint = Union[Fraction, float]  # Fractions plus the +-inf sentinels
-
-
-def _to_endpoint(value) -> _Endpoint:
-    """``±inf`` (a float, or the wire format's ``"inf"``/``"-inf"``) or an
-    exact rational."""
-    if isinstance(value, float) and math.isinf(value):
-        return value
-    if isinstance(value, str) and value in ("inf", "-inf"):
-        return float(value)
-    return to_scalar(value, RATIONAL)
-
 
 class BorelSet:
     """Finite union of half-open intervals ``[lo, hi)`` and isolated points.
@@ -270,6 +213,18 @@ class BorelSet:
         return f"BorelSet({self.describe()})"
 
 
+def _float_key(endpoint):
+    """``endpoint`` as its double where that double is exactly it, else as it
+    is (a Fraction too large for a double or between two doubles).  A float
+    compares with the key exactly as with the endpoint, and with a double
+    key without building a Fraction."""
+    try:
+        key = float(endpoint)
+    except OverflowError:
+        return endpoint
+    return key if key == endpoint else endpoint
+
+
 # ---------------------------------------------------------------------------
 # Canonical atoms, shared by measures on the line and the plane
 # ---------------------------------------------------------------------------
@@ -395,17 +350,22 @@ class DiscreteMeasure(_FiniteMeasure):
         """Positions of the atoms lying in ``delta``, in increasing order.
 
         Each interval and singleton of ``delta`` finds its atoms by bisecting
-        the atoms, whose points strictly increase.  A nonzero
+        the atoms, whose points strictly increase; in float mode against the
+        endpoints' `_float_key`.  A nonzero
         ``singleton_tol`` (see ``BorelSet.contains``) is not an interval
         query, so it tests every atom.
         """
         atoms, point = self.atoms, itemgetter(0)
         if singleton_tol:
             return [k for k, (p, _) in enumerate(atoms) if delta.contains(p, singleton_tol)]
+        intervals, singletons = delta.intervals, delta.singletons
+        if self.mode == FLOAT:
+            intervals = [(_float_key(lo), _float_key(hi)) for lo, hi in intervals]
+            singletons = map(_float_key, singletons)
         spans = [(bisect_left(atoms, lo, key=point), bisect_left(atoms, hi, key=point))
-                 for lo, hi in delta.intervals]
+                 for lo, hi in intervals]
         spans += [(bisect_left(atoms, s, key=point), bisect_right(atoms, s, key=point))
-                  for s in delta.singletons]
+                  for s in singletons]
         return [k for a, b in sorted(spans) for k in range(a, b)]
 
     # -- constructors --------------------------------------------------------
@@ -548,7 +508,7 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LebesgueDecomposition:
     """Split of ``nu`` into parts inside and outside the support of ``mu``.
 
@@ -737,10 +697,12 @@ class Partition:
 
     The pieces of all cells, intervals ``[lo, hi)`` and singletons, live in
     one index sorted by left end and tagged with their cell.  Disjointness
-    is one sweep over it and ``locate`` one bisection.
+    is one sweep over it and ``locate`` one bisection.  Float queries bisect
+    a copy of the index whose endpoints are `_float_key`s, built on the
+    first float query.
     """
 
-    __slots__ = ("window", "cells", "_starts", "_pieces")
+    __slots__ = ("window", "cells", "_starts", "_pieces", "_floats")
 
     def __init__(self, window, cells: Sequence[BorelSet]):
         lo, hi = map(_to_endpoint, window)
@@ -760,6 +722,7 @@ class Partition:
         self.cells = cells
         self._starts = [a for a, _, _ in pieces]
         self._pieces = pieces
+        self._floats = None
 
     @classmethod
     def dyadic(cls, lo, hi, depth: int) -> "Partition":
@@ -787,12 +750,22 @@ class Partition:
 
     def locate(self, x) -> int:
         """Index of the cell containing ``x``, or -1 (always for NaN)."""
-        i = bisect_right(self._starts, x) - 1
+        if isinstance(x, float):
+            starts, pieces = self._floats or self._float_index()
+        else:
+            starts, pieces = self._starts, self._pieces
+        i = bisect_right(starts, x) - 1
         if i >= 0:
-            a, b, k = self._pieces[i]
+            a, b, k = pieces[i]
             if x < b or x == a:
                 return k
         return -1
+
+    def _float_index(self) -> tuple:
+        """``(starts, pieces)`` of the index with `_float_key` endpoints."""
+        pieces = [(_float_key(a), _float_key(b), k) for a, b, k in self._pieces]
+        self._floats = ([a for a, _, _ in pieces], pieces)
+        return self._floats
 
     def covers(self, measure: DiscreteMeasure) -> bool:
         return all(self.locate(p) >= 0 for p in measure.support)

@@ -31,15 +31,8 @@ from functools import partial
 from typing import Mapping
 
 from . import _np as np
-from . import algebra, dynamics, ensembles, kolmogorov, spectral
-from .measures import (
-    RATIONAL,
-    BorelSet,
-    DiscreteMeasure,
-    Partition,
-    _to_endpoint,
-    to_scalar,
-)
+from . import algebra, dynamics, ensembles, kolmogorov, measures, spectral
+from ._base import RATIONAL, _to_endpoint, to_scalar
 
 
 class ConfigError(Exception):
@@ -192,25 +185,26 @@ _ENDPOINTS = (_to_endpoint, _to_endpoint)
 
 
 def measure_from_json(payload: Mapping, mode: str = RATIONAL,
-                      where: str = "measure") -> DiscreteMeasure:
+                      where: str = "measure") -> measures.DiscreteMeasure:
     atoms = field(payload, "atoms", where, list, items=list)
     scalar = partial(to_scalar, mode=mode)
-    return _built(lambda: DiscreteMeasure(atoms, mode=mode), where,
+    return _built(lambda: measures.DiscreteMeasure(atoms, mode=mode), where,
                   payload, {"atoms": [(scalar, scalar)]})
 
 
-def borel_from_json(payload: Mapping, where: str = "set") -> BorelSet:
+def borel_from_json(payload: Mapping, where: str = "set") -> measures.BorelSet:
     intervals = field(payload, "intervals", where, list, [], items=list)
     singletons = field(payload, "singletons", where, list, [])
-    return _built(lambda: BorelSet(intervals, singletons), where,
+    return _built(lambda: measures.BorelSet(intervals, singletons), where,
                   payload, {"intervals": [_ENDPOINTS], "singletons": [_rational]})
 
 
-def partition_from_json(payload: Mapping, where: str = "partition") -> Partition:
+def partition_from_json(payload: Mapping, where: str = "partition") -> measures.Partition:
     window = field(payload, "window", where, list)
     cells = [borel_from_json(cell, f"{where}.cells[{k}]")
              for k, cell in enumerate(field(payload, "cells", where, list))]
-    return _built(lambda: Partition(window, cells), where, payload, {"window": _ENDPOINTS})
+    return _built(lambda: measures.Partition(window, cells), where, payload,
+                  {"window": _ENDPOINTS})
 
 
 def ensemble_of(payload: Mapping, mode: str, where: str = "inputs"):
@@ -228,10 +222,10 @@ def evolution_of(payload: Mapping, mode: str, where: str = "inputs") -> dynamics
     """The `EvolutionTrace` of the ``times`` and ``measures`` of ``payload``;
     a measure that is not a probability raises NotProbability naming it."""
     times = field(payload, "times", where, list, items=float)
-    measures = [measure_from_json(m, mode, f"{where}.measures[{k}]")
-                .require_probability(f"{where}.measures[{k}]")
-                for k, m in enumerate(field(payload, "measures", where, list))]
-    return _built(lambda: dynamics.EvolutionTrace(times, measures), f"{where}.times")
+    family = [measure_from_json(m, mode, f"{where}.measures[{k}]")
+              .require_probability(f"{where}.measures[{k}]")
+              for k, m in enumerate(field(payload, "measures", where, list))]
+    return _built(lambda: dynamics.EvolutionTrace(times, family), f"{where}.times")
 
 
 def matrix_from_json(payload, where: str = "matrix") -> np.ndarray:

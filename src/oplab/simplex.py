@@ -10,12 +10,13 @@ pivoting finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._base import record
 
-@dataclass(frozen=True)
+
+@record
 class FeasibilityResult:
     feasible: bool
     x: Optional[tuple]

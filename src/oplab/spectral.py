@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import _np as np
+from ._base import record
 from .errors import (
     DimMismatch,
     DomainError,
@@ -322,7 +322,7 @@ def jordan_product(a: HermitianObservable, b: HermitianObservable) -> HermitianO
     return HermitianObservable((a.matrix @ b.matrix + b.matrix @ a.matrix) / 2.0)
 
 
-@dataclass(frozen=True)
+@record
 class QuestionReport:
     complement: Question
     spectrum: tuple
@@ -465,7 +465,7 @@ def joint_operator(a: HermitianObservable, b: HermitianObservable) -> JointOpera
     return JointOperator(a, b)
 
 
-@dataclass(frozen=True)
+@record
 class ResolutionDecomposition:
     cells: tuple
     sample_points: tuple

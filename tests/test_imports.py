@@ -85,37 +85,45 @@ def test_unknown_name_raises_attribute_error():
 
 
 # Imports the module argv[1], runs the CLI command in argv[2:] if there is
-# one, and prints the oplab layers whose body has run.  A layer not yet run is
-# still LazyLoader's module type; ``type`` reads it without running the body.
+# one, and prints the names of every loaded module, then the oplab layers
+# whose body has run.  A layer not yet run is still LazyLoader's module type;
+# ``type`` reads it without running the body.
 _LAYERS_RUN = """
 import importlib, json, sys, types
 importlib.import_module(sys.argv[1])
 if len(sys.argv) > 2:
     sys.modules["oplab.cli"].main(sys.argv[2:])
+print(json.dumps(sorted(sys.modules)))
 print(json.dumps(sorted(name for name in sys.modules["oplab"]._LAYERS
                         if type(sys.modules["oplab." + name]) is types.ModuleType)))
 """
 
-# What each kind runs on top of errors, measures and serialization.
+# What each kind runs on top of errors and serialization.
 KIND_LAYERS = {
     "kolmogorov": ["kolmogorov", "simplex"],
-    "entropy": ["information"],
-    "dissipation": ["dynamics", "information"],
-    "simulate": ["ensembles"],
-    "estimate": ["ensembles"],
-    "spectral": ["spectral"],
-    "validate": ["algebra", "information", "spectral"],
-    "tomography": ["algebra", "information", "spectral"],
+    "entropy": ["information", "measures"],
+    "dissipation": ["dynamics", "information", "measures"],
+    "simulate": ["ensembles", "measures"],
+    "estimate": ["ensembles", "measures"],
+    "spectral": ["measures", "spectral"],
+    "validate": ["algebra", "information", "measures", "spectral"],
+    "tomography": ["algebra", "information", "measures", "spectral"],
     "report": [],
 }
-BASE = ["errors", "measures", "serialization"]
+BASE = ["errors", "serialization"]
 
 
-def _layers_run(*argv) -> list:
+def _run(*argv) -> tuple:
+    """The modules loaded and the layers run by `_LAYERS_RUN` on ``argv``."""
     proc = subprocess.run([sys.executable, "-c", _LAYERS_RUN, *argv], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    return json.loads(proc.stdout.splitlines()[-1])
+    *_, modules, layers = proc.stdout.splitlines()
+    return json.loads(modules), json.loads(layers)
+
+
+def _layers_run(*argv) -> list:
+    return _run(*argv)[1]
 
 
 def test_import_runs_no_layer_but_what_the_cli_reads():
@@ -134,6 +142,36 @@ def test_each_kind_runs_only_its_layers(tmp_path):
         got = _layers_run("oplab.cli", kind, "--config", str(local), "--out", str(tmp_path))
         assert got == sorted(BASE + KIND_LAYERS[kind]), config.name
     assert kinds == set(KIND_LAYERS) == set(oplab.cli._COMMANDS)
+
+
+# The classical kinds, and what none of their jobs needs: ``dataclasses``
+# costs about 9 ms of import, most of it ``inspect``, and numpy far more.
+CLASSICAL = ("kolmogorov", "entropy", "dissipation", "report")
+UNUSED_BY_CLASSICAL = ("dataclasses", "inspect", "numpy")
+_MODULES = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+
+
+def test_classical_jobs_load_no_dataclasses_inspect_or_numpy(tmp_path):
+    """Every classical golden config, in a fresh interpreter: the job loads
+    none of `UNUSED_BY_CLASSICAL` beyond what the bare interpreter loads, and
+    ``kolmogorov`` and ``report`` do not run ``oplab.measures``."""
+    bare = subprocess.run([sys.executable, "-c", _MODULES], capture_output=True, text=True,
+                          check=True).stdout
+    preloaded = set(json.loads(bare))
+    ran = set()
+    for config in configs():
+        kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
+        if kind not in CLASSICAL:
+            continue
+        ran.add(kind)
+        local = tmp_path / config.name
+        shutil.copyfile(config, local)
+        modules, layers = _run("oplab.cli", kind, "--config", str(local), "--out", str(tmp_path))
+        loaded = [name for name in UNUSED_BY_CLASSICAL if name in modules and name not in preloaded]
+        assert loaded == [], config.name
+        if kind in ("kolmogorov", "report"):
+            assert "measures" not in layers, config.name
+    assert ran == set(CLASSICAL)
 
 
 # Reads oplab.kolmogorov_check twice, and prints the type and message of what

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 from functools import reduce
@@ -35,6 +36,7 @@ from oplab.measures import (
     measures_close,
     mixture,
     product_measure,
+    _float_key,
     to_scalar,
 )
 
@@ -811,6 +813,77 @@ class TestIndexedQueries:
                 for delta in (BorelSet.point(x), BorelSet.interval(F(x), math.inf),
                               BorelSet.interval(-math.inf, F(x))):
                     assert repr(m.measure_of(delta)) == repr(reference_measure_of(m, delta))
+
+
+# Endpoints of float-mode lookups: dyadic ones, which are doubles, ones that
+# lie between two doubles, and 10**400, beyond every double.
+HUGE = F(10 ** 400)
+float_key_endpoints = st.one_of(
+    st.integers(-48, 48).map(lambda k: F(k, 16)),
+    st.sampled_from([F(1, 3), F(1, 10), F(1501, 1000), -F(1, 3), HUGE, -HUGE]),
+)
+
+
+def near(endpoint) -> list:
+    """The doubles at and one ulp on either side of ``endpoint``; the
+    largest finite doubles for 10**400."""
+    try:
+        x = float(endpoint)
+    except OverflowError:
+        x = sys.float_info.max if endpoint > 0 else -sys.float_info.max
+        return [x, math.nextafter(x, 0.0)]
+    return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+
+@st.composite
+def float_key_cells(draw):
+    """Pairwise disjoint cells on sorted endpoints: between each two, the
+    interval or a singleton at the left one; maybe a ray at either end."""
+    cuts = sorted(draw(st.sets(float_key_endpoints, min_size=1, max_size=8)))
+    cells = [BorelSet.interval(-math.inf, cuts[0])] if draw(st.booleans()) else []
+    for a, b in zip(cuts, cuts[1:]):
+        cells.append(BorelSet.interval(a, b) if draw(st.booleans()) else BorelSet.point(a))
+    cells.append(BorelSet.interval(cuts[-1], math.inf) if draw(st.booleans())
+                 else BorelSet.point(cuts[-1]))
+    return cuts, cells
+
+
+class TestFloatKeys:
+    """Float queries compare with each endpoint's double where that double
+    is exactly it, and with the exact Fraction otherwise."""
+
+    def test_float_key_is_the_double_only_when_exact(self):
+        assert _float_key(F(1, 4)) == 0.25 and type(_float_key(F(1, 4))) is float
+        assert _float_key(F(1, 3)) is not None and type(_float_key(F(1, 3))) is F
+        assert _float_key(HUGE) is HUGE
+        assert _float_key(-math.inf) == -math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=float_key_cells(), extra=st.lists(st.floats(-2, 2), max_size=4))
+    def test_locate_matches_the_exact_endpoints(self, drawn, extra):
+        cuts, cells = drawn
+        part = Partition((-1, 1), cells)
+        for x in [y for c in cuts for y in near(c)] + [F(1, 3), 0, 1]:
+            if not isinstance(x, float):
+                assert part.locate(x) == reference_locate(part, x)
+        assert part._floats is None  # no float query yet
+        xs = [y for c in cuts for y in near(c)] + extra + [-0.0, math.inf, -math.inf, math.nan]
+        for x in xs:
+            assert part.locate(x) == reference_locate(part, x), x
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=float_key_cells(), data=st.data())
+    def test_measure_of_matches_the_exact_endpoints(self, drawn, data):
+        cuts, cells = drawn
+        points = [data.draw(st.sampled_from(near(c))) for c in cuts]
+        points += data.draw(st.lists(st.sampled_from([-0.0, 0.5, -1.25]), max_size=2))
+        atoms = [(p, data.draw(st.floats(1e-3, 1.0))) for p in points]
+        m = DiscreteMeasure(atoms, "float")
+        for delta in cells + [BorelSet(singletons=cuts), BorelSet.real_line(),
+                              BorelSet.interval(-math.inf, cuts[-1]),
+                              BorelSet.interval(cuts[0], math.inf)]:
+            assert repr(m.measure_of(delta)) == repr(reference_measure_of(m, delta))
+            assert outcome(m.restrict, delta) == outcome(reference_restrict, m, delta)
 
 
 # Hypothesis property checks on small rational measures.
