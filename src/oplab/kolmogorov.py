@@ -85,11 +85,13 @@ class KolmogorovResult:
     """When infeasible, multipliers of the total-mass row and each constraint."""
     solves: int = 1
     """Phase-one LP solves spent on the verdict and the certificate."""
+    pivots: int = 0
+    """Simplex pivots summed over those solves."""
 
 
 def _system(outcome_spaces: Mapping[str, Sequence], constraints, bound: int):
     """Names, cells, and the rows and right-hand sides of total mass one and
-    of each constraint, each row built once in one pass over the cells."""
+    of each constraint, each row built once from the outcome positions."""
     names = tuple(outcome_spaces.keys())
     spaces = [tuple(to_scalar(v, RATIONAL) for v in outcome_spaces[name]) for name in names]
     size = 1
@@ -105,28 +107,37 @@ def _system(outcome_spaces: Mapping[str, Sequence], constraints, bound: int):
     index = {name: k for k, name in enumerate(names)}
     rows, rhs = [[1] * len(cells)], [1]
     for constraint in constraints:
-        row, target = _constraint_row(constraint, index, cells)
+        row, target = _constraint_row(constraint, index, spaces, cells)
         rows.append(row)
         rhs.append(target)
     return names, cells, rows, rhs
 
 
-def _hits(cells, index, events) -> list:
-    """Per cell, whether it takes every listed value."""
-    wanted = [(index[name], to_scalar(value, RATIONAL)) for name, value in events]
-    return [all(cell[k] == v for k, v in wanted) for cell in cells]
+def _hits(spaces, index, events) -> list:
+    """Per cell, whether it takes every listed value.  Each value is compared
+    once per outcome of its observable, and the cells, which run over the
+    outcomes with the last observable fastest, take the product of those
+    comparisons."""
+    masks = [[True] * len(space) for space in spaces]
+    for name, value in events:
+        k, value = index[name], to_scalar(value, RATIONAL)
+        masks[k] = [hit and outcome == value for hit, outcome in zip(masks[k], spaces[k])]
+    hits = [True]
+    for mask in masks:
+        hits = [prev and hit for prev in hits for hit in mask]
+    return hits
 
 
-def _constraint_row(constraint, index, cells):
+def _constraint_row(constraint, index, spaces, cells):
     """Coefficient vector and right-hand side of one linear constraint."""
     if isinstance(constraint, MarginalConstraint):
         constraint = JointConstraint(((constraint.observable, constraint.value),), constraint.prob)
     if isinstance(constraint, JointConstraint):
-        hits = _hits(cells, index, constraint.events)
+        hits = _hits(spaces, index, constraint.events)
         return [int(h) for h in hits], to_scalar(constraint.prob, RATIONAL)
     if isinstance(constraint, ConditionalConstraint):
         prob = to_scalar(constraint.prob, RATIONAL)
-        event, given = _hits(cells, index, constraint.event), _hits(cells, index, constraint.given)
+        event, given = _hits(spaces, index, constraint.event), _hits(spaces, index, constraint.given)
         return [int(e) - prob if g else 0 for e, g in zip(event, given)], 0
     if isinstance(constraint, CorrelationConstraint):
         i, j = index[constraint.observables[0]], index[constraint.observables[1]]
@@ -162,19 +173,21 @@ def kolmogorov_check(
     result = find_feasible_point(rows, rhs)
     if result.feasible:
         joint = {cell: weight for cell, weight in zip(cells, result.x) if weight != 0}
-        return KolmogorovResult(True, joint, None, Fraction(0), names)
+        return KolmogorovResult(True, joint, None, Fraction(0), names, pivots=result.pivots)
 
     # Deletion filter; farkas is indexed like rows.  A candidate off the
     # support of the latest Farkas vector is dropped without a solve: the rest
     # of the core still contains that support, so it stays infeasible.
     # Candidates go by index, so a constraint given twice is two candidates.
     farkas, core, solves = list(result.farkas), list(range(len(constraints))), 1
+    pivots = result.pivots
     for candidate in range(len(constraints)):
         trial = [k for k in core if k != candidate]
         if farkas[candidate + 1]:
             kept = [0] + [k + 1 for k in trial]
             attempt = find_feasible_point([rows[r] for r in kept], [rhs[r] for r in kept])
             solves += 1
+            pivots += attempt.pivots
             if attempt.feasible:
                 continue
             placed = dict(zip(kept, attempt.farkas))
@@ -183,7 +196,7 @@ def kolmogorov_check(
     if not _farkas_holds(farkas, rows, rhs):
         raise RuntimeError("phase one returned an invalid Farkas vector")
     return KolmogorovResult(False, None, tuple(constraints[k] for k in core), result.deficit,
-                            names, tuple(farkas), solves)
+                            names, tuple(farkas), solves, pivots)
 
 
 def verify_joint(joint: Mapping, outcome_spaces: Mapping[str, Sequence],

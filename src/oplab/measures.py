@@ -96,7 +96,7 @@ class BorelSet:
     allowed for unbounded intervals.
     """
 
-    __slots__ = ("intervals", "singletons")
+    __slots__ = ("intervals", "singletons", "_floats")
 
     def __init__(self, intervals: Iterable = (), singletons: Iterable = ()):
         ivs = []
@@ -118,6 +118,7 @@ class BorelSet:
         )
         self.intervals = tuple(merged)
         self.singletons = kept
+        self._floats = None
 
     # -- constructors -------------------------------------------------------
 
@@ -211,6 +212,14 @@ class BorelSet:
 
     def __repr__(self) -> str:
         return f"BorelSet({self.describe()})"
+
+    def _float_keys(self) -> tuple:
+        """The intervals and singletons with `_float_key` endpoints, built
+        on the first float query."""
+        if self._floats is None:
+            self._floats = ([(_float_key(lo), _float_key(hi)) for lo, hi in self.intervals],
+                            [_float_key(s) for s in self.singletons])
+        return self._floats
 
 
 def _float_key(endpoint):
@@ -351,17 +360,17 @@ class DiscreteMeasure(_FiniteMeasure):
 
         Each interval and singleton of ``delta`` finds its atoms by bisecting
         the atoms, whose points strictly increase; in float mode against the
-        endpoints' `_float_key`.  A nonzero
+        endpoints' `_float_key`, built once per set.  A nonzero
         ``singleton_tol`` (see ``BorelSet.contains``) is not an interval
         query, so it tests every atom.
         """
         atoms, point = self.atoms, itemgetter(0)
         if singleton_tol:
             return [k for k, (p, _) in enumerate(atoms) if delta.contains(p, singleton_tol)]
-        intervals, singletons = delta.intervals, delta.singletons
         if self.mode == FLOAT:
-            intervals = [(_float_key(lo), _float_key(hi)) for lo, hi in intervals]
-            singletons = map(_float_key, singletons)
+            intervals, singletons = delta._float_keys()
+        else:
+            intervals, singletons = delta.intervals, delta.singletons
         spans = [(bisect_left(atoms, lo, key=point), bisect_left(atoms, hi, key=point))
                  for lo, hi in intervals]
         spans += [(bisect_left(atoms, s, key=point), bisect_right(atoms, s, key=point))

@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oplab import kolmogorov
 from oplab.errors import CapacityError
 from oplab.kolmogorov import (
     ConditionalConstraint,
@@ -17,7 +20,7 @@ from oplab.kolmogorov import (
     verify_farkas,
     verify_joint,
 )
-from oplab.simplex import find_feasible_point
+from oplab.simplex import FeasibilityResult, find_feasible_point
 
 PM1 = {"a": [-1, 1], "b": [-1, 1], "c": [-1, 1]}
 
@@ -361,3 +364,218 @@ def test_benchmark_shaped_filter_skips_solves():
     # The reference filter's core, as it finds it.
     assert result.certificate == (constraints[9], constraints[15])
     assert verify_farkas(result.farkas, spaces, constraints)
+
+
+# ---------------------------------------------------------------------------
+# The revised simplex against the tableau simplex it replaced, kept here as a
+# reference that also counts its pivots: both follow the same Bland pivots,
+# so they agree on x, the deficit, the Farkas vector and the pivot count.
+# ---------------------------------------------------------------------------
+
+
+def _reduced(row: list, den: int) -> tuple:
+    """``row / den`` as integers over a positive denominator, in lowest terms."""
+    if den < 0:
+        row, den = [-v for v in row], -den
+    g = math.gcd(*row, den)
+    return ([v // g for v in row], den // g) if g > 1 else (row, den)
+
+
+def tableau_find_feasible_point(rows, rhs) -> FeasibilityResult:
+    """Find ``x >= 0`` with ``rows @ x == rhs`` or report the deficit."""
+    m = len(rows)
+    if m == 0:
+        return FeasibilityResult(True, (), F(0))
+    n = len(rows[0])
+    width = n + m
+    # Row i of [A | I | b] is tab[i] / den[i], negated first if b_i < 0 so
+    # that the artificial basis is feasible.
+    tab, den, sign = [], [], []
+    for i in range(m):
+        if len(rows[i]) != n:
+            raise ValueError("ragged constraint matrix")
+        exact = [v if isinstance(v, (int, F)) else F(v) for v in (*rows[i], rhs[i])]
+        d = math.lcm(*(v.denominator for v in exact))
+        s = -1 if exact[-1] < 0 else 1
+        row = [s * v.numerator * (d // v.denominator) for v in exact]
+        tab.append(row[:n] + [d if j == i else 0 for j in range(m)] + row[n:])
+        den.append(d)
+        sign.append(s)
+    # Row m holds the reduced costs of minimizing the sum of artificials and,
+    # last, minus that sum.
+    obj_den = math.lcm(*den)
+    obj = [-sum(obj_den // den[i] * tab[i][j] for i in range(m)) for j in range(width + 1)]
+    obj[n:width] = [0] * m
+    tab.append(obj)
+    den.append(obj_den)
+    basis = [n + i for i in range(m)]
+    pivots = 0
+
+    def pivot(r: int, c: int) -> None:
+        nonlocal pivots
+        pivots += 1
+        # Row i becomes (p·T_i − T_ic·T_r) / (D_i·p); the pivot row T_r / p.
+        pr, p = tab[r], tab[r][c]
+        for i in range(m + 1):
+            f = tab[i][c]
+            if f and i != r:
+                tab[i], den[i] = _reduced([p * v - f * w for v, w in zip(tab[i], pr)], den[i] * p)
+        tab[r], den[r] = _reduced(pr, p)
+        basis[r] = c
+
+    while True:
+        obj = tab[m]
+        entering = next((j for j in range(width) if obj[j] < 0), None)
+        if entering is None:
+            break
+        # Least ratio b_i / a_i over a_i > 0, ties to the lowest basis index.
+        # The row denominator cancels, so integers compare cross-multiplied.
+        leaving = None
+        for i in range(m):
+            a = tab[i][entering]
+            if a <= 0:
+                continue
+            if leaving is not None:
+                lhs, rhs_ = tab[i][-1] * best_a, best_b * a
+                if lhs > rhs_ or (lhs == rhs_ and basis[i] > basis[leaving]):
+                    continue
+            leaving, best_b, best_a = i, tab[i][-1], a
+        if leaving is None:
+            # Phase one is bounded below by zero, so this cannot happen.
+            raise RuntimeError("phase-one ratio test failed")
+        pivot(leaving, entering)
+
+    if obj[-1] < 0:
+        # The duals of the artificial rows, 1 − reduced cost, with each row's
+        # negation undone.
+        d = den[m]
+        farkas = tuple(s * F(d - obj[n + i], d) for i, s in enumerate(sign))
+        return FeasibilityResult(False, None, F(-obj[-1], d), farkas, pivots)
+
+    # Drive leftover artificials out of the basis where possible.
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is not None:
+                pivot(i, col)
+
+    x = [F(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = F(tab[i][-1], den[i])
+    return FeasibilityResult(True, tuple(x), F(0), None, pivots)
+
+
+entries = st.one_of(st.just(0), st.just(1), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@st.composite
+def redundant_systems(draw):
+    """Up to 12 rows with rational entries and right-hand sides of either
+    sign; some rows repeat another row or sum two, right-hand side included,
+    so that artificials stay basic at zero and the drive-out runs."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                        min_size=m, max_size=m))
+    for i in range(1, m):
+        if draw(st.integers(0, 3)) == 0:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            scale = draw(st.sampled_from((0, 1, -1)))
+            rows[i] = [a + scale * b for a, b in zip(rows[j], rows[k])]
+            rhs[i] = rhs[j] + scale * rhs[k]
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=redundant_systems())
+def test_revised_simplex_follows_the_tableau_pivots(system):
+    rows, rhs = system
+    assert find_feasible_point(rows, rhs) == tableau_find_feasible_point(rows, rhs)
+
+
+def test_drive_out_pivots_on_a_negative_element():
+    # The last row is the sum of the first and third, so an artificial stays
+    # basic at zero.  The drive-out pivots on -1 and then on 2, which leaves
+    # the basis determinant negative when x is read.
+    rows = [[0, 2, 0], [-1, 0, -1], [1, -1, 0], [1, 1, 0]]
+    rhs = [2, 0, -1, 1]
+    result = find_feasible_point(rows, rhs)
+    assert result == tableau_find_feasible_point(rows, rhs)
+    assert result.x == (0, 1, 0) and result.pivots == 3
+
+
+def check_on_the_tableau(spaces, constraints):
+    with mock.patch.object(kolmogorov, "find_feasible_point", tableau_find_feasible_point):
+        return kolmogorov_check(spaces, constraints)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=constraint_sets())
+def test_filter_spends_the_tableau_solves_and_pivots(problem):
+    result = kolmogorov_check(*problem)
+    reference = check_on_the_tableau(*problem)
+    assert (result.farkas, result.solves, result.pivots) == (
+        reference.farkas, reference.solves, reference.pivots)
+    assert result == reference
+
+
+def test_benchmark_shaped_filter_spends_the_tableau_solves_and_pivots():
+    spaces = {name: list(range(5)) for name in ("x0", "x1", "x2")}
+    constraints = [MarginalConstraint(name, v, F(k, 60))
+                   for name in spaces for v, k in enumerate((7, 9, 11, 15, 18))]
+    constraints.append(JointConstraint.of({"x0": 0, "x1": 0}, 1))
+    result = kolmogorov_check(spaces, constraints)
+    reference = check_on_the_tableau(spaces, constraints)
+    assert (result.farkas, result.solves, result.pivots) == (
+        reference.farkas, reference.solves, reference.pivots)
+    assert result.pivots > result.solves > 1
+
+
+# Outcomes and declared values, each exact value in several spellings.
+spellings = {F(0): (0, "0", "0.0"), F(1, 2): ("1/2", "0.5", F(1, 2)), F(1): (1, "1", "2/2"),
+             F(-3, 2): ("-3/2", "-1.5", -1.5)}
+
+
+@st.composite
+def spelled_constraints(draw):
+    def spell(value):
+        return draw(st.sampled_from(spellings[value]))
+
+    def value():
+        # Any of the values, so it may lie outside its observable's outcomes.
+        return spell(draw(st.sampled_from(sorted(spellings))))
+
+    spaces = {name: [spell(v) for v in draw(st.lists(st.sampled_from(sorted(spellings)),
+                                                       min_size=1, max_size=3, unique=True))]
+              for name in "abc"[:draw(st.integers(1, 3))]}
+    names = sorted(spaces)
+
+    def events():
+        chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+        return {name: value() for name in chosen}
+
+    constraints = []
+    for kind in draw(st.lists(st.sampled_from("mjcr"), min_size=1, max_size=5)):
+        prob = value()
+        if kind == "m":
+            constraints.append(MarginalConstraint(draw(st.sampled_from(names)), value(), prob))
+        elif kind == "j":
+            constraints.append(JointConstraint.of(events(), prob))
+        elif kind == "c":
+            constraints.append(ConditionalConstraint.of(events(), events(), prob))
+        else:
+            constraints.append(CorrelationConstraint((draw(st.sampled_from(names)),
+                                                      draw(st.sampled_from(names))), prob))
+    return spaces, constraints
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=spelled_constraints())
+def test_position_built_rows_match_the_reference_rows(problem):
+    spaces, constraints = problem
+    names, cells, rows, rhs = kolmogorov._system(spaces, constraints, bound=10 ** 4)
+    assert cells == [tuple(F(v) for v in cell) for cell in itertools.product(*spaces.values())]
+    assert rows[0] == [1] * len(cells) and rhs[0] == 1
+    for constraint, row, target in zip(constraints, rows[1:], rhs[1:]):
+        assert (row, target) == reference_row(constraint, names, cells)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oplab import measures
 from oplab.errors import (
     ConditioningOnNull,
     DomainError,
@@ -884,6 +885,18 @@ class TestFloatKeys:
                               BorelSet.interval(cuts[0], math.inf)]:
             assert repr(m.measure_of(delta)) == repr(reference_measure_of(m, delta))
             assert outcome(m.restrict, delta) == outcome(reference_restrict, m, delta)
+
+
+def test_a_set_converts_its_endpoints_for_float_queries_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(measures, "_float_key", lambda e: calls.append(e) or _float_key(e))
+    delta = BorelSet([(F(1, 3), F(1, 2))], singletons=[F(3, 4)])
+    m = DiscreteMeasure([(0.4, 0.5), (0.75, 0.5)], "float")
+    for query in (m.measure_of, m.measure_of, DiscreteMeasure([(0.45, 1.0)], "float").measure_of):
+        query(delta)
+    assert calls == [F(1, 3), F(1, 2), F(3, 4)]
+    assert m.measure_of(delta) == 1.0
+    assert DiscreteMeasure([(F(1, 3), 1)]).measure_of(delta) == 1 and delta._floats is not None
 
 
 # Hypothesis property checks on small rational measures.

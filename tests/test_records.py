@@ -144,7 +144,8 @@ def test_records_of_different_classes_are_never_equal():
 
 def test_defaults_fill_in_and_stay_readable_on_the_class():
     assert KolmogorovResult.solves == 1 and KolmogorovResult.farkas is None
-    assert FeasibilityResult.farkas is None
+    assert KolmogorovResult.pivots == 0
+    assert FeasibilityResult.farkas is None and FeasibilityResult.pivots == 0
     assert DeclaredRelations.powers == ()
     result = KolmogorovResult(True, {}, None, F(0), ("x",))
     assert (result.farkas, result.solves) == (None, 1)
@@ -165,7 +166,7 @@ def test_repr_pins():
     assert repr(ExpectationConstraint("a", 0)) == "ExpectationConstraint(observable='a', value=0)"
     assert (repr(KolmogorovResult(True, {(1,): F(1)}, None, F(0), ("x",)))
             == "KolmogorovResult(feasible=True, joint={(1,): Fraction(1, 1)}, certificate=None,"
-               " deficit=Fraction(0, 1), observables=('x',), farkas=None, solves=1)")
+               " deficit=Fraction(0, 1), observables=('x',), farkas=None, solves=1, pivots=0)")
     assert (repr(ConditionReport("center", False, 0.25))
             == "ConditionReport(name='center', passed=False, residual=0.25, witness='')")
 
