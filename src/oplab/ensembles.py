@@ -333,16 +333,20 @@ class NaturalSubset:
         self.flags = flags
         self.label = label
 
-    def count_upto(self, n: int) -> int:
+    def _flags_upto(self, n: int) -> np.ndarray:
+        """The membership flags of 1..n, for 1 <= n <= horizon."""
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         if n > self.horizon:
             raise HorizonExceeded(f"{n} beyond horizon {self.horizon}")
-        return int(np.count_nonzero(self.flags[1 : n + 1]))
+        return self.flags[1 : n + 1]
+
+    def count_upto(self, n: int) -> int:
+        return int(np.count_nonzero(self._flags_upto(n)))
 
     def indicator(self, n: int) -> np.ndarray:
         """0/1 vector over 1..n."""
-        if n > self.horizon:
-            raise HorizonExceeded(f"{n} beyond horizon {self.horizon}")
-        return self.flags[1 : n + 1].astype(np.float64)
+        return self._flags_upto(n).astype(np.float64)
 
 
 def _checkpoints(n: int) -> Tuple[int, ...]:

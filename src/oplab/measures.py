@@ -2,9 +2,9 @@
 
 Measures are finite lists of weighted atoms.  Two arithmetic modes exist:
 ``rational`` (exact, `fractions.Fraction` everywhere, identities are
-bit-testable) and ``float`` (double precision, atoms closer than 1e-9 are
-merged).  All values are immutable after construction and every operation
-is a pure function.
+bit-testable) and ``float`` (double precision; atoms chained within 1e-9
+in every coordinate merge into their mean).  All values are immutable
+after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -240,36 +240,48 @@ def _float_key(endpoint):
 
 
 def _weighted_mean(a: tuple, b: tuple) -> tuple:
-    """Merge two rows ``(x_1, …, x_d, w)`` into ``((a·w + b·v)/(w + v), w + v)``."""
+    """Merge two rows ``(x_1, …, x_d, w)`` into ``((a·w + b·v)/(w + v), w + v)``;
+    a coordinate the two rows share stays exactly as it is."""
     w, v = a[-1], b[-1]
     total = w + v
-    return (*((x * w + y * v) / total for x, y in zip(a[:-1], b[:-1])), total)
+    return (*[x if x == y else (x * w + y * v) / total for x, y in zip(a[:-1], b[:-1])], total)
 
 
-def _float_runs(rows: list, axis: int) -> list:
-    """Sort rows stably on coordinate ``axis``, split them into runs whose
-    coordinate is within ``FLOAT_MERGE_TOL`` of the run start, and pair each
-    run with its weighted mean.
-
-    Once an ulp exceeds the tolerance, a mean can round onto or past the
-    next run's.  While a run's mean is not below the next run's on ``axis``,
-    the two runs join, so the means strictly increase on ``axis``.
-    """
-    runs = []
-    for row in sorted(rows, key=itemgetter(axis)):
-        if runs and row[axis] - start <= FLOAT_MERGE_TOL:
-            runs[-1].append(row)
-        else:
-            start = row[axis]
-            runs.append([row])
-    joined = []
-    for run in runs:
-        mean = reduce(_weighted_mean, run)
-        while joined and joined[-1][1][axis] >= mean[axis]:
-            run = joined.pop()[0] + run
-            mean = reduce(_weighted_mean, run)
-        joined.append((run, mean))
-    return joined
+def _linked_clusters(rows: list) -> list:
+    """The clusters of sorted float rows, each in sorted order, where rows
+    link when every coordinate differs by at most ``FLOAT_MERGE_TOL``.  On
+    the line they are the runs of gaps within it.  On the plane a row links
+    the rows beside its t in a window, sorted on t, of the last earlier row
+    at each t whose s links (a later row that links an earlier one links it)."""
+    parent = list(range(len(rows)))
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+    if len(rows[0]) == 2:
+        for k in range(1, len(rows)):
+            if rows[k][0] - rows[k - 1][0] <= FLOAT_MERGE_TOL:
+                parent[k] = parent[k - 1]
+    ts, last, first = [], {}, 0
+    for k, (s, t, _) in enumerate(rows if len(rows[0]) == 3 else ()):
+        while s - rows[first][0] > FLOAT_MERGE_TOL:
+            if last.get(u := rows[first][1]) == first:
+                del last[u], ts[bisect_left(ts, u)]
+            first += 1
+        lo = hi = at = bisect_left(ts, t)
+        while lo and t - ts[lo - 1] <= FLOAT_MERGE_TOL:
+            lo -= 1
+        while hi < len(ts) and ts[hi] - t <= FLOAT_MERGE_TOL:
+            hi += 1
+        for u in ts[lo:hi]:
+            parent[root(last[u])] = root(k)
+        if t not in last:
+            ts.insert(at, t)
+        last[t] = k
+    clusters: dict = {}
+    for k, row in enumerate(rows):
+        clusters.setdefault(root(k), []).append(row)
+    return list(clusters.values())
 
 
 def _canonical_atoms(rows, mode: str) -> tuple:
@@ -277,31 +289,27 @@ def _canonical_atoms(rows, mode: str) -> tuple:
 
     Sorts, drops zero weights and rejects negative ones (float mode forgives
     ``FLOAT_MASS_TOL``).  Rational mode merges equal points.  Float mode
-    splits into runs on one coordinate at a time, each run on the next (see
-    `_float_runs`), and merges each final run, in sorted order, into its
-    weighted mean; the rows come out in run order, so line points strictly
-    increase in both modes.  The result depends only on the multiset of rows.
-    """
+    merges each cluster of rows linked within ``FLOAT_MERGE_TOL`` in every
+    coordinate, in sorted order, into its weighted mean, until no two rows
+    link.  Line points strictly increase, the atoms depend only on the
+    multiset of rows, and a row that links no other changes no other atom."""
     items = []
     for row in sorted(rows):
         weight = row[-1]
-        if weight < 0:
-            if mode == RATIONAL or weight < -FLOAT_MASS_TOL:
-                point = row[0] if len(row) == 2 else row[:-1]
-                raise ValueError(f"negative weight {weight} at {point}")
-        elif not weight:
+        if weight < 0 and (mode == RATIONAL or weight < -FLOAT_MASS_TOL):
+            raise ValueError(f"negative weight {weight} at {row[0] if len(row) == 2 else row[:-1]}")
+        if weight <= 0:
             continue
-        elif mode == RATIONAL and items and items[-1][:-1] == row[:-1]:
+        if mode == RATIONAL and items and items[-1][:-1] == row[:-1]:
             items[-1] = (*row[:-1], items[-1][-1] + weight)
         else:
             items.append(row)
-    if mode == RATIONAL or not items:
-        return tuple(items)
-    runs = [items]
-    *axes, last = range(len(items[0]) - 1)
-    for axis in axes:
-        runs = [run for rows in runs for run, _ in _float_runs(rows, axis)]
-    return tuple(mean for rows in runs for _, mean in _float_runs(rows, last))
+    while mode == FLOAT and items:
+        clusters = _linked_clusters(items)
+        if len(clusters) == len(items):
+            break
+        items = sorted(reduce(_weighted_mean, rows) for rows in clusters)
+    return tuple(items)
 
 
 class _FiniteMeasure:
@@ -325,11 +333,7 @@ class _FiniteMeasure:
         return self
 
     def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.mode == other.mode
-            and self.atoms == other.atoms
-        )
+        return type(other) is type(self) and (self.mode, self.atoms) == (other.mode, other.atoms)
 
     def __hash__(self) -> int:
         return hash((self.mode, self.atoms))
@@ -736,15 +740,13 @@ class Partition:
     @classmethod
     def dyadic(cls, lo, hi, depth: int) -> "Partition":
         """2**depth equal half-open cells over [lo, hi], last cell closed."""
+        if not isinstance(depth, int) or depth < 0:
+            raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
         lo_e, hi_e = to_scalar(lo, RATIONAL), to_scalar(hi, RATIONAL)
         n = 2 ** depth
         step = (hi_e - lo_e) / n
-        cells = []
-        for k in range(n):
-            a, b = lo_e + k * step, lo_e + (k + 1) * step
-            cell = BorelSet.closed_interval(a, b) if k == n - 1 else BorelSet.interval(a, b)
-            cells.append(cell)
-        return cls((lo_e, hi_e), cells)
+        cells = [BorelSet.interval(lo_e + k * step, lo_e + (k + 1) * step) for k in range(n - 1)]
+        return cls((lo_e, hi_e), cells + [BorelSet.closed_interval(hi_e - step, hi_e)])
 
     @classmethod
     def separating(cls, measure: DiscreteMeasure) -> "Partition":
@@ -752,9 +754,7 @@ class Partition:
         support = measure.support
         if not support:
             raise ValueError("empty measure has no separating partition")
-        pts = [to_scalar(p, RATIONAL) for p in support]
-        lo = min(pts) - 1
-        hi = max(pts) + 1
+        lo, hi = to_scalar(support[0], RATIONAL) - 1, to_scalar(support[-1], RATIONAL) + 1
         return cls((lo, hi), [BorelSet.point(p) for p in support])
 
     def locate(self, x) -> int:

@@ -1,7 +1,8 @@
 """The golden corpus: small CLI configs and the pinned bytes of their outputs.
 
 ``configs/`` holds one config per case: ``kolmogorov`` feasible and
-infeasible, ``entropy`` and ``dissipation`` in each mode, ``report`` on the
+infeasible, ``entropy`` and ``dissipation`` in each mode, ``entropy`` on a
+float chain of atoms across a cell boundary, ``report`` on the
 two ``dissipation`` tables, ``simulate`` just below and just above
 ``oplab.trialcsv.FORK_MIN_TRIALS``, ``estimate``, ``spectral``,
 ``tomography`` reconstructed and unrealizable, and ``validate`` with and

@@ -174,6 +174,15 @@ class TestNaturalDensity:
         with pytest.raises(HorizonExceeded):
             natural_density(sub, 101)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_is_refused(self, n):
+        # A negative n once sliced the flags from their end: density -4/3 at -3.
+        sub = NaturalSubset(10, rule="primes")
+        for query in (lambda: natural_density(sub, n), lambda: sub.count_upto(n),
+                      lambda: sub.indicator(n)):
+            with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+                query()
+
     def test_estimates_bracket_density(self):
         sub = NaturalSubset(4096, rule="evens")
         report = natural_density(sub, 4096)

@@ -23,7 +23,6 @@ from oplab.errors import (
 from oplab.dynamics import EvolutionTrace, decompose_evolution, koopman_apply
 from oplab.information import shannon_entropy
 from oplab.measures import (
-    FLOAT_MASS_TOL,
     FLOAT_MERGE_TOL,
     MAX_SCALAR_EXPONENT,
     BorelSet,
@@ -364,32 +363,36 @@ class TestFloatMode:
         assert measures_close(a, b)
 
 
-def reference_merge_atoms(pairs, mode):
-    """The line merge before line and plane shared one canonicalizer."""
-    items = sorted((p, w) for p, w in pairs)
-    out = []
-    for point, weight in items:
-        if weight < 0:
-            if mode == "float" and weight >= -FLOAT_MASS_TOL:
-                weight = 0.0
-            else:
-                raise ValueError(f"negative weight {weight} at {point}")
-        if weight == 0:
-            continue
-        if out:
-            prev_point, prev_weight, run_start = out[-1]
-            coincident = (
-                point == prev_point
-                if mode == "rational"
-                else point - run_start <= FLOAT_MERGE_TOL
-            )
-            if coincident:
-                new_w = prev_weight + weight
-                new_p = (prev_point * prev_weight + point * weight) / new_w
-                out[-1] = (new_p, new_w, run_start)
-                continue
-        out.append((point, weight, point))
-    return tuple((p, w) for p, w, _ in out)
+def reference_float_merge(rows):
+    """The float merge by its definition, all pairs per round: rows
+    ``(x_1, …, x_d, w)`` link when every coordinate differs by at most
+    FLOAT_MERGE_TOL, each linked cluster merges, in sorted order, into its
+    weighted mean (keeping a coordinate two rows share), and rounds repeat
+    until no two rows link."""
+    def mean(a, b):
+        w, v = a[-1], b[-1]
+        return (*(x if x == y else (x * w + y * v) / (w + v)
+                  for x, y in zip(a[:-1], b[:-1])), w + v)
+
+    rows = sorted(row for row in rows if row[-1] > 0)
+    while True:
+        label = list(range(len(rows)))
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows[:i]):
+                if all(abs(x - y) <= FLOAT_MERGE_TOL for x, y in zip(a[:-1], b[:-1])):
+                    label = [label[j] if c == label[i] else c for c in label]
+        clusters = [[row for row, c in zip(rows, label) if c == k] for k in sorted(set(label))]
+        if len(clusters) == len(rows):
+            return tuple(rows)
+        rows = sorted(reduce(mean, cluster) for cluster in clusters)
+
+
+def reference_line_atoms(pairs):
+    return reference_float_merge([(p, w) for p, w in pairs])
+
+
+def reference_plane_atoms(pairs):
+    return tuple(((s, t), w) for s, t, w in reference_float_merge([(*p, w) for p, w in pairs]))
 
 
 # Float coordinates in a few clusters whose members are spaced at fractions of
@@ -405,10 +408,10 @@ float_weights = st.one_of(
 rational_coords = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
 rational_weights = st.builds(F, st.integers(0, 5), st.sampled_from([1, 4, 7]))
 
-# Weighted means at these magnitudes round by an ulp, more than
-# FLOAT_MERGE_TOL: merged run by run, the float atoms of BIG_ATOMS would sort
-# out of order and those of TWIN_ATOMS would share one point, so their runs
-# join.
+# At these magnitudes an ulp exceeds FLOAT_MERGE_TOL, so neighbouring doubles
+# do not link, and a weighted mean of unequal points rounds by an ulp.  Once,
+# when a run's mean was placed without regard to the next run, the float atoms
+# of BIG_ATOMS sorted out of order and two of TWIN_ATOMS shared one point.
 BIG = 255321120.96853784
 BIG_ATOMS = [(BIG, 0.6645385878596914), (BIG, 0.8085794114042175),
              (BIG, 0.268503178698661), (BIG, 0.3755020528476283),
@@ -422,12 +425,24 @@ TWIN_ATOMS = [(TWIN, 0.48492511222773416), (TWIN, 0.3567899645449557),
 def big_float_pairs(draw):
     """Atoms a few ulps or fractions of FLOAT_MERGE_TOL around one point of
     magnitude up to 1e15.  From about 8e6 on an ulp exceeds the tolerance, so
-    a run's weighted mean can round onto or past the next run."""
+    a weighted mean can round onto or past its neighbour."""
     centre = draw(st.floats(1e6, 1e15) | st.sampled_from([BIG, TWIN]))
     centre *= draw(st.sampled_from([1, -1]))
     step = draw(st.sampled_from([math.ulp(centre), FLOAT_MERGE_TOL / 3, FLOAT_MERGE_TOL]))
     offsets = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=10))
     return [(centre + k * step, draw(st.floats(1e-3, 1.0))) for k in offsets]
+
+
+@st.composite
+def big_float_plane(draw):
+    """Plane atoms whose s and whose t each come from `big_float_pairs`."""
+    pairs, other = draw(big_float_pairs()), draw(big_float_pairs())
+    return [((s, other[k % len(other)][0]), w) for k, (s, w) in enumerate(pairs)]
+
+
+float_line = st.lists(st.tuples(float_coords, float_weights), max_size=12)
+float_plane = st.lists(st.tuples(st.tuples(float_coords, float_coords), float_weights),
+                       max_size=12)
 
 
 class TestCanonicalAtoms:
@@ -450,9 +465,60 @@ class TestCanonicalAtoms:
         assert JointMeasure(shuffled, mode).atoms == JointMeasure(pairs, mode).atoms
 
     @settings(max_examples=300, deadline=None)
-    @given(pairs=st.lists(st.tuples(float_coords, float_weights), max_size=12))
+    @given(pairs=float_line)
     def test_float_line_atoms_match_the_reference_merge(self, pairs):
-        assert DiscreteMeasure(pairs, "float").atoms == reference_merge_atoms(pairs, "float")
+        assert DiscreteMeasure(pairs, "float").atoms == reference_line_atoms(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=float_plane)
+    def test_float_plane_atoms_match_the_reference_merge(self, pairs):
+        assert JointMeasure(pairs, "float").atoms == reference_plane_atoms(pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=big_float_pairs(), plane=big_float_plane())
+    def test_float_atoms_match_the_reference_merge_at_any_magnitude(self, line, plane):
+        assert DiscreteMeasure(line, "float").atoms == reference_line_atoms(line)
+        assert JointMeasure(plane, "float").atoms == reference_plane_atoms(plane)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=float_line | big_float_pairs(), plane=float_plane | big_float_plane())
+    def test_float_merge_is_idempotent(self, line, plane):
+        m, joint = DiscreteMeasure(line, "float"), JointMeasure(plane, "float")
+        assert DiscreteMeasure(m.atoms, "float") == m
+        assert JointMeasure(joint.atoms, "float") == joint
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), line=big_float_pairs(), plane=big_float_plane())
+    def test_float_merge_ignores_input_order_at_any_magnitude(self, data, line, plane):
+        assert DiscreteMeasure(data.draw(st.permutations(line)), "float") == DiscreteMeasure(
+            line, "float")
+        assert JointMeasure(data.draw(st.permutations(plane)), "float") == JointMeasure(
+            plane, "float")
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=float_line, plane=float_plane, x=float_coords, w=st.floats(1e-3, 1.0))
+    def test_float_merge_is_local(self, line, plane, x, w):
+        # An atom that links no other leaves every other atom as it was.
+        assert DiscreteMeasure(line + [(100.0, w)], "float").atoms == (
+            DiscreteMeasure(line, "float").atoms + ((100.0, w),))
+        far = JointMeasure(plane + [((x, 100.0), w)], "float")
+        assert far.atoms == tuple(sorted(JointMeasure(plane, "float").atoms + (((x, 100.0), w),)))
+
+    def test_float_chain_merges_once_and_for_all(self):
+        # Split from the run start, these atoms once gave (5e-10, .5) and
+        # (1.1e-9, .5), which merged when read again.
+        m = DiscreteMeasure([(0.0, .25), (1e-9, .25), (1.1e-9, .5)], "float")
+        assert len(m) == 1 and DiscreteMeasure(m.atoms, "float") == m
+        chain = DiscreteMeasure([(k * 0.9e-9, 0.01) for k in range(100)], "float")
+        assert len(chain) == 1
+
+    def test_float_plane_merge_ignores_a_far_atom(self):
+        # Through shared s-runs, the atom at t = 5 once kept the other two apart.
+        pair = [((0, 0), .5), ((7.5e-10, 0), .5)]
+        merged = JointMeasure(pair, "float")
+        assert merged.atoms == (((3.75e-10, 0.0), 1.0),)
+        far = JointMeasure(pair + [((-5e-10, 5), .5)], "float")
+        assert far.atoms == (((-5e-10, 5.0), .5),) + merged.atoms
 
     @settings(max_examples=200, deadline=None)
     @given(pairs=st.lists(st.tuples(float_coords, float_weights), max_size=12),
@@ -578,6 +644,19 @@ class TestPartition:
         assert len(part) == 8
         m = DiscreteMeasure([(0, F(1, 3)), (F(1, 2), F(1, 3)), (1, F(1, 3))])
         assert part.covers(m)
+
+    @pytest.mark.parametrize("depth", [-1, 1.5, "2"])
+    def test_dyadic_depth_must_be_a_nonnegative_integer(self, depth):
+        message = f"^depth must be a nonnegative integer, got {depth!r}$"
+        with pytest.raises(ValueError, match=message):
+            Partition.dyadic(0, 1, depth)
+
+    def test_dyadic_depth_zero_is_the_closed_window(self):
+        part = Partition.dyadic(0, 1, 0)
+        assert part.cells == (BorelSet.closed_interval(0, 1),)
+        assert Partition.dyadic(-1, 1, 2).cells == (
+            BorelSet.interval(-1, F(-1, 2)), BorelSet.interval(F(-1, 2), 0),
+            BorelSet.interval(0, F(1, 2)), BorelSet.closed_interval(F(1, 2), 1))
 
     def test_separating(self):
         m = DiscreteMeasure([(0, F(1, 2)), (5, F(1, 2))])
@@ -802,12 +881,12 @@ class TestIndexedQueries:
     def test_unsorted_and_twin_float_atoms(self):
         unsorted = DiscreteMeasure([(0.0, 0.7)] + BIG_ATOMS, "float")
         twins = DiscreteMeasure(TWIN_ATOMS, "float")
-        # The runs whose means would cross or meet join into one atom each.
-        assert len(unsorted) == 2 and len(twins) == 1
-        for m in (unsorted, twins):
-            assert all(p < q for p, q in zip(m.support, m.support[1:]))
-        assert repr(unsorted.measure_of(BorelSet.real_line())) == "3.0876988808501853"
-        assert twins.weight_at(twins.support[0]) == twins.mass
+        # Equal points merge onto themselves; the next double lies an ulp, more
+        # than the tolerance, away, so it links none of them and stays apart.
+        assert unsorted.support == (0.0, BIG, math.nextafter(BIG, math.inf))
+        assert twins.support == (TWIN, math.nextafter(TWIN, math.inf))
+        assert repr(unsorted.measure_of(BorelSet.real_line())) == "3.0876988808501857"
+        assert twins.weight_at(TWIN) == 0.48492511222773416 + 0.3567899645449557
         for m in (unsorted, twins):
             for x in m.support + (BIG, TWIN):
                 assert repr(m.weight_at(x)) == repr(reference_weight_at(m, x))
