@@ -184,8 +184,8 @@ def _cmd_estimate(args, config, inputs, footer):
     if not alpha > 0:
         raise ConfigError("inputs.alpha must be above 0")
     trace = _trial_log(args, config, inputs, footer).trace()
-    report = ensembles.estimate_probability(trace)
     stabilization = ensembles.min_trials(trace, alpha)
+    report = ensembles.estimate_probability(trace)
     rows = [
         ["p_hat", report.p_hat],
         ["horizon", report.horizon],

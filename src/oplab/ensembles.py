@@ -5,9 +5,9 @@ the log for n trials extends the log for m < n trials without recomputation:
 adding a copy to the ensemble never rewrites history.  All estimators are
 pure functions of the recorded trace; limits are never asserted from finite
 data, only diagnosed.  Generation and every reduction run over chunks with
-their running sums carried from chunk to chunk, so an estimate keeps about 2
-bytes per trial (the outcomes and the ``min_trials`` membership), and every
-value equals the whole-vector computation bit for bit.
+their running sums carried from chunk to chunk.  An estimate makes two passes
+(``min_trials``, then the Cesaro scan), keeps 1⅛ bytes per trial (outcome and
+membership bit) and equals the whole-vector computation bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _WORD = 2 ** 64
 
 # Largest ensemble run_ensemble allocates.  Generation works in steps of STEP
 # trials and the estimators in pieces of at most PIECE, so an estimate keeps
-# about 2 bytes per trial: the outcomes and the min_trials membership.
+# 1⅛ bytes per trial: the outcomes and the min_trials membership bits.
 MAX_TRIALS = 10 ** 8
 # Most entries of one piece of the frequency stream.  A piece of float64 is at
 # most 128 KiB, glibc malloc's initial mmap threshold, so its temporaries are
@@ -97,21 +97,22 @@ def _frequency_chunks(n: int, outcomes=None, frequencies=None, averages: bool = 
     The sequence is given by its 0/1 ``outcomes``, whose running success
     counts are ``counts``, or by its ``frequencies`` (``counts`` is then
     None).  The success count and the running sum are carried from chunk to
-    chunk; without ``averages``, w is None and costs nothing.  The chunks
-    hold PIECE entries each, the last one the rest.
+    chunk; without ``averages``, w is None.  The chunks hold PIECE entries
+    each, the last one the rest, in buffers the next chunk overwrites.
     """
     count = running = None
+    tallies, freqs, means = (np.empty(min(n, PIECE), t) for t in (np.int64, float, float))
     for s, e in _chunks(n, PIECE):
         idx = np.arange(s + 1, e + 1, dtype=np.float64)
+        counts, f, w = tallies[:e - s], freqs[:e - s], means[:e - s] if averages else None
         if outcomes is None:
             counts, f = None, frequencies[s:e]
         else:
-            counts = outcomes[s:e].astype(np.int64)
+            np.copyto(counts, outcomes[s:e])
             count = _cumsum_into(counts, count)
-            f = counts / idx
-        w = None
+            np.divide(counts, idx, out=f)
         if averages:
-            w = f.copy()
+            np.copyto(w, f)
             running = _cumsum_into(w, running)
             w /= idx
         yield s, e, idx, counts, f, w
@@ -202,13 +203,13 @@ class FrequencyTrace:
 
     Frequencies must lie in [0, 1].  A trace from ``TrialLog.trace`` is backed
     by the log's outcomes, and the estimators stream f and w from them; the
-    vectors ``f`` and ``w`` are built on first access and then kept.  Traces
-    built from a TrialLog also satisfy the success-count monotonicity
-    (n+1) f_{n+1} >= n f_n; synthetic traces may not, which
-    `is_count_monotone` reports.
+    vectors ``f`` and ``w`` are built on first access and then kept, and so is
+    w_n once an averaged pass has reached the horizon.  Traces built from a
+    TrialLog satisfy (n+1) f_{n+1} >= n f_n, the success-count monotonicity;
+    synthetic traces may not, which `is_count_monotone` reports.
     """
 
-    __slots__ = ("n", "_outcomes", "_f", "_w")
+    __slots__ = ("n", "_outcomes", "_f", "_w", "_w_n")
 
     def __init__(self, frequencies: Sequence[float]):
         f = np.array(frequencies, dtype=np.float64)
@@ -230,11 +231,14 @@ class FrequencyTrace:
     def _back(self, n: int, outcomes, f) -> None:
         if n == 0:
             raise ValueError("frequency trace must be a nonempty vector")
-        self.n, self._outcomes, self._f, self._w = int(n), outcomes, f, None
+        self.n, self._outcomes, self._f, self._w, self._w_n = int(n), outcomes, f, None, None
 
     def _chunks(self, averages: bool = True):
         """(s, e, idx, counts, f, w) chunk by chunk; see ``_frequency_chunks``."""
-        return _frequency_chunks(self.n, self._outcomes, self._f, averages)
+        for chunk in _frequency_chunks(self.n, self._outcomes, self._f, averages):
+            if averages and chunk[1] == self.n:
+                self._w_n = float(chunk[5][-1])
+            yield chunk
 
     def _gather(self, k: int) -> np.ndarray:
         """Field k (4 for f, 5 for w) of every chunk, as one vector."""
@@ -503,16 +507,17 @@ def estimate_probability(
     f_1 .. f_n, is w_n itself, from the same running sum as p_hat, so every
     gap on a two-point probe is exactly 0.0.
 
-    Two passes over the trace: the first gives p_hat, the second the Cesaro
-    scan.  The count monotonicity is `FrequencyTrace.is_count_monotone`,
-    which needs no pass on a trace backed by a log.
+    One pass, the Cesaro scan, after `min_trials` has kept w_n on the trace;
+    before, a first pass gives it.  The count monotonicity is
+    `FrequencyTrace.is_count_monotone`, no pass on a trace backed by a log.
     """
     n = trace.n
     if n < min_length:
         raise TooShort(f"trace length {n} < {min_length}")
-    for _, _, _, _, _, w in trace._chunks():
-        pass
-    p_hat = w_bar = float(w[-1])  # the last chunk's w ends with w_n
+    if trace._w_n is None:
+        for _ in trace._chunks():
+            pass
+    p_hat = w_bar = trace._w_n
     deviations = (np.abs(f - p_hat) for _, _, _, _, f, _ in trace._chunks(averages=False))
     kvn = _cesaro_scan(deviations, n, DEFAULT_ALPHA_GRID, _REPORT_LEVEL, _REPORT_LEVEL)
     # Stage k puts mass f_k at outcome 1 and 1 - f_k at outcome 0.
@@ -568,12 +573,19 @@ def place_selection_check(log: TrialLog) -> PlaceSelectionReport:
 @record
 class MinTrialsReport:
     alpha: float
-    membership: np.ndarray
-    """membership[m-1] says whether index m passed the stabilization test."""
+    horizon: int
+    packed_membership: bytes
+    """Bit m-1 of the bytes, little-endian within each, is membership[m-1]."""
     first_candidate: int
     first_success_index: Optional[int]
     lower_bound_at_horizon: float
     bound_holds: bool
+
+    @property
+    def membership(self) -> np.ndarray:
+        """membership[m-1] says whether index m passed the stabilization test."""
+        bits = np.frombuffer(self.packed_membership, dtype=np.uint8)
+        return np.unpackbits(bits, count=self.horizon, bitorder="little").view(bool)
 
 
 def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
@@ -585,24 +597,26 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
     is the first index from which every later index is a member: the last
     non-member plus one, or 1 when every index is a member.  The report also
     evaluates the harmonic lower bound on w_n seeded by the first success and
-    checks it against the recorded trace.  One pass over the trace.
+    checks it against the trace.  One pass, keeping w_n and one bit per index.
     """
     # Written so that NaN fails it.
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and positive")
     n = trace.n
-    membership = np.empty(n, dtype=bool)
+    packed = np.empty(-(-n // 8), dtype=np.uint8)
     # w_0 does not exist: NaN fails the first gap, which is then set to pass.
     before = np.nan
     first_success = f_at = None
     first_candidate = 1
     holds, harmonic = True, 0.0
     for s, e, idx, _, f, w in trace._chunks():
-        previous = np.concatenate(([before], w[:-1]))
-        np.less(np.abs(f - previous) / idx, 2.0 * alpha, out=membership[s:e])
-        if s == 0:
-            membership[0] = True
-        missed = np.flatnonzero(~membership[s:e])
+        gap = np.concatenate(([before], w[:-1]))
+        np.abs(np.subtract(f, gap, out=gap), out=gap)
+        member = np.divide(gap, idx, out=gap) < 2.0 * alpha
+        member[0] |= s == 0
+        # PIECE is a multiple of 8, so each piece fills whole bytes.
+        packed[s // 8:-(-e // 8)] = np.packbits(member, bitorder="little")
+        missed = np.flatnonzero(~member)
         if missed.size:
             first_candidate = s + int(missed[-1]) + 2
         before = w[-1]
@@ -617,15 +631,16 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
         if cut:
             # min propagates NaN, so this fails on a NaN as np.all would.
             holds = holds and bool(w[:cut].min() + FREQUENCY_TOL >= 0.0)
-        if cut < e - s:
-            terms = 1.0 / (idx[cut:] - first_success)
-            harmonic = _cumsum_into(terms, harmonic)
-            bounds = f_at * terms / idx[cut:]
+        if cut < e - s:  # the spent gaps' buffer takes the terms, then the bounds
+            terms = np.subtract(idx[cut:], first_success, out=gap[cut:])
+            harmonic = _cumsum_into(np.divide(1.0, terms, out=terms), harmonic)
+            bounds = np.divide(np.multiply(f_at, terms, out=terms), idx[cut:], out=terms)
             holds = holds and bool((w[cut:] + FREQUENCY_TOL >= bounds).all())
     bound = 0.0 if first_success is None else float(f_at * harmonic / n)
     return MinTrialsReport(
         alpha=float(alpha),
-        membership=membership,
+        horizon=n,
+        packed_membership=packed.tobytes(),
         first_candidate=first_candidate,
         first_success_index=first_success,
         lower_bound_at_horizon=bound,

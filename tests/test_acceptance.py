@@ -37,6 +37,7 @@ from oplab.kolmogorov import (
     CorrelationConstraint,
     JointConstraint,
     kolmogorov_check,
+    verify_farkas,
     verify_joint,
 )
 from oplab.measures import (
@@ -651,3 +652,42 @@ def test_criterion_12_cli_determinism(tmp_path):
     checks.append(("malformed config exits 1", code_err == 1))
 
     _verdict(12, "CLI determinism and exit codes", checks)
+
+
+def _chsh_constraints(vector):
+    """One correlation per compatible pair (A_i, B_j) of the CHSH setup:
+    A_1 = Z (x) I, A_2 = X (x) I, B_1 = I (x) (Z + X)/sqrt 2 and
+    B_2 = I (x) (Z - X)/sqrt 2.  Each correlation is read off the pair's joint
+    spectral measure in the pure state ``vector`` and made a rational."""
+    eye, x, z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    first = {"A1": np.kron(z, eye), "A2": np.kron(x, eye)}
+    second = {"B1": np.kron(eye, (z + x) / math.sqrt(2)),
+              "B2": np.kron(eye, (z - x) / math.sqrt(2))}
+    state = DensityState.pure(np.asarray(vector, dtype=float))
+    constraints = []
+    for a, ma in first.items():
+        for b, mb in second.items():
+            joint = joint_spectral_measure(HermitianObservable(ma), HermitianObservable(mb), state)
+            value = sum(float(s) * float(t) * float(w) for (s, t), w in joint.atoms)
+            constraints.append(CorrelationConstraint((a, b), F(value).limit_denominator(10 ** 6)))
+    return constraints
+
+
+def test_criterion_13_chsh_correlations_into_classical_verdicts():
+    """The Bell state's four correlations violate E11 + E12 + E21 - E22 <= 2
+    (Clauser, Horne, Shimony and Holt, 1969), so no joint classical model
+    exists and the Farkas vector is that inequality; |00> has one."""
+    spaces = {name: [-1, 1] for name in ("A1", "A2", "B1", "B2")}
+    bell = _chsh_constraints([1.0 / math.sqrt(2), 0.0, 0.0, 1.0 / math.sqrt(2)])
+    entangled = kolmogorov_check(spaces, bell)
+    product = _chsh_constraints([1.0, 0.0, 0.0, 0.0])
+    classical = kolmogorov_check(spaces, product)
+    _verdict(13, "CHSH correlations into classical verdicts", [
+        ("Bell state infeasible", not entangled.feasible),
+        ("Farkas vector is the CHSH inequality", entangled.farkas == (-2, 1, 1, 1, -1)),
+        ("core of 4", len(entangled.certificate) == 4),
+        ("Farkas vector verifies", verify_farkas(entangled.farkas, spaces, bell)),
+        ("|00> feasible", classical.feasible),
+        ("|00> joint verifies",
+         classical.feasible and verify_joint(classical.joint, spaces, product)),
+    ])

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oplab
 from oplab import ensembles
+from oplab.cli import main as cli_main
 from oplab.ensembles import (
     CONVERGENT,
     COUNT_MONOTONE_TOL,
@@ -327,6 +328,18 @@ class TestMinTrials:
         assert report.lower_bound_at_horizon == 0.0
         assert report.bound_holds
 
+    def test_reports_compare_and_hash_by_value(self):
+        """Reports on equal logs are equal records with equal hashes; the
+        membership is packed into bytes, so neither ``==`` nor ``hash`` meets
+        an array."""
+        n = 3 * PIECE + 5
+        first, second = (min_trials(run_ensemble(TRUTH, TARGET, n, seed=4).trace(), 0.05)
+                         for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        assert isinstance(first.packed_membership, bytes) and first.horizon == n
+        other = min_trials(run_ensemble(TRUTH, TARGET, n, seed=4).trace(), 1e-3)
+        assert other != first and not np.array_equal(other.membership, first.membership)
+
 
 class TestPlaceSelection:
     def test_even_index_subsequence_consistent(self):
@@ -355,6 +368,11 @@ class TestPlaceSelection:
 # ---------------------------------------------------------------------------
 # Chunked pipeline against whole-vector numpy references
 # ---------------------------------------------------------------------------
+
+
+def _coin(p):
+    """The truth whose target, the point 1, has probability p."""
+    return DiscreteMeasure([(0, 1 - p), (1, p)]) if 0 < p < 1 else DiscreteMeasure.dirac(int(p))
 
 
 def _ref_outcomes(p, n, seed):
@@ -531,12 +549,47 @@ class TestChunkedPipeline:
     # A long log whose last piece is short: 1 000 003 = 61 PIECE + 579.
     @example(n=1_000_003, p=F(3, 10), seed=2, alpha=0.01)
     def test_run_log(self, n, p, seed, alpha):
-        truth = DiscreteMeasure([(0, 1 - p), (1, p)]) if 0 < p < 1 else DiscreteMeasure.dirac(int(p))
-        log = run_ensemble(truth, TARGET, n, seed)
+        log = run_ensemble(_coin(p), TARGET, n, seed)
         outcomes = _ref_outcomes(p, n, seed)
         assert np.array_equal(log.outcomes, outcomes)
         _assert_matches_reference(log.trace(), np.cumsum(outcomes, dtype=np.int64)
                                   / np.arange(1, n + 1, dtype=np.float64), alpha)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([100, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 5]),
+           p=st.sampled_from([F(0), F(3, 10), F(1)]), seed=st.integers(0, 2 ** 64 - 1),
+           alpha=st.sampled_from([0.01, 0.05, 1e-7]))
+    @example(n=3 * PIECE + 5, p=F(3, 10), seed=7, alpha=0.05)
+    def test_min_trials_then_estimate_on_one_trace(self, n, p, seed, alpha):
+        """The order the CLI runs them in: ``min_trials`` keeps w_n on the
+        trace and ``estimate_probability`` reads p_hat from it, and both
+        reports equal those of a fresh trace."""
+        log = run_ensemble(_coin(p), TARGET, n, seed)
+        trace = log.trace()
+        stabilization = min_trials(trace, alpha)
+        report = estimate_probability(trace)
+        assert stabilization == min_trials(log.trace(), alpha)
+        fresh = estimate_probability(log.trace())
+        assert report == fresh and report.p_hat.hex() == fresh.p_hat.hex()
+        f, w = _ref_trace(np.cumsum(log.outcomes, dtype=np.int64)
+                          / np.arange(1, n + 1, dtype=np.float64))
+        assert report.p_hat.hex() == float(w[-1]).hex()
+        assert np.array_equal(stabilization.membership, _ref_min_trials(f, w, alpha)[0])
+
+    def test_cli_estimate_makes_two_passes(self, monkeypatch, tmp_path):
+        """``oplab estimate`` streams the log twice: ``min_trials``, then
+        the Cesaro scan."""
+        passes = []
+        stream = ensembles._frequency_chunks
+
+        def counted(*args, **kwargs):
+            passes.append(args[0])
+            return stream(*args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "_frequency_chunks", counted)
+        config = Path(__file__).resolve().parent / "golden" / "configs" / "estimate.json"
+        assert cli_main(["estimate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert passes == [131_075, 131_075]
 
     @pytest.mark.parametrize("kind", ["uniform", "negative zeros", "all negative zero",
                                       "just outside [0, 1]", "nan before the only success",
@@ -614,8 +667,9 @@ class TestChunkedPipeline:
         assert peak < 24 * n + 4 * 2 ** 20
 
     def test_estimate_keeps_about_two_bytes_per_trial(self):
-        """Beyond the outcomes and the min_trials membership (1 byte per trial
-        each), the estimators hold only chunks: no f or w as long as the log."""
+        """Beyond the outcomes (1 byte per trial) and the min_trials
+        membership (1 bit), the estimators hold only chunks: no f or w as long
+        as the log."""
         n = 2 ** 20 + 1
         tracemalloc.start()
         try:
@@ -625,7 +679,20 @@ class TestChunkedPipeline:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * n + 4 * 2 ** 20
+        assert peak < n + n // 8 + 2 * 2 ** 20
+
+    def test_min_trials_keeps_one_bit_per_trial(self):
+        """On a log built beforehand, min_trials allocates its packed
+        membership, n / 8 bytes, and chunks of fixed size."""
+        n = 2 ** 20 + 1
+        trace = run_ensemble(TRUTH, TARGET, n, seed=1).trace()
+        tracemalloc.start()
+        try:
+            min_trials(trace, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n / 8 + 2 ** 20
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
     def test_estimate_process_peak_barely_grows_with_trials(self, tmp_path):
