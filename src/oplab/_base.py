@@ -126,7 +126,9 @@ def record(cls):
     and then calling ``__post_init__`` if the class has one, the dataclass
     ``repr`` (``Name(field=value, ...)``), equality with instances of the
     same class only, the hash of the field tuple, and ``FrozenRecordError``
-    (an AttributeError) on assignment or deletion.
+    (an AttributeError) on assignment or deletion.  A class whose field holds
+    a value that has no hash defines ``_key``, the tuple that equality and
+    hashing take in place of the field tuple.
     """
     names = tuple(cls.__annotations__)
     own = vars(cls)
@@ -148,13 +150,15 @@ def record(cls):
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{type(self).__qualname__}({inner})"
 
+    key = own.get("_key", fields)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return fields(self) == fields(other)
+            return key(self) == key(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(fields(self))
+        return hash(key(self))
 
     for method in (__init__, __repr__, __eq__, __hash__):
         method.__qualname__ = f"{qualname}.{method.__name__}"

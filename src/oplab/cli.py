@@ -22,6 +22,7 @@ from .errors import NoRealizableFrame, OplabError, SingularFrame
 from .serialization import (
     ConfigError,
     constraint_of,
+    decode_config,
     ensemble_of,
     evolution_of,
     field,
@@ -104,15 +105,17 @@ def _load_config(path: Path) -> tuple:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    digest = hashlib.sha256(raw).hexdigest()
     try:
-        config = json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+        del raw  # the decoder needs only the text
+        config = decode_config(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    digest = hashlib.sha256(raw).hexdigest()
     return config, digest
 
 

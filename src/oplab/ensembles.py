@@ -131,6 +131,12 @@ class TrialLog:
     def __post_init__(self):
         object.__setattr__(self, "outcomes", np.asarray(self.outcomes, dtype=np.uint8))
 
+    def _key(self) -> tuple:
+        """The field tuple with the outcomes as their bytes, so that logs
+        compare and hash by value."""
+        return (self.seed, self.truth, self.target, self.outcomes.tobytes(),
+                self.success_probability)
+
     @property
     def n(self) -> int:
         return int(self.outcomes.size)

@@ -22,12 +22,21 @@ its path, down to single scalars:
   strictly increasing``), so a valid config pays nothing for the walk;
 - a label that refers to another part of the config, such as an observable
   named by a constraint or a relation, is checked where it is read.
+
+`decode_config` reads a config's text as ``json.loads`` does, except that an
+object member whose value is a rectangular block of [re, im] pairs becomes
+its complex array at once, parsed by json's own number parser piece by piece.
+A d x d matrix then costs its 16 bytes per entry, not a Python list and two
+floats per entry (about 120 bytes).  `matrix_from_json` takes such a block as
+it is; every other reader sees the lists that ``json.loads`` gives.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from functools import partial
+from json.decoder import WHITESPACE, scanstring
 from typing import Mapping
 
 from . import _np as np
@@ -37,6 +46,129 @@ from ._base import RATIONAL, _to_endpoint, to_scalar
 
 class ConfigError(Exception):
     """A config that cannot be read; the message names the field at fault."""
+
+
+_DECODER = json.JSONDecoder()
+# What str.translate deletes: all but the brackets and commas of a block,
+# and the brackets of a piece of its numbers.
+_SKELETON = str.maketrans("", "", "0123456789+-.eE \t\n\r")
+_BRACKETS = str.maketrans("", "", "[]")
+_PIECE = 1 << 16  # characters of a block handed to json at a time
+
+
+class _Block:
+    """A rows x cols block of [re, im] pairs of finite numbers, read from
+    ``text[start:end]`` a piece at a time: its complex ``array``, and its own
+    text only when it has an integer token, so that `lists` gives back what
+    ``json.loads`` gives.  ValueError when the span is not such a block."""
+
+    __slots__ = ("array", "text")
+
+    def __init__(self, text: str, start: int, end: int):
+        skeleton = "".join([text[at:min(at + _PIECE, end)].translate(_SKELETON)
+                            for at in range(start, end, _PIECE)])
+        cols = skeleton.find("]]") // 4
+        row = "[" + ",".join(["[,]"] * cols) + "]"
+        rows = len(skeleton) // (len(row) + 1)
+        if skeleton != "[" + ",".join([row] * rows) + "]":
+            raise ValueError("not a block of [re, im] pairs")
+        ints = False
+
+        def integer(token):
+            # complex(int, 0) reads an integer as float(int) does, -0 as 0.0.
+            nonlocal ints
+            ints = True
+            return float(int(token))
+
+        numbers = json.JSONDecoder(parse_int=integer)
+        parts = np.empty(2 * rows * cols)
+        at, filled = start, 0
+        while at < end:
+            cut = text.find(",", at + _PIECE, end)
+            if cut < 0:
+                cut = end
+            piece = numbers.decode("[" + text[at:cut].translate(_BRACKETS) + "]")
+            parts[filled:filled + len(piece)] = piece
+            filled += len(piece)
+            at = cut + 1
+        if filled != parts.size or not np.isfinite(parts).all():
+            raise ValueError("not a block of finite numbers")
+        self.array = parts.view(np.complex128).reshape(rows, cols)
+        self.text = text[start:end] if ints else None
+
+    def lists(self) -> list:
+        if self.text is not None:
+            return json.loads(self.text)
+        return self.array.view(np.float64).reshape(*self.array.shape, 2).tolist()
+
+
+def _plain(value):
+    """``value`` as ``json.loads`` gives it."""
+    return value.lists() if isinstance(value, _Block) else value
+
+
+def decode_config(text: str):
+    """``json.loads(text)``, except that an object member whose value opens
+    with three brackets and is a rows x cols block of [re, im] pairs of
+    finite numbers is read into a `_Block`.  The block keeps no reference to
+    ``text``.  On any error the text goes to ``json.loads``, which raises its
+    own error."""
+    try:
+        value, end = _value(text, _skip(text, 0))
+        if _skip(text, end) == len(text):
+            return value
+    except Exception:  # the fallback raises json's error, or reads the text
+        pass
+    return json.loads(text)
+
+
+def _skip(text: str, at: int) -> int:
+    return WHITESPACE.match(text, at).end()
+
+
+def _value(text: str, at: int) -> tuple:
+    """The JSON value at ``at`` and its end; an object's members are walked
+    here, every other value goes to json."""
+    if not text.startswith("{", at):
+        return _DECODER.raw_decode(text, at)
+    found = {}
+    at = _skip(text, at + 1)
+    if text.startswith("}", at):
+        return found, at + 1
+    while True:
+        if not text.startswith('"', at):
+            raise ValueError("expected a key")
+        key, at = scanstring(text, at + 1)
+        at = _skip(text, at)
+        if not text.startswith(":", at):
+            raise ValueError("expected ':'")
+        at = _skip(text, at + 1)
+        found[key], at = _block(text, at) or _value(text, at)
+        at = _skip(text, at)
+        if text.startswith("}", at):
+            return found, at + 1
+        if not text.startswith(",", at):
+            raise ValueError("expected ',' or '}'")
+        at = _skip(text, at + 1)
+
+
+def _block(text: str, at: int):
+    """The `_Block` of the member value at ``at`` and its end, or None.  A
+    block holds no string and no object, so it ends at the last ']' before
+    the next '"' or '}'."""
+    second = _skip(text, at + 1)
+    if not (text.startswith("[", at) and text.startswith("[", second)
+            and text.startswith("[", _skip(text, second + 1))):
+        return None
+    stop = text.find("}", at)
+    quote = text.find('"', at, stop)
+    end = text.rfind("]", at, stop if quote < 0 else quote) + 1
+    if stop < 0 or end <= at:
+        return None
+    try:
+        return _Block(text, at, end), end
+    except Exception:  # any doubt: json reads the value
+        return None
 
 
 _REQUIRED = object()
@@ -51,6 +183,7 @@ def _as(value, kind):
     is a JSON number or a string that ``float()`` reads, and finite.  Neither
     is ever a boolean.  Other kinds are JSON types, taken as they are.
     """
+    value = _plain(value)
     if kind is not int and kind is not float:
         return value if isinstance(value, kind) else None
     if isinstance(value, bool) or not isinstance(value, (str, int, kind)):
@@ -103,6 +236,7 @@ def _fault(node, shape, where: str):
     tuple of shapes, a list of that many entries that fit them in turn; or a
     dict of shapes, an object whose fields, where present, fit theirs.
     """
+    node = _plain(node)
     if callable(shape):
         try:
             shape(node)
@@ -149,10 +283,10 @@ _rational = partial(to_scalar, mode=RATIONAL)
 
 
 def _part(value) -> None:
-    """Leaf check of a matrix entry's real or imaginary part: a JSON number
-    that ``complex()`` takes, finite as a double."""
+    """Leaf check of a matrix entry's real or imaginary part: a JSON number,
+    not a boolean, that ``complex()`` takes, finite as a double."""
     try:
-        finite = math.isfinite(complex(value, 0).real)
+        finite = not isinstance(value, bool) and math.isfinite(complex(value, 0).real)
     except (TypeError, OverflowError):
         finite = False
     if not finite:
@@ -230,7 +364,10 @@ def evolution_of(payload: Mapping, mode: str, where: str = "inputs") -> dynamics
 
 def matrix_from_json(payload, where: str = "matrix") -> np.ndarray:
     """A complex matrix from a non-empty list of equally long rows of
-    [re, im] pairs of finite numbers."""
+    [re, im] pairs of finite numbers, or from a block that `decode_config`
+    read, which is its array already."""
+    if isinstance(payload, _Block):
+        return payload.array
     return _built(lambda: _finite(_complex_rows(payload)), where, payload, [[(_part, _part)]])
 
 
@@ -253,10 +390,14 @@ def _complex_rows(payload) -> np.ndarray:
 
 def _complex_pairs(payload, name: str) -> np.ndarray:
     """``complex(re, im)`` of each [re, im] pair in ``payload``, which keeps
-    both parts bit for bit, ``-0.0`` included."""
+    both parts bit for bit, ``-0.0`` included; a boolean part is refused."""
     if not isinstance(payload, list) or not payload:
         raise ValueError(f"{name} must be a non-empty list of [re, im] pairs")
-    return np.asarray([complex(real, imag) for real, imag in payload], dtype=complex)
+    values = [complex(real, imag) for real, imag in payload
+              if bool not in (real.__class__, imag.__class__)]
+    if len(values) != len(payload):
+        raise ValueError("a part is a boolean")
+    return np.asarray(values, dtype=complex)
 
 
 def _finite(array: np.ndarray) -> np.ndarray:

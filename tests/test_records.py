@@ -12,7 +12,7 @@ import pytest
 import oplab
 from oplab import _base
 from oplab.algebra import ConditionReport, DeclaredRelations
-from oplab.ensembles import TrialLog
+from oplab.ensembles import TrialLog, run_ensemble
 from oplab.kolmogorov import (
     ConditionalConstraint,
     CorrelationConstraint,
@@ -54,9 +54,6 @@ def _records() -> list:
 
 
 ALL = _records()
-# TrialLog coerces its outcomes to a numpy array, which has no hash and no
-# truth value, so the generic cases leave it to its own tests.
-GENERIC = [cls for cls in ALL if cls is not TrialLog]
 
 
 def _fields(cls) -> tuple:
@@ -64,7 +61,18 @@ def _fields(cls) -> tuple:
 
 
 def _values(cls) -> tuple:
-    return tuple(f"{cls.__name__}.{name}" for name in _fields(cls))
+    """A label per field, except TrialLog's outcomes: a uint8 array, which
+    the log keeps as it is given."""
+    values = tuple(f"{cls.__name__}.{name}" for name in _fields(cls))
+    if cls is TrialLog:
+        return values[:3] + (np.array([0, 1, 1], dtype=np.uint8),) + values[4:]
+    return values
+
+
+def _key(values: tuple) -> tuple:
+    """``values`` with each array as its bytes, which is what equality and
+    hashing compare."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
 
 
 def test_every_layer_record_is_found_and_none_is_a_dataclass():
@@ -88,7 +96,7 @@ def test_the_decorator_generates_no_source():
     assert not calls & {"exec", "eval", "compile"}
 
 
-@pytest.mark.parametrize("cls", GENERIC, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", ALL, ids=lambda cls: cls.__name__)
 class TestEveryRecord:
     def test_construction_by_position_and_keyword(self, cls):
         names, values = _fields(cls), _values(cls)
@@ -124,7 +132,7 @@ class TestEveryRecord:
     def test_equality_and_hash_follow_the_field_tuple(self, cls):
         values = _values(cls)
         a, b = cls(*values), cls(*values)
-        assert a == b and hash(a) == hash(b) == hash(values)
+        assert a == b and hash(a) == hash(b) == hash(_key(values))
         assert a != cls(*values[:-1], "other")
         assert a != values and values != a
 
@@ -134,7 +142,7 @@ class TestEveryRecord:
 
 
 def test_records_of_different_classes_are_never_equal():
-    for first, second in itertools.combinations(GENERIC, 2):
+    for first, second in itertools.combinations(ALL, 2):
         if len(_fields(first)) == len(_fields(second)):
             values = tuple(range(len(_fields(first))))
             assert first(*values) != second(*values), (first.__name__, second.__name__)
@@ -200,5 +208,12 @@ class TestTrialLog:
         log = self._log([1])
         assert log == log
         assert log != tuple(getattr(log, name) for name in TrialLog.__annotations__)
-        with pytest.raises(TypeError):
-            hash(log)  # the outcomes array has no hash, as under a dataclass
+
+    def test_equality_and_hash_read_the_outcomes_by_value(self):
+        truth = DiscreteMeasure([(0, F(1, 2)), (1, F(1, 2))])
+        first, again = (run_ensemble(truth, BorelSet.point(1), 100, 1) for _ in range(2))
+        assert first.outcomes is not again.outcomes
+        assert first == again and hash(first) == hash(again)
+        assert first != first.prefix(99)
+        assert self._log([0, 1]) != self._log([1, 0])
+        assert len({self._log([0, 1]), self._log(np.array([0, 1])), self._log([1, 1])}) == 2

@@ -1,17 +1,24 @@
+import json
 import math
+import re
+import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oplab import serialization
 from oplab.cli import format_scalar
 from oplab.measures import BorelSet, DiscreteMeasure, Partition, to_scalar
 from oplab.serialization import (
     ConfigError,
     borel_from_json,
     constraint_of,
+    decode_config,
+    field,
     labsystem_from_json,
     matrix_from_json,
     measure_from_json,
@@ -126,6 +133,10 @@ class TestMatrices:
                      id="payload10-matrix part that is NaN"),
         pytest.param([[[math.inf, 0]]], "matrix[0][0][0]: not a finite number",
                      id="payload11-matrix part that is infinite"),
+        pytest.param([[[True, False]]], "matrix[0][0][0]: not a finite number",
+                     id="matrix part that is a boolean"),
+        pytest.param([[[1, 0]], [[0, False]]], "matrix[1][0][1]: not a finite number",
+                     id="matrix imaginary part that is a boolean"),
     ])
     def test_matrix_entries_must_be_pairs_of_numbers(self, payload, message):
         with pytest.raises(ConfigError) as info:
@@ -134,7 +145,7 @@ class TestMatrices:
         assert str(info.value).endswith(message)
 
     @pytest.mark.parametrize("payload", [[], [[1, 0], [2]], [[1, 0], "ab"], "ab",
-                                         [[1, -math.inf]]])
+                                         [[1, -math.inf]], [[True, 0]], [[1, 0], [0, False]]])
     def test_vector_entries_must_be_pairs_of_numbers(self, payload):
         with pytest.raises(ConfigError, match="vector"):
             vector_from_json(payload)
@@ -153,6 +164,117 @@ class TestMatrices:
         assert set(again.observables) == {"z"}
         assert again.suitability == system.suitability
         assert np.allclose(again.states["mix"].matrix, system.states["mix"].matrix)
+
+
+# Tokens that json.dumps never writes, put in the text in place of these ints.
+_TOKENS = {-7777: "-0", -8888: "1e400"}
+_PART = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(sorted(_TOKENS)),
+    st.sampled_from([2 ** 64 - 1, 2 ** 64 + 1, -(2 ** 70), 10 ** 400]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308]),
+)
+_PAIR = st.tuples(_PART, _PART).map(list)
+_MATRIX = st.one_of(
+    st.integers(1, 3).flatmap(lambda cols: st.lists(
+        st.lists(_PAIR, min_size=cols, max_size=cols), min_size=1, max_size=3)),
+    st.lists(st.lists(_PAIR, max_size=3), max_size=3),  # ragged or empty rows
+)
+_STYLES = [{"separators": (",", ":")}, {}, {"indent": 1}, {"indent": "\t"}]
+_EDIT = st.one_of(st.none(), st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                        st.integers(0, 10 ** 6),
+                                        st.sampled_from('[]{},:" -+.eE0159tnfxa\n')))
+
+
+def _mutated(text: str, edit) -> str:
+    if edit is None:
+        return text
+    how, at, char = edit
+    at %= len(text) + 1
+    if how == "insert":
+        return text[:at] + char + text[at:]
+    return text[:at] + (char if how == "replace" else "") + text[at + 1:]
+
+
+def _read(loads, text: str) -> list:
+    """What ``loads`` and the matrix reader make of the members ``inputs.m``
+    and ``m`` of ``text``: each matrix's bytes, or the error's type and
+    message."""
+    found = []
+    for path in (("inputs", "m"), ("m",)):
+        try:
+            payload = loads(text)
+            for depth, name in enumerate(path):
+                payload = field(payload, name, ".".join(("config",) + path[:depth]))
+            matrix = matrix_from_json(payload, ".".join(path))
+            found.append((matrix.shape, matrix.tobytes()))
+        except Exception as exc:
+            found.append((type(exc), str(exc)))
+    return found
+
+
+def _as_loaded(value):
+    if isinstance(value, dict):
+        return {key: _as_loaded(entry) for key, entry in value.items()}
+    return serialization._plain(value)
+
+
+class TestConfigDecoder:
+    """`decode_config` reads blocks of [re, im] pairs straight into arrays;
+    every value, error and message must be what ``json.loads`` and the list
+    reader give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=_MATRIX, second=_MATRIX, style=st.sampled_from(_STYLES), edit=_EDIT,
+           piece=st.sampled_from([1, 2, 7, 1 << 16]))
+    def test_decoder_reads_what_json_loads_reads(self, first, second, style, edit, piece):
+        config = {"kind": "spectral", "inputs": {"m": first, "n": [1, "x"]}, "m": second}
+        text = json.dumps(config, **style)
+        for value, token in _TOKENS.items():
+            text = text.replace(str(value), token)
+        text = _mutated(text, edit)
+        with mock.patch.object(serialization, "_PIECE", piece):
+            assert _read(decode_config, text) == _read(json.loads, text)
+            try:
+                expected = json.loads(text)
+            except Exception as exc:
+                with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
+                    decode_config(text)
+            else:
+                assert repr(_as_loaded(decode_config(text))) == repr(expected)
+
+    def test_large_block_is_read_bit_for_bit_across_pieces(self):
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        matrix[0, 0], matrix[64, 3], matrix[127, 127] = complex(-0.0, 5e-324), 1e308, -0.0
+        payload = [[[z.real, z.imag] for z in row] for row in matrix]
+        payload[1][1] = [2 ** 64 + 1, -0]
+        for style in _STYLES:
+            text = json.dumps({"inputs": {"observable": payload}}, **style)
+            block = decode_config(text)["inputs"]["observable"]
+            assert isinstance(block, serialization._Block)
+            got = matrix_from_json(block)
+            assert got.tobytes() == matrix_from_json(json.loads(text)["inputs"]["observable"]).tobytes()
+            assert got[0, 0].real.hex() == "-0x0.0p+0" and got[1, 1] == complex(2 ** 64 + 1, 0)
+
+    def test_a_compact_matrix_config_allocates_under_half_of_json_loads(self):
+        rng = np.random.default_rng(7)
+        matrix = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        text = json.dumps({"kind": "spectral", "inputs": {"observable": [
+            [[z.real, z.imag] for z in row] for row in matrix]}}, separators=(",", ":"))
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        decoded = peak(lambda: matrix_from_json(decode_config(text)["inputs"]["observable"]))
+        loaded = peak(lambda: json.loads(text))
+        assert decoded < loaded / 2, (decoded, loaded)
 
 
 class TestRelationsAndProblems:
