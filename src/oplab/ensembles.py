@@ -118,6 +118,14 @@ def _frequency_chunks(n: int, outcomes=None, frequencies=None, averages: bool = 
         yield s, e, idx, counts, f, w
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Whether neither ``array`` nor the array whose data it views can be
+    written."""
+    base = array.base
+    return not array.flags.writeable and (
+        base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
+
+
 @record
 class TrialLog:
     """Bit sequence of successes for one simulated ensemble."""
@@ -129,7 +137,14 @@ class TrialLog:
     success_probability: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", np.asarray(self.outcomes, dtype=np.uint8))
+        # The log compares and hashes by its outcomes, so it keeps them
+        # read-only: a given array is copied unless no one can write it.
+        given = self.outcomes
+        outcomes = np.asarray(given, dtype=np.uint8)
+        if (outcomes is given or outcomes.base is not None) and not _frozen(outcomes):
+            outcomes = outcomes.copy()
+        outcomes.flags.writeable = False
+        object.__setattr__(self, "outcomes", outcomes)
 
     def _key(self) -> tuple:
         """The field tuple with the outcomes as their bytes, so that logs
@@ -200,6 +215,7 @@ def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) ->
         cut = np.uint64(threshold)
         for s, e in _chunks(n):
             np.less(counter_words(seed, s + 1, e - s), cut, out=outcomes[s:e])
+    outcomes.flags.writeable = False  # the log keeps it without a copy
     return TrialLog(seed=seed, truth=truth, target=target,
                     outcomes=outcomes, success_probability=p_exact)
 

@@ -24,11 +24,12 @@ its path, down to single scalars:
   named by a constraint or a relation, is checked where it is read.
 
 `decode_config` reads a config's text as ``json.loads`` does, except that an
-object member whose value is a rectangular block of [re, im] pairs becomes
-its complex array at once, parsed by json's own number parser piece by piece.
-A d x d matrix then costs its 16 bytes per entry, not a Python list and two
-floats per entry (about 120 bytes).  `matrix_from_json` takes such a block as
-it is; every other reader sees the lists that ``json.loads`` gives.
+object member whose value is a rectangular block of [re, im] pairs of float
+tokens becomes its complex array at once, parsed by json's own number parser
+piece by piece.  A d x d matrix then costs its 16 bytes per entry, not a
+Python list and two floats per entry (about 120 bytes).  `matrix_from_json`
+takes such a block as it is; every other reader sees the lists that
+``json.loads`` gives.
 """
 
 from __future__ import annotations
@@ -49,20 +50,27 @@ class ConfigError(Exception):
 
 
 _DECODER = json.JSONDecoder()
-# What str.translate deletes: all but the brackets and commas of a block,
-# and the brackets of a piece of its numbers.
+# What str.translate deletes from a block to leave its brackets and commas;
+# a piece of its numbers has its brackets turned to spaces, so two numbers
+# that touch a bracket stay two tokens and json refuses them.
 _SKELETON = str.maketrans("", "", "0123456789+-.eE \t\n\r")
-_BRACKETS = str.maketrans("", "", "[]")
+_BRACKETS = str.maketrans("[]", "  ")
 _PIECE = 1 << 16  # characters of a block handed to json at a time
 
 
-class _Block:
-    """A rows x cols block of [re, im] pairs of finite numbers, read from
-    ``text[start:end]`` a piece at a time: its complex ``array``, and its own
-    text only when it has an integer token, so that `lists` gives back what
-    ``json.loads`` gives.  ValueError when the span is not such a block."""
+def _integer(token):
+    raise ValueError("an integer token")  # json.loads keeps it an int
 
-    __slots__ = ("array", "text")
+
+_NUMBERS = json.JSONDecoder(parse_int=_integer)
+
+
+class _Block:
+    """A rows x cols block of [re, im] pairs of finite float tokens, read
+    from ``text[start:end]`` a piece at a time into its complex ``array``.
+    ValueError when the span is not such a block."""
+
+    __slots__ = ("array",)
 
     def __init__(self, text: str, start: int, end: int):
         skeleton = "".join([text[at:min(at + _PIECE, end)].translate(_SKELETON)
@@ -72,33 +80,21 @@ class _Block:
         rows = len(skeleton) // (len(row) + 1)
         if skeleton != "[" + ",".join([row] * rows) + "]":
             raise ValueError("not a block of [re, im] pairs")
-        ints = False
-
-        def integer(token):
-            # complex(int, 0) reads an integer as float(int) does, -0 as 0.0.
-            nonlocal ints
-            ints = True
-            return float(int(token))
-
-        numbers = json.JSONDecoder(parse_int=integer)
         parts = np.empty(2 * rows * cols)
         at, filled = start, 0
         while at < end:
             cut = text.find(",", at + _PIECE, end)
             if cut < 0:
                 cut = end
-            piece = numbers.decode("[" + text[at:cut].translate(_BRACKETS) + "]")
+            piece = _NUMBERS.decode("[" + text[at:cut].translate(_BRACKETS) + "]")
             parts[filled:filled + len(piece)] = piece
             filled += len(piece)
             at = cut + 1
         if filled != parts.size or not np.isfinite(parts).all():
             raise ValueError("not a block of finite numbers")
         self.array = parts.view(np.complex128).reshape(rows, cols)
-        self.text = text[start:end] if ints else None
 
     def lists(self) -> list:
-        if self.text is not None:
-            return json.loads(self.text)
         return self.array.view(np.float64).reshape(*self.array.shape, 2).tolist()
 
 
@@ -110,8 +106,8 @@ def _plain(value):
 def decode_config(text: str):
     """``json.loads(text)``, except that an object member whose value opens
     with three brackets and is a rows x cols block of [re, im] pairs of
-    finite numbers is read into a `_Block`.  The block keeps no reference to
-    ``text``.  On any error the text goes to ``json.loads``, which raises its
+    finite float tokens is read into a `_Block`; an integer token leaves the
+    member to json.  The block keeps no reference to ``text``.  On any error the text goes to ``json.loads``, which raises its
     own error."""
     try:
         value, end = _value(text, _skip(text, 0))

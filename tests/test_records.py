@@ -61,11 +61,13 @@ def _fields(cls) -> tuple:
 
 
 def _values(cls) -> tuple:
-    """A label per field, except TrialLog's outcomes: a uint8 array, which
-    the log keeps as it is given."""
+    """A label per field, except TrialLog's outcomes: a read-only uint8
+    array, which the log keeps as it is given."""
     values = tuple(f"{cls.__name__}.{name}" for name in _fields(cls))
     if cls is TrialLog:
-        return values[:3] + (np.array([0, 1, 1], dtype=np.uint8),) + values[4:]
+        outcomes = np.array([0, 1, 1], dtype=np.uint8)
+        outcomes.flags.writeable = False
+        return values[:3] + (outcomes,) + values[4:]
     return values
 
 
@@ -217,3 +219,21 @@ class TestTrialLog:
         assert first != first.prefix(99)
         assert self._log([0, 1]) != self._log([1, 0])
         assert len({self._log([0, 1]), self._log(np.array([0, 1])), self._log([1, 1])}) == 2
+
+    def test_writing_to_the_given_array_leaves_the_log_as_it_was(self):
+        given = np.array([0, 1], dtype=np.uint8)
+        log = self._log(given)
+        logs, before = {log}, hash(log)
+        given[0] = 1
+        assert log.outcomes.tolist() == [0, 1] and hash(log) == before and log in logs
+        with pytest.raises(ValueError):
+            log.outcomes[0] = 1
+        view = given.view()
+        view.flags.writeable = False  # read-only, but its base is not
+        assert self._log(view).outcomes is not view
+
+    def test_a_run_and_its_prefixes_share_their_outcomes(self):
+        truth = DiscreteMeasure([(0, F(1, 2)), (1, F(1, 2))])
+        log = run_ensemble(truth, BorelSet.point(1), 100, 1)
+        assert not log.outcomes.flags.writeable
+        assert log.prefix(10).outcomes.base is log.outcomes

@@ -249,14 +249,31 @@ class TestConfigDecoder:
         matrix = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
         matrix[0, 0], matrix[64, 3], matrix[127, 127] = complex(-0.0, 5e-324), 1e308, -0.0
         payload = [[[z.real, z.imag] for z in row] for row in matrix]
-        payload[1][1] = [2 ** 64 + 1, -0]
         for style in _STYLES:
             text = json.dumps({"inputs": {"observable": payload}}, **style)
             block = decode_config(text)["inputs"]["observable"]
             assert isinstance(block, serialization._Block)
             got = matrix_from_json(block)
             assert got.tobytes() == matrix_from_json(json.loads(text)["inputs"]["observable"]).tobytes()
-            assert got[0, 0].real.hex() == "-0x0.0p+0" and got[1, 1] == complex(2 ** 64 + 1, 0)
+            assert got[0, 0].real.hex() == "-0x0.0p+0" and got[64, 3] == 1e308
+
+    @pytest.mark.parametrize("text", [
+        '{"m": [[[1,2]3]]}', '{"m": [[[1.5,2.5]3]]}', '{"m": [[[1.0,2.0]e5]]}',
+        '{"m": [[5[1,2]]]}', '{"m": [[[1.5, 2.5], 5[3.5, 4.5]]]}',
+        '{"m": [[[1.5, 2.5],\n  5.5[3.5, 4.5]]]}',
+    ])
+    def test_numbers_that_touch_a_bracket_raise_json_error(self, text):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError, match="^" + re.escape(str(expected.value)) + "$"):
+            decode_config(text)
+
+    def test_an_integer_token_leaves_the_member_to_json(self):
+        text = '{"m": [[[1.5, 2], [2.5, -0]]], "n": [[[1.5, 2.0], [2.5, 0.0]]]}'
+        decoded = decode_config(text)
+        assert decoded["m"] == json.loads(text)["m"]
+        assert isinstance(decoded["n"], serialization._Block)
+        assert matrix_from_json(decoded["m"]).tobytes() == matrix_from_json(decoded["n"]).tobytes()
 
     def test_a_compact_matrix_config_allocates_under_half_of_json_loads(self):
         rng = np.random.default_rng(7)
