@@ -25,11 +25,12 @@ its path, down to single scalars:
 
 `decode_config` reads a config's text as ``json.loads`` does, except that an
 object member whose value is a rectangular block of [re, im] pairs of float
-tokens becomes its complex array at once, parsed by json's own number parser
-piece by piece.  A d x d matrix then costs its 16 bytes per entry, not a
-Python list and two floats per entry (about 120 bytes).  `matrix_from_json`
-takes such a block as it is; every other reader sees the lists that
-``json.loads`` gives.
+tokens becomes its complex array at once.  Its walk checks each block's
+bracket skeleton; `oplab._blocks` parses the numbers of all blocks with
+json's own number parser, in this process and a forked worker.  A d x d
+matrix then costs its 16 bytes per entry, not a Python list and two floats
+per entry (about 120 bytes).  `matrix_from_json` takes such a block as it
+is; every other reader sees the lists that ``json.loads`` gives.
 """
 
 from __future__ import annotations
@@ -50,27 +51,17 @@ class ConfigError(Exception):
 
 
 _DECODER = json.JSONDecoder()
-# What str.translate deletes from a block to leave its brackets and commas;
-# a piece of its numbers has its brackets turned to spaces, so two numbers
-# that touch a bracket stay two tokens and json refuses them.
+# What str.translate deletes from a block to leave its brackets and commas.
 _SKELETON = str.maketrans("", "", "0123456789+-.eE \t\n\r")
-_BRACKETS = str.maketrans("[]", "  ")
 _PIECE = 1 << 16  # characters of a block handed to json at a time
 
 
-def _integer(token):
-    raise ValueError("an integer token")  # json.loads keeps it an int
-
-
-_NUMBERS = json.JSONDecoder(parse_int=_integer)
-
-
 class _Block:
-    """A rows x cols block of [re, im] pairs of finite float tokens, read
-    from ``text[start:end]`` a piece at a time into its complex ``array``.
-    ValueError when the span is not such a block."""
+    """A rows x cols block of [re, im] pairs at ``text[start:end]``, by its
+    bracket skeleton; `oplab._blocks` reads its numbers into its complex
+    ``array``.  ValueError when the skeleton is not such a block."""
 
-    __slots__ = ("array",)
+    __slots__ = ("start", "end", "shape", "array")
 
     def __init__(self, text: str, start: int, end: int):
         skeleton = "".join([text[at:min(at + _PIECE, end)].translate(_SKELETON)
@@ -80,22 +71,10 @@ class _Block:
         rows = len(skeleton) // (len(row) + 1)
         if skeleton != "[" + ",".join([row] * rows) + "]":
             raise ValueError("not a block of [re, im] pairs")
-        parts = np.empty(2 * rows * cols)
-        at, filled = start, 0
-        while at < end:
-            cut = text.find(",", at + _PIECE, end)
-            if cut < 0:
-                cut = end
-            piece = _NUMBERS.decode("[" + text[at:cut].translate(_BRACKETS) + "]")
-            parts[filled:filled + len(piece)] = piece
-            filled += len(piece)
-            at = cut + 1
-        if filled != parts.size or not np.isfinite(parts).all():
-            raise ValueError("not a block of finite numbers")
-        self.array = parts.view(np.complex128).reshape(rows, cols)
+        self.start, self.end, self.shape, self.array = start, end, (rows, cols), None
 
     def lists(self) -> list:
-        return self.array.view(np.float64).reshape(*self.array.shape, 2).tolist()
+        return self.array.view(np.float64).reshape(*self.shape, 2).tolist()
 
 
 def _plain(value):
@@ -106,12 +85,25 @@ def _plain(value):
 def decode_config(text: str):
     """``json.loads(text)``, except that an object member whose value opens
     with three brackets and is a rows x cols block of [re, im] pairs of
-    finite float tokens is read into a `_Block`; an integer token leaves the
-    member to json.  The block keeps no reference to ``text``.  On any error the text goes to ``json.loads``, which raises its
-    own error."""
+    finite float tokens becomes a `_Block`, which keeps no reference to
+    ``text``.
+
+    The walk checks each block's bracket skeleton and parses no number.
+    `oplab._blocks` then reads the numbers of every block at once; a block
+    with an integer token, a non-finite value or a token json refuses goes
+    back to json, which reads its member as lists.  On any other error the
+    text goes to ``json.loads``, which raises its own error.
+    """
     try:
-        value, end = _value(text, _skip(text, 0))
+        members = []
+        value, end = _value(text, _skip(text, 0), members)
         if _skip(text, end) == len(text):
+            if members:
+                from . import _blocks
+                _blocks.read(text, [found[key] for found, key in members], _PIECE)
+            for found, key in members:
+                if found[key].array is None:  # json ends it where the walk did
+                    found[key] = _DECODER.raw_decode(text, found[key].start)[0]
             return value
     except Exception:  # the fallback raises json's error, or reads the text
         pass
@@ -122,9 +114,10 @@ def _skip(text: str, at: int) -> int:
     return WHITESPACE.match(text, at).end()
 
 
-def _value(text: str, at: int) -> tuple:
+def _value(text: str, at: int, members: list) -> tuple:
     """The JSON value at ``at`` and its end; an object's members are walked
-    here, every other value goes to json."""
+    here, every other value goes to json.  Each member that is a `_Block`
+    is added to ``members`` as its object and key."""
     if not text.startswith("{", at):
         return _DECODER.raw_decode(text, at)
     found = {}
@@ -139,7 +132,9 @@ def _value(text: str, at: int) -> tuple:
         if not text.startswith(":", at):
             raise ValueError("expected ':'")
         at = _skip(text, at + 1)
-        found[key], at = _block(text, at) or _value(text, at)
+        found[key], at = _block(text, at) or _value(text, at, members)
+        if isinstance(found[key], _Block):
+            members.append((found, key))
         at = _skip(text, at)
         if text.startswith("}", at):
             return found, at + 1
@@ -163,7 +158,7 @@ def _block(text: str, at: int):
         return None
     try:
         return _Block(text, at, end), end
-    except Exception:  # any doubt: json reads the value
+    except ValueError:  # any doubt: json reads the value
         return None
 
 

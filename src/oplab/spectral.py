@@ -80,6 +80,15 @@ def _frame_diagonal(frame: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", frame.conj(), matrix @ frame).real
 
 
+def _point(evals: np.ndarray, group: slice) -> float:
+    """The spectral point of a group of eigenvalues: their ``np.mean``.  A
+    lone eigenvalue is its own mean, and ``+ 0.0`` turns -0.0 into 0.0 as
+    ``np.mean`` does, without its per-call cost."""
+    if group.stop - group.start == 1:
+        return float(evals[group.start] + 0.0)
+    return float(np.mean(evals[group]))
+
+
 class HermitianObservable:
     """A d x d Hermitian matrix with eigendecomposition and deduped spectrum.
 
@@ -102,7 +111,7 @@ class HermitianObservable:
         radius = float(np.max(np.abs(evals))) if evals.size else 0.0
         self.dedup_tol = DEDUP_REL_TOL * max(1.0, radius)
         self._groups = _group_eigenvalues(evals, self.dedup_tol)
-        self.spectrum = tuple(float(np.mean(evals[g])) for g in self._groups)
+        self.spectrum = tuple(_point(evals, g) for g in self._groups)
 
     # -- spectral projectors ---------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Shared generators for the test suite; everything is seeded."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -68,3 +69,35 @@ def rng():
 @pytest.fixture
 def nprng():
     return np.random.default_rng(90125)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """pids of the workers forked from this process."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@pytest.fixture
+def parent(tmp_path):
+    """Fails the test if a worker returns into it (the marker file)."""
+    pid = os.getpid()
+    yield pid
+    if os.getpid() != pid:
+        (tmp_path / "worker_returned").touch()
+        os._exit(0)
+    assert not (tmp_path / "worker_returned").exists()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -22,7 +22,7 @@ from oplab import cli, trialcsv
 from oplab.cli import main
 from oplab.ensembles import MAX_TRIALS, PIECE
 
-from conftest import CHUNK
+from conftest import CHUNK, assert_no_child_left
 
 SIMULATE = {
     "kind": "simulate",
@@ -884,36 +884,6 @@ class TestSimulateWorker:
     """The two-process ``simulate`` writer gives the serial loop's bytes, and
     its worker never outlives the call or returns into the caller."""
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """pids of the workers forked from this process."""
-        pids = []
-        real_fork = os.fork
-
-        def counting_fork():
-            pid = real_fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return pids
-
-    @pytest.fixture
-    def parent(self, tmp_path):
-        """Fails the test if a worker returns into it (the marker file)."""
-        pid = os.getpid()
-        yield pid
-        if os.getpid() != pid:
-            (tmp_path / "worker_returned").touch()
-            os._exit(0)
-        assert not (tmp_path / "worker_returned").exists()
-
-    @staticmethod
-    def _assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("p", ["0", "3/10", "1"])
     @pytest.mark.parametrize("trials", [1, trialcsv.FORK_MIN_TRIALS - 1, trialcsv.FORK_MIN_TRIALS,
                                         PIECE - 1, PIECE, PIECE + 1, CHUNK - 1, CHUNK, CHUNK + 1,
@@ -927,7 +897,7 @@ class TestSimulateWorker:
         assert len(forks) == (1 if trials >= trialcsv.FORK_MIN_TRIALS else 0)
         assert forked == serial
         assert serial.count(b"\n") == 1 + trials + 3  # header, rows, footer
-        self._assert_no_child_left()
+        assert_no_child_left()
 
     def test_failing_worker_is_replaced_by_the_parent(self, tmp_path, monkeypatch, forks, parent):
         monkeypatch.setattr(trialcsv, "available_cpus", lambda: 1)
@@ -943,7 +913,7 @@ class TestSimulateWorker:
         monkeypatch.setattr(trialcsv, "available_cpus", lambda: 2)
         assert _simulate(tmp_path, CHUNK + 1, name="forked") == serial
         assert len(forks) == 1
-        self._assert_no_child_left()
+        assert_no_child_left()
 
     def test_parent_failure_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, forks,
                                                        parent):
@@ -970,7 +940,7 @@ class TestSimulateWorker:
         assert len(forks) == 1
         # Killed, not left to format its 2·CHUNK rows.
         assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
-        self._assert_no_child_left()
+        assert_no_child_left()
 
     def test_failing_worker_never_returns_into_the_caller(self, tmp_path):
         config = _simulate_config(tmp_path, CHUNK + 1)
@@ -1031,7 +1001,7 @@ class TestSimulateWorker:
         # worker's 4·CHUNK rows at once would add well over 8 MB.
         unit = 1 if sys.platform == "darwin" else 1024
         assert (grown[8 * CHUNK] - grown[2 * CHUNK]) * unit < 8 * 2 ** 20, grown
-        self._assert_no_child_left()
+        assert_no_child_left()
 
 
 class TestNumpyOnFirstUse:

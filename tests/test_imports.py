@@ -174,6 +174,24 @@ def test_classical_jobs_load_no_dataclasses_inspect_or_numpy(tmp_path):
     assert ran == set(CLASSICAL)
 
 
+def test_classical_jobs_load_no_block_reader(tmp_path):
+    """No classical golden config holds a block of [re, im] pairs, so no
+    classical job loads `oplab._blocks` or the ``mmap`` it reads into; a
+    ``spectral`` job loads both."""
+    ran = set()
+    for config in configs():
+        kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
+        if kind not in CLASSICAL + ("spectral",):
+            continue
+        ran.add(kind)
+        local = tmp_path / config.name
+        shutil.copyfile(config, local)
+        modules, _ = _run("oplab.cli", kind, "--config", str(local), "--out", str(tmp_path))
+        loaded = [name for name in ("oplab._blocks", "mmap") if name in modules]
+        assert loaded == ([] if kind in CLASSICAL else ["oplab._blocks", "mmap"]), config.name
+    assert ran == set(CLASSICAL + ("spectral",))
+
+
 # Reads oplab.kolmogorov_check twice, and prints the type and message of what
 # each read raised.
 _READ_TWICE = """

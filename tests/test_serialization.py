@@ -1,7 +1,12 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 from fractions import Fraction as F
 from unittest import mock
 
@@ -10,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplab import serialization
+from oplab import _blocks, serialization
 from oplab.cli import format_scalar
 from oplab.measures import BorelSet, DiscreteMeasure, Partition, to_scalar
 from oplab.serialization import (
@@ -29,6 +34,8 @@ from oplab.serialization import (
 )
 from oplab.spectral import DensityState, HermitianObservable, LabSystem
 from oplab.algebra import ReconstructionProblem
+
+from conftest import assert_no_child_left
 
 
 class TestScalars:
@@ -292,6 +299,174 @@ class TestConfigDecoder:
         decoded = peak(lambda: matrix_from_json(decode_config(text)["inputs"]["observable"]))
         loaded = peak(lambda: json.loads(text))
         assert decoded < loaded / 2, (decoded, loaded)
+
+
+def _config_text(first, second, style, edit) -> str:
+    config = {"kind": "spectral", "inputs": {"m": first, "n": [1, "x"]}, "m": second}
+    text = json.dumps(config, **style)
+    for value, token in _TOKENS.items():
+        text = text.replace(str(value), token)
+    return _mutated(text, edit)
+
+
+def _decoded(text: str) -> tuple:
+    """What `decode_config` and the matrix reader make of ``text``: the
+    matrices' bytes and the decoded value's ``repr``, or the error."""
+    try:
+        whole = repr(_as_loaded(decode_config(text)))
+    except Exception as exc:
+        whole = (type(exc), str(exc))
+    return _read(decode_config, text), whole
+
+
+def _blocks_payload(d: int, seed: int) -> dict:
+    """Three d x d blocks of [re, im] pairs, ``a``, ``b`` and ``c``."""
+    rng = np.random.default_rng(seed)
+    return {name: [[[float(x), float(y)] for x, y in zip(*rng.standard_normal((2, d)))]
+                   for _ in range(d)] for name in ("a", "b", "c")}
+
+
+# Runs the CLI in argv[2:] with `oplab._blocks` seeing argv[1] CPUs, and
+# prints its exit code and the number of workers it forked.
+_COUNTED_CLI = """
+import os, sys
+from oplab import _blocks, cli
+forks, real_fork = [], os.fork
+def counting_fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counting_fork
+_blocks.available_cpus = lambda: int(sys.argv[1])
+print(cli.main(sys.argv[2:]), len(forks))
+"""
+
+
+class TestTwoProcessRead:
+    """With two CPUs and enough text, `decode_config` reads the numbers of
+    its blocks in this process and a forked worker; every value, error and
+    failure path must give what the one-process read gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(first=_MATRIX, second=_MATRIX, style=st.sampled_from(_STYLES), edit=_EDIT,
+           piece=st.sampled_from([1, 2, 7, 1 << 16]))
+    def test_two_processes_read_what_one_reads(self, first, second, style, edit, piece):
+        text = _config_text(first, second, style, edit)
+        with mock.patch.object(serialization, "_PIECE", piece), \
+                mock.patch.object(_blocks, "FORK_MIN_CHARS", 0):
+            with mock.patch.object(_blocks, "available_cpus", lambda: 1):
+                alone = _decoded(text)
+            with mock.patch.object(_blocks, "available_cpus", lambda: 2):
+                assert _decoded(text) == alone
+        assert_no_child_left()
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(_blocks, "FORK_MIN_CHARS", 0)
+        monkeypatch.setattr(_blocks, "available_cpus", lambda: 2)
+        monkeypatch.setattr(serialization, "_PIECE", 64)
+
+    def test_a_failing_worker_is_replaced_by_the_command(self, two_cpus, monkeypatch, forks,
+                                                          parent):
+        text = json.dumps(_blocks_payload(8, 1))
+        real = _blocks._take
+
+        def fails_in_worker(text, pieces, order, doubles, flags):
+            if os.getpid() != parent:  # takes the last piece, then fails
+                flags[len(pieces) - 1] = _blocks._TAKEN
+                raise RuntimeError("worker fails")
+            deadline = time.monotonic() + 30  # the command stops at the worker's piece
+            while not flags[len(pieces) - 1] and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return real(text, pieces, order, doubles, flags)
+
+        monkeypatch.setattr(_blocks, "_take", fails_in_worker)
+        decoded = decode_config(text)
+        assert len(forks) == 1
+        for name, rows in json.loads(text).items():
+            assert isinstance(decoded[name], serialization._Block)
+            assert matrix_from_json(decoded[name]).tobytes() == matrix_from_json(rows).tobytes()
+        assert_no_child_left()
+
+    def test_a_failing_command_kills_and_reaps_the_worker(self, two_cpus, monkeypatch, forks,
+                                                          parent):
+        def fails_in_command(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("command fails")
+            time.sleep(60)
+
+        statuses = []
+        real_waitpid = os.waitpid
+
+        def recording_waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(_blocks, "_take", fails_in_command)
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+        text = json.dumps(_blocks_payload(4, 2))
+        with pytest.raises(RuntimeError, match="command fails"):
+            _blocks.read(text, [serialization._Block(text, text.index("[["), text.index("]]]") + 3)],
+                         64)
+        assert len(forks) == 1
+        # Killed, not left to sleep.
+        assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
+        assert_no_child_left()
+        # Through the decoder, json then reads the whole config.
+        assert decode_config(text) == json.loads(text)
+        assert len(forks) == 2 and len(statuses) == 2
+        assert_no_child_left()
+
+    def test_an_integer_in_the_workers_first_piece_leaves_only_its_member_to_json(
+            self, two_cpus, monkeypatch, forks, parent):
+        payload = _blocks_payload(8, 3)
+        payload["c"][-1][-1][1] = 7  # an integer token, in the last piece
+        text = json.dumps(payload)
+        flags = []
+        real = _blocks._take
+
+        def worker_first(text, pieces, order, doubles, flags_):
+            if os.getpid() == parent:  # wait until the worker has read the last piece
+                flags.append(flags_)
+                deadline = time.monotonic() + 30
+                while flags_[len(pieces) - 1] != _blocks._BAD and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            return real(text, pieces, order, doubles, flags_)
+
+        monkeypatch.setattr(_blocks, "_take", worker_first)
+        expected = json.loads(text)
+        decoded = decode_config(text)
+        assert len(forks) == 1 and flags
+        assert decoded["c"] == expected["c"]
+        for name in ("a", "b"):
+            assert isinstance(decoded[name], serialization._Block)
+            assert decoded[name].lists() == expected[name]
+        assert_no_child_left()
+
+    def test_spectral_above_the_threshold_runs_clean_under_warnings_as_errors(self, tmp_path):
+        rng = np.random.default_rng(11)
+        d = 64
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        observable, rho = (m + m.conj().T) / 2, m @ m.conj().T
+        rho /= np.trace(rho).real
+        config = tmp_path / "spectral.json"
+        config.write_text(json.dumps({"kind": "spectral", "inputs": {
+            "observable": [[[z.real, z.imag] for z in row] for row in observable],
+            "state": [[[z.real, z.imag] for z in row] for row in rho]}}), encoding="utf-8")
+        assert len(config.read_text()) >= _blocks.FORK_MIN_CHARS
+        env = {**os.environ, "PYTHONPATH": str(Path(_blocks.__file__).parents[1])}
+        out = {}
+        for cpus, forked in ((1, 0), (2, 1)):
+            done = subprocess.run(
+                [sys.executable, "-W", "error", "-c", _COUNTED_CLI, str(cpus), "spectral",
+                 "--config", str(config), "--out", str(tmp_path / str(cpus))],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0 and done.stderr == "", done.stderr
+            assert done.stdout.split()[-2:] == ["0", str(forked)]
+            out[cpus] = (tmp_path / str(cpus) / "spectral.csv").read_bytes()
+        assert out[1] == out[2]
 
 
 class TestRelationsAndProblems:

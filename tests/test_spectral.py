@@ -19,6 +19,7 @@ from oplab.spectral import (
     DensityState,
     HermitianObservable,
     Question,
+    _point,
     epsilon_decomposition,
     functional_calc,
     joint_operator,
@@ -75,6 +76,18 @@ class TestConstruction:
     def test_degenerate_spectrum_dedup(self):
         obs = HermitianObservable(np.diag([1.0, 1.0 + 1e-12, 3.0]))
         assert len(obs.spectrum) == 2
+
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 5e-324, 1e308, -1e308])
+    def test_a_lone_eigenvalue_is_its_mean_to_the_bit(self, value):
+        evals = np.array([value])
+        assert _point(evals, slice(0, 1)).hex() == float(np.mean(evals)).hex()
+
+    def test_spectral_points_are_the_group_means_to_the_bit(self, nprng):
+        degenerate = HermitianObservable(np.diag([-1.0, -1.0 + 1e-12, -0.0, 0.0, 2.5, 2.5, 7.0]))
+        for obs in [degenerate] + [random_hermitian(nprng, d) for d in (1, 3, 16)]:
+            means = [float(np.mean(obs.eigenvalues[g])).hex() for g in obs._groups]
+            assert [point.hex() for point in obs.spectrum] == means
+        assert len(degenerate.spectrum) == 4
 
     def test_density_state_validation(self):
         with pytest.raises(ValueError):
