@@ -62,8 +62,9 @@ def _fork():
         return None
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns on fork with other threads alive (numpy's
-            # BLAS pool); no worker makes a BLAS call.
+            # Python 3.12+ warns on fork with other threads alive: numpy's
+            # BLAS pool, which only a library caller has, since `oplab.cli`
+            # pins BLAS to one thread.  No worker makes a BLAS call.
             warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
                                     DeprecationWarning)
             return os.fork()

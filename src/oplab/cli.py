@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 
+# The thread counts that numpy's BLAS reads once, when numpy loads.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def format_scalar(q: Fraction) -> str:
     """``q`` as an exact string: a terminating decimal where the denominator
@@ -388,6 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # One BLAS thread, whatever the caller set: the last bits of eigh and
+        # of matrix products follow OpenBLAS's thread count, which follows the
+        # CPUs, and the outputs must not.  Once numpy is loaded this does
+        # nothing, so a caller that loaded it keeps its environment.
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
     args = build_parser().parse_args(argv)
     try:
         config, digest = _load_config(Path(args.config))

@@ -51,8 +51,8 @@ class ConfigError(Exception):
 
 
 _DECODER = json.JSONDecoder()
-# What str.translate deletes from a block to leave its brackets and commas.
-_SKELETON = str.maketrans("", "", "0123456789+-.eE \t\n\r")
+# What bytes.translate deletes from a block to leave its brackets and commas.
+_SKELETON = b"0123456789+-.eE \t\n\r"
 _PIECE = 1 << 16  # characters of a block handed to json at a time
 
 
@@ -64,12 +64,13 @@ class _Block:
     __slots__ = ("start", "end", "shape", "array")
 
     def __init__(self, text: str, start: int, end: int):
-        skeleton = "".join([text[at:min(at + _PIECE, end)].translate(_SKELETON)
-                            for at in range(start, end, _PIECE)])
-        cols = skeleton.find("]]") // 4
-        row = "[" + ",".join(["[,]"] * cols) + "]"
+        pieces = (text[at:min(at + _PIECE, end)] for at in range(start, end, _PIECE))
+        # A non-ASCII character raises UnicodeEncodeError, a ValueError.
+        skeleton = b"".join([piece.encode("ascii").translate(None, _SKELETON) for piece in pieces])
+        cols = skeleton.find(b"]]") // 4
+        row = b"[" + b",".join([b"[,]"] * cols) + b"]"
         rows = len(skeleton) // (len(row) + 1)
-        if skeleton != "[" + ",".join([row] * rows) + "]":
+        if skeleton != b"[" + b",".join([row] * rows) + b"]":
             raise ValueError("not a block of [re, im] pairs")
         self.start, self.end, self.shape, self.array = start, end, (rows, cols), None
 

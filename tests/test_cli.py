@@ -857,12 +857,14 @@ SIMULATE_P = {"0": [["0", "1"]], "3/10": [["0", "7/10"], ["1", "3/10"]], "1": [[
 SRC = Path(oplab.__file__).resolve().parent.parent
 
 
-def _python(tmp_path, args, stdin=None):
-    """Run ``python ARGS`` in a fresh interpreter that imports this oplab."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _python(tmp_path, args, stdin=None, env=None, preexec_fn=None):
+    """Run ``python ARGS`` in a fresh interpreter that imports this oplab,
+    with ``env`` over this process's environment (a None value unsets)."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, input=stdin,
-                          capture_output=True, text=True, timeout=120)
+                          preexec_fn=preexec_fn, capture_output=True, text=True, timeout=120)
 
 
 def _simulate_config(tmp_path, trials, p="3/10"):
@@ -1041,3 +1043,70 @@ class TestNumpyOnFirstUse:
             ["dissipation", 0, False],
             ["spectral", 0, True],
         ]
+
+
+class TestBlasPin:
+    """The CLI runs BLAS on one thread, set before numpy loads and over the
+    caller's variables, so its bytes follow neither the CPUs nor those
+    variables.  The library sets nothing."""
+
+    NO_BLAS = dict.fromkeys(cli.BLAS_THREAD_VARIABLES)
+    SHOW_BLAS = "print(json.dumps([os.environ.get(name) for name in %r]))" % (
+        cli.BLAS_THREAD_VARIABLES,)
+
+    def test_spectral_bytes_follow_neither_cpus_nor_callers_threads(self, tmp_path):
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+        if len(cpus) < 2:
+            pytest.skip("needs two CPUs")
+        # A seeded d = 128 config: with OpenBLAS on two threads, about a third
+        # of its weights differ in the last digit from one thread's.
+        rng = np.random.default_rng(128)
+        m = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        rho = m @ m.conj().T
+        pairs = lambda a: [[[z.real, z.imag] for z in row] for row in a.tolist()]
+        config = write_config(tmp_path, {"kind": "spectral", "inputs": {
+            "observable": pairs((m + m.conj().T) / 2),
+            "state": pairs(rho / np.trace(rho).real)}}, "spectral_128.json")
+        first = min(cpus)
+        runs = {
+            "one_cpu": (self.NO_BLAS, lambda: os.sched_setaffinity(0, {first})),
+            "every_cpu": (self.NO_BLAS, None),
+            "two_threads": ({**self.NO_BLAS, "OPENBLAS_NUM_THREADS": "2"}, None),
+        }
+        tables = []
+        for name, (env, preexec_fn) in runs.items():
+            done = _python(tmp_path, ["-m", "oplab.cli", "spectral", "--config", str(config),
+                                      "--out", name], env=env, preexec_fn=preexec_fn)
+            assert done.returncode == 0, done.stderr
+            tables.append((tmp_path / name / "spectral.csv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+
+    def test_the_library_sets_no_blas_variable(self, tmp_path):
+        probe = ("import json, os\n"
+                 "import oplab\n"
+                 "z = oplab.HermitianObservable([[1.0, 0.0], [0.0, -1.0]])\n"
+                 "oplab.spectral_measure(z, oplab.DensityState.maximally_mixed(2))\n"
+                 + self.SHOW_BLAS + "\n")
+        done = _python(tmp_path, ["-c", probe], env=self.NO_BLAS)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [None, None, None]
+
+    @pytest.mark.parametrize("numpy_loaded,expected", [
+        (False, ["1", "1", "1"]),
+        (True, ["2", None, None]),
+    ])
+    def test_main_pins_blas_only_before_numpy_loads(self, tmp_path, numpy_loaded, expected):
+        config = write_config(tmp_path, SPECTRAL, "spectral.json")
+        probe = ("import contextlib, io, json, os, sys\n"
+                 + ("import numpy\n" if numpy_loaded else "")
+                 + "from oplab import cli\n"
+                 "before = dict(os.environ)\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    assert cli.main(sys.argv[1:]) == 0\n"
+                 "print(json.dumps(dict(os.environ) == before))\n"
+                 + self.SHOW_BLAS + "\n")
+        done = _python(tmp_path, ["-c", probe, "spectral", "--config", str(config), "--out", "out"],
+                       env={**self.NO_BLAS, "OPENBLAS_NUM_THREADS": "2"})
+        assert done.returncode == 0, done.stderr
+        unchanged, seen = map(json.loads, done.stdout.splitlines())
+        assert unchanged is numpy_loaded and seen == expected

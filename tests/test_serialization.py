@@ -191,7 +191,7 @@ _MATRIX = st.one_of(
 _STYLES = [{"separators": (",", ":")}, {}, {"indent": 1}, {"indent": "\t"}]
 _EDIT = st.one_of(st.none(), st.tuples(st.sampled_from(["replace", "insert", "delete"]),
                                         st.integers(0, 10 ** 6),
-                                        st.sampled_from('[]{},:" -+.eE0159tnfxa\n')))
+                                        st.sampled_from('[]{},:" -+.eE0159tnfxa\n\u00a0\u0663')))
 
 
 def _mutated(text: str, edit) -> str:
@@ -274,6 +274,20 @@ class TestConfigDecoder:
             json.loads(text)
         with pytest.raises(json.JSONDecodeError, match="^" + re.escape(str(expected.value)) + "$"):
             decode_config(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"m": [[[1.5,\u00a02.5]]]}', '{"m": [[[1.5, 2.5]\u00a0]]}', '{"m": [[[1.5, \u06632.5]]]}',
+        '{"m": [[[1.5, 2.\u0663]]]}', '{"m": [[[1.5, 2.5], [\u0663, 0.5]]]}',
+        '{"m\u00e9": [[[1.5, 2.5]]], "n": "\u0663\u00a0"}',
+    ])
+    def test_a_non_ascii_character_reads_as_json_reads_it(self, text):
+        try:
+            expected = json.loads(text)
+        except Exception as exc:
+            with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
+                decode_config(text)
+        else:
+            assert repr(_as_loaded(decode_config(text))) == repr(expected)
 
     def test_an_integer_token_leaves_the_member_to_json(self):
         text = '{"m": [[[1.5, 2], [2.5, -0]]], "n": [[[1.5, 2.0], [2.5, 0.0]]]}'
@@ -371,13 +385,17 @@ class TestTwoProcessRead:
                                                           parent):
         text = json.dumps(_blocks_payload(8, 1))
         real = _blocks._take
+        calls = []
 
         def fails_in_worker(text, pieces, order, doubles, flags):
             if os.getpid() != parent:  # takes the last piece, then fails
                 flags[len(pieces) - 1] = _blocks._TAKEN
                 raise RuntimeError("worker fails")
-            deadline = time.monotonic() + 30  # the command stops at the worker's piece
-            while not flags[len(pieces) - 1] and time.monotonic() < deadline:
+            calls.append(order)
+            # The command's first call stops at the worker's piece; its second,
+            # after the worker failed, reads that piece again without a wait.
+            deadline = time.monotonic() + 30
+            while len(calls) == 1 and not flags[len(pieces) - 1] and time.monotonic() < deadline:
                 time.sleep(0.001)
             return real(text, pieces, order, doubles, flags)
 
