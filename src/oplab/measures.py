@@ -39,6 +39,7 @@ FLOAT_MERGE_TOL = 1e-9
 FLOAT_MASS_TOL = 1e-12
 # Default weight tolerance of `measures_close`.
 CLOSE_WEIGHT_TOL = 1e-9
+_start = itemgetter(0)  # the left end of a piece, the point of an atom
 
 
 def is_unit_mass(mass: Scalar, mode: str) -> bool:
@@ -90,35 +91,43 @@ def _same_mode(*objects) -> str:
 class BorelSet:
     """Finite union of half-open intervals ``[lo, hi)`` and isolated points.
 
-    The representation is canonical: intervals are disjoint, sorted and
-    maximal (touching intervals are merged), singletons are sorted and never
-    lie inside an interval.  Endpoints are exact rationals, with ``±inf``
-    allowed for unbounded intervals.
+    The representation is canonical: pairwise disjoint pieces sorted by left
+    end, an interval as ``(lo, hi)`` and a singleton as ``(s, s)``, where
+    touching intervals are merged and no singleton lies inside an interval.
+    Endpoints are exact rationals, with ``±inf`` allowed for unbounded
+    intervals.  ``Partition`` tags the same pieces with their cell.
     """
 
-    __slots__ = ("intervals", "singletons", "_floats")
+    __slots__ = ("_pieces", "_floats")
 
     def __init__(self, intervals: Iterable = (), singletons: Iterable = ()):
-        ivs = []
+        pieces = []
         for lo, hi in intervals:
             lo_e, hi_e = _to_endpoint(lo), _to_endpoint(hi)
             if not lo_e < hi_e:
                 raise ValueError(f"empty interval [{lo}, {hi})")
-            ivs.append((lo_e, hi_e))
-        ivs.sort()  # exact: Fractions and the ±inf sentinels compare correctly
-        merged: list = []
-        for lo_e, hi_e in ivs:
-            if merged and lo_e <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi_e))
-            else:
-                merged.append((lo_e, hi_e))
-        points = sorted({to_scalar(s, RATIONAL) for s in singletons})
-        kept = tuple(
-            p for p in points if not any(lo <= p < hi for lo, hi in merged)
-        )
-        self.intervals = tuple(merged)
-        self.singletons = kept
+            pieces.append((lo_e, hi_e))
+        pieces += [(p := to_scalar(s, RATIONAL), p) for s in singletons]
+        pieces.sort(key=_start)  # stable: an interval before a singleton at its left end
+        kept = pieces[:1]
+        for a, b in pieces[1:]:
+            start, end = kept[-1]
+            if a < b and a <= end:  # an interval touching the last piece: merge
+                kept[-1] = (start, max(end, b))
+            elif a < b or not (a < end or a == start):  # not a singleton inside it
+                kept.append((a, b))
+        self._pieces = tuple(kept)
         self._floats = None
+
+    @property
+    def intervals(self) -> tuple:
+        """The intervals ``(lo, hi)``, sorted."""
+        return tuple(p for p in self._pieces if p[0] != p[1])
+
+    @property
+    def singletons(self) -> tuple:
+        """The isolated points, sorted."""
+        return tuple(a for a, b in self._pieces if a == b)
 
     # -- constructors -------------------------------------------------------
 
@@ -147,7 +156,7 @@ class BorelSet:
     # -- predicates ----------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not self.intervals and not self.singletons
+        return not self._pieces
 
     def __bool__(self) -> bool:
         return not self.is_empty()
@@ -156,15 +165,13 @@ class BorelSet:
         """Membership test.
 
         ``singleton_tol`` widens singleton atoms to ``|x - s| <= tol``; it is
-        meant for inexact spectra matched against exact sets.  Interval
-        membership is always exact.
+        meant for inexact spectra matched against exact sets, and tests every
+        piece.  Interval membership is always exact.
         """
-        for lo, hi in self.intervals:
-            if lo <= x < hi:
-                return True
+        pieces = _index(self, isinstance(x, float))
         if singleton_tol:
-            return any(abs(x - s) <= singleton_tol for s in self.singletons)
-        return any(x == s for s in self.singletons)
+            return any(abs(x - a) <= singleton_tol if a == b else a <= x < b for a, b in pieces)
+        return _find(pieces, x) >= 0
 
     def __contains__(self, x) -> bool:
         return self.contains(x)
@@ -194,17 +201,13 @@ class BorelSet:
     # -- plumbing ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BorelSet)
-            and self.intervals == other.intervals
-            and self.singletons == other.singletons
-        )
+        return isinstance(other, BorelSet) and self._pieces == other._pieces
 
     def __hash__(self) -> int:
-        return hash((self.intervals, self.singletons))
+        return hash(self._pieces)
 
     def describe(self) -> str:
-        """Compact human-readable form, e.g. ``[0,1) ∪ {2}``."""
+        """Compact human-readable form, e.g. ``[0,1) u {2}``."""
         parts = [f"[{lo},{hi})" for lo, hi in self.intervals]
         if self.singletons:
             parts.append("{" + ",".join(str(s) for s in self.singletons) + "}")
@@ -212,14 +215,6 @@ class BorelSet:
 
     def __repr__(self) -> str:
         return f"BorelSet({self.describe()})"
-
-    def _float_keys(self) -> tuple:
-        """The intervals and singletons with `_float_key` endpoints, built
-        on the first float query."""
-        if self._floats is None:
-            self._floats = ([(_float_key(lo), _float_key(hi)) for lo, hi in self.intervals],
-                            [_float_key(s) for s in self.singletons])
-        return self._floats
 
 
 def _float_key(endpoint):
@@ -232,6 +227,30 @@ def _float_key(endpoint):
     except OverflowError:
         return endpoint
     return key if key == endpoint else endpoint
+
+
+def _index(owner, floats: bool) -> Sequence:
+    """The pieces ``(start, end, ...)`` of a `BorelSet` or `Partition`, or for
+    float queries their copy with `_float_key` endpoints, built on the first
+    one.  A singleton's endpoint is converted once."""
+    if not floats:
+        return owner._pieces
+    if owner._floats is None:
+        copy = []
+        for a, b, *tag in owner._pieces:
+            start = _float_key(a)
+            copy.append((start, start if b == a else _float_key(b), *tag))
+        owner._floats = tuple(copy)
+    return owner._floats
+
+
+def _find(pieces: Sequence, x) -> int:
+    """Position of the piece holding ``x`` among pairwise disjoint ``pieces``
+    sorted by start, or -1 (always for NaN).  Only the last piece starting
+    at or before ``x`` can hold it: an interval ``[start, end)`` when
+    ``x < end``, a singleton (``end == start``) when ``x == start``."""
+    i = bisect_right(pieces, x, key=_start) - 1
+    return i if i >= 0 and (x < pieces[i][1] or x == pieces[i][0]) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -362,24 +381,20 @@ class DiscreteMeasure(_FiniteMeasure):
     def _hits(self, delta: BorelSet, singleton_tol=0) -> list:
         """Positions of the atoms lying in ``delta``, in increasing order.
 
-        Each interval and singleton of ``delta`` finds its atoms by bisecting
-        the atoms, whose points strictly increase; in float mode against the
+        Each piece of ``delta``, in order, finds its atoms by bisecting the
+        atoms, whose points strictly increase; in float mode against the
         endpoints' `_float_key`, built once per set.  A nonzero
         ``singleton_tol`` (see ``BorelSet.contains``) is not an interval
         query, so it tests every atom.
         """
-        atoms, point = self.atoms, itemgetter(0)
+        atoms = self.atoms
         if singleton_tol:
             return [k for k, (p, _) in enumerate(atoms) if delta.contains(p, singleton_tol)]
-        if self.mode == FLOAT:
-            intervals, singletons = delta._float_keys()
-        else:
-            intervals, singletons = delta.intervals, delta.singletons
-        spans = [(bisect_left(atoms, lo, key=point), bisect_left(atoms, hi, key=point))
-                 for lo, hi in intervals]
-        spans += [(bisect_left(atoms, s, key=point), bisect_right(atoms, s, key=point))
-                  for s in singletons]
-        return [k for a, b in sorted(spans) for k in range(a, b)]
+        hits: list = []
+        for a, b in _index(delta, self.mode == FLOAT):
+            last = (bisect_right if a == b else bisect_left)(atoms, b, key=_start)
+            hits += range(bisect_left(atoms, a, key=_start), last)
+        return hits
 
     # -- constructors --------------------------------------------------------
 
@@ -407,7 +422,7 @@ class DiscreteMeasure(_FiniteMeasure):
 
     def weight_at(self, point) -> Scalar:
         point = to_scalar(point, self.mode)
-        k = bisect_left(self.atoms, point, key=itemgetter(0))
+        k = bisect_left(self.atoms, point, key=_start)
         if k < len(self.atoms) and self.atoms[k][0] == point:
             return self.atoms[k][1]
         return to_scalar(0, self.mode)
@@ -708,14 +723,14 @@ def _first_overlap(pieces: list):
 class Partition:
     """Finite family of pairwise disjoint Borel cells over a window.
 
-    The pieces of all cells, intervals ``[lo, hi)`` and singletons, live in
-    one index sorted by left end and tagged with their cell.  Disjointness
-    is one sweep over it and ``locate`` one bisection.  Float queries bisect
-    a copy of the index whose endpoints are `_float_key`s, built on the
-    first float query.
+    The pieces of all cells, in `BorelSet`'s encoding and tagged with their
+    cell as ``(start, end, cell)``, live in one index sorted by start.
+    Disjointness is one sweep over it, and ``locate`` the lookup of
+    ``BorelSet.contains``.  Float queries use the index's copy with
+    `_float_key` endpoints, built on the first float query.
     """
 
-    __slots__ = ("window", "cells", "_starts", "_pieces", "_floats")
+    __slots__ = ("window", "cells", "_pieces", "_floats")
 
     def __init__(self, window, cells: Sequence[BorelSet]):
         lo, hi = map(_to_endpoint, window)
@@ -724,16 +739,13 @@ class Partition:
         cells = tuple(cells)
         if not cells:
             raise ValueError("partition needs at least one cell")
-        # A piece is (start, end, cell); a singleton has end == start.
-        pieces = [(a, b, k) for k, cell in enumerate(cells) for a, b in cell.intervals]
-        pieces += [(s, s, k) for k, cell in enumerate(cells) for s in cell.singletons]
-        pieces.sort(key=itemgetter(0))
+        pieces = [(a, b, k) for k, cell in enumerate(cells) for a, b in cell._pieces]
+        pieces.sort(key=_start)
         overlap = _first_overlap(pieces)
         if overlap is not None:
             raise ValueError(f"cells {overlap[0]} and {overlap[1]} overlap")
         self.window = (lo, hi)
         self.cells = cells
-        self._starts = [a for a, _, _ in pieces]
         self._pieces = pieces
         self._floats = None
 
@@ -759,22 +771,9 @@ class Partition:
 
     def locate(self, x) -> int:
         """Index of the cell containing ``x``, or -1 (always for NaN)."""
-        if isinstance(x, float):
-            starts, pieces = self._floats or self._float_index()
-        else:
-            starts, pieces = self._starts, self._pieces
-        i = bisect_right(starts, x) - 1
-        if i >= 0:
-            a, b, k = pieces[i]
-            if x < b or x == a:
-                return k
-        return -1
-
-    def _float_index(self) -> tuple:
-        """``(starts, pieces)`` of the index with `_float_key` endpoints."""
-        pieces = [(_float_key(a), _float_key(b), k) for a, b, k in self._pieces]
-        self._floats = ([a for a, _, _ in pieces], pieces)
-        return self._floats
+        pieces = _index(self, isinstance(x, float))
+        i = _find(pieces, x)
+        return pieces[i][2] if i >= 0 else -1
 
     def covers(self, measure: DiscreteMeasure) -> bool:
         return all(self.locate(p) >= 0 for p in measure.support)

@@ -43,6 +43,27 @@ from oplab.measures import (
 from conftest import random_rational_joint, random_rational_probability
 
 
+# Endpoints 1 + k/10^30 are distinct rationals that are all the same float;
+# the unbounded ends are drawn now and then.
+NEAR_ONE = [1 + F(k, 10 ** 30) for k in range(-3, 4)]
+near_one_ends = st.sampled_from(NEAR_ONE + [-math.inf, math.inf])
+near_one_intervals = st.lists(st.tuples(near_one_ends, near_one_ends)
+                              .filter(lambda p: p[0] < p[1]), min_size=1, max_size=6)
+
+
+def reference_canonical(pairs, points):
+    """The canonical intervals and singletons built as two lists: sort and
+    merge the intervals, then keep the points outside every interval."""
+    merged = []
+    for lo, hi in sorted(pairs):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    kept = tuple(p for p in sorted(set(points)) if not any(lo <= p < hi for lo, hi in merged))
+    return tuple(merged), kept
+
+
 class TestBorelSet:
     def test_canonical_merge(self):
         s = BorelSet(intervals=[(0, 1), (1, 2)], singletons=[F(3, 2)])
@@ -61,6 +82,7 @@ class TestBorelSet:
         u = a.union(b)
         assert u.intervals == ((F(0), F(3)),)
         assert u.singletons == (F(5),)
+        assert bool(u) is True and bool(BorelSet()) is False
         i = a.intersection(b)
         assert i.intervals == ((F(1), F(2)),)
         assert not a.intersection(BorelSet.point(5))
@@ -89,19 +111,35 @@ class TestBorelSet:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_canonical_form_ignores_input_order(self, data):
-        # Endpoints 1 + k/10^30 are distinct rationals that are all the same
-        # float; the unbounded ends are drawn now and then.
-        near = [1 + F(k, 10 ** 30) for k in range(-3, 4)]
-        ends = st.sampled_from(near + [-math.inf, math.inf])
-        pairs = data.draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] < p[1]),
-                                   min_size=1, max_size=6))
-        points = data.draw(st.lists(st.sampled_from(near), max_size=4))
+        pairs = data.draw(near_one_intervals)
+        points = data.draw(st.lists(st.sampled_from(NEAR_ONE), max_size=4))
         canonical = BorelSet(sorted(pairs), sorted(points))
         for order in (pairs, data.draw(st.permutations(pairs))):
             s = BorelSet(order, list(reversed(points)))
             assert (s.intervals, s.singletons) == (canonical.intervals, canonical.singletons)
         for p in points + [lo for lo, _ in pairs if lo != -math.inf]:
-            assert canonical.contains(p) == (p in points or any(lo <= p < hi for lo, hi in pairs))
+            inside = p in points or any(lo <= p < hi for lo, hi in pairs)
+            assert canonical.contains(p) == reference_contains(canonical, p) == inside
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=near_one_intervals | st.just([]),
+           points=st.lists(st.sampled_from(NEAR_ONE), max_size=6))
+    def test_canonical_pieces_are_sorted_disjoint_and_maximal(self, pairs, points):
+        s = BorelSet(pairs, points)
+        for (a, b), (c, d) in zip(s._pieces, s._pieces[1:]):
+            assert a <= b <= c <= d and (a, b) != (c, d)
+            assert not (a < b and c < d and b == c)  # touching intervals merged
+            assert not (a == b == c)  # a singleton at an interval's start is inside it
+        for x in s.singletons:
+            assert not any(lo <= x < hi for lo, hi in s.intervals)
+        assert (s.intervals, s.singletons) == reference_canonical(pairs, points)
+
+    def test_thousands_of_intervals_and_points_build_fast(self):
+        start = time.perf_counter()
+        s = BorelSet([(k, k + F(1, 2)) for k in range(3000)], [k + F(3, 4) for k in range(3000)])
+        assert time.perf_counter() - start < 1.0
+        assert len(s.intervals) == len(s.singletons) == 3000
+        assert s.contains(2999 + F(3, 4)) and not s.contains(2999 + F(1, 2))
 
 
 class TestMeasureOf:
@@ -290,7 +328,7 @@ class TestBayes:
             if m.measure_of(delta) == 0:
                 continue
             eta = m.bayes_condition(delta)
-            inside = [p for p in m.support if delta.contains(p)]
+            inside = [p for p in m.support if reference_contains(delta, p)]
             assert min(inside) <= eta.mean() <= max(inside)
 
     def test_null_set_rejected(self):
@@ -577,6 +615,7 @@ class TestCanonicalAtoms:
 
     def test_shared_queries(self):
         line = DiscreteMeasure([(0, F(1, 2)), (1, F(1, 2))])
+        assert DiscreteMeasure.from_weights({1: "1/2", 0: 0.5}) == line
         plane = JointMeasure([((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
         assert line.is_probability() and plane.is_probability()
         assert len(line) == len(plane) == 2
@@ -714,9 +753,18 @@ def assert_partition_matches_pairwise(cells):
             Partition((-10, 20), cells)
 
 
+def reference_contains(delta, x, singleton_tol=0):
+    """Membership by a scan of the set's intervals and singletons."""
+    if any(lo <= x < hi for lo, hi in delta.intervals):
+        return True
+    if singleton_tol:
+        return any(abs(x - s) <= singleton_tol for s in delta.singletons)
+    return any(x == s for s in delta.singletons)
+
+
 def reference_locate(partition, x):
     for k, cell in enumerate(partition.cells):
-        if cell.contains(x):
+        if reference_contains(cell, x):
             return k
     return -1
 
@@ -724,21 +772,22 @@ def reference_locate(partition, x):
 def reference_measure_of(measure, delta, singleton_tol=0):
     total = to_scalar(0, measure.mode)
     for p, w in measure.atoms:
-        if delta.contains(p, singleton_tol=singleton_tol):
+        if reference_contains(delta, p, singleton_tol):
             total += w
     return total
 
 
 def reference_restrict(measure, delta):
-    return DiscreteMeasure([(p, w) for p, w in measure.atoms if delta.contains(p)], measure.mode)
+    return DiscreteMeasure([(p, w) for p, w in measure.atoms if reference_contains(delta, p)],
+                           measure.mode)
 
 
 def reference_bayes_condition(measure, delta):
     denom = reference_measure_of(measure, delta)
     if denom == 0:
         raise ConditioningOnNull(f"conditioning set has measure zero: {delta!r}")
-    return DiscreteMeasure([(p, w / denom) for p, w in measure.atoms if delta.contains(p)],
-                           measure.mode)
+    return DiscreteMeasure(
+        [(p, w / denom) for p, w in measure.atoms if reference_contains(delta, p)], measure.mode)
 
 
 def reference_weight_at(measure, point):
