@@ -18,7 +18,7 @@ __version__ = "0.3.0"
 
 # The layers, in no particular order: each one's body runs on first use.
 _LAYERS = ("errors", "measures", "simplex", "kolmogorov", "spectral", "ensembles",
-           "information", "dynamics", "algebra", "serialization")
+           "information", "dynamics", "algebra", "serialization", "joint", "diagnostics")
 
 
 class _Loader:
@@ -58,9 +58,9 @@ for _name in _LAYERS:
 del _name
 
 _PUBLIC = {
-    "measures": (
-        "BorelSet", "DiscreteMeasure", "JointMeasure", "MarkovKernel", "Partition",
-        "convolve", "disintegrate", "lebesgue_decompose", "measures_close", "mixture",
+    "measures": ("BorelSet", "DiscreteMeasure", "Partition", "lebesgue_decompose"),
+    "joint": (
+        "JointMeasure", "MarkovKernel", "convolve", "disintegrate", "measures_close", "mixture",
         "product_measure",
     ),
     "spectral": (
@@ -76,13 +76,13 @@ _PUBLIC = {
         "run_ensemble",
     ),
     "information": (
-        "EntropyBridge", "Informativity", "Schema", "dirac_detect", "entropy_bits",
-        "informativity_compare", "khinchin_validate", "partition_density_matrix",
+        "EntropyBridge", "Schema", "entropy_bits", "partition_density_matrix",
         "shannon_entropy", "vn_entropy_and_purity",
     ),
-    "dynamics": (
-        "DissipationReport", "EvolutionTrace", "affine_split_check",
-        "decompose_evolution", "entropy_checks", "koopman_apply",
+    "dynamics": ("DissipationReport", "EvolutionTrace", "decompose_evolution"),
+    "diagnostics": (
+        "Informativity", "affine_split_check", "dirac_detect", "entropy_checks",
+        "informativity_compare", "khinchin_validate", "koopman_apply",
     ),
     "algebra": (
         "Algebraization", "DeclaredRelations", "ReconstructionProblem", "arba_validate",

@@ -5,7 +5,8 @@ states to density matrices.  This module checks the representation contract
 (powers, sums on compatible pairs, scalar homogeneity, expectation matching),
 the embedding of the operational norm into the spectral radius, center and
 multiplicative conditions, and reconstructs density matrices from expectation
-data over a declared orthonormal frame.
+data over a declared orthonormal frame.  `oplab.information` is read as a
+module attribute when a purity is taken, so the checks run without it.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import _np as np
+from . import information
 from ._base import record
 from .errors import (
     DimMismatch,
     NoRealizableFrame,
     SingularFrame,
 )
-from .information import vn_entropy_and_purity
 from .spectral import (
     COMMUTATOR_TOL,
     DensityState,
@@ -248,7 +249,7 @@ def purity_preservation_check(
     for label in extremal_state_labels:
         if label not in alg.state_images:
             raise KeyError(f"unknown state label {label!r}")
-        _, purity = vn_entropy_and_purity(alg.state_image(label))
+        _, purity = information.vn_entropy_and_purity(alg.state_image(label))
         if purity < 1.0 - tol:
             lost.append((label, purity))
     return tuple(lost)
@@ -420,7 +421,7 @@ def purity_selection(
         raise ValueError("no candidates")
 
     def stats(candidate: TomographyResult):
-        entropy, purity = vn_entropy_and_purity(candidate.state)
+        entropy, purity = information.vn_entropy_and_purity(candidate.state)
         return entropy, purity
 
     if purity_target is None and entropy_target is None:

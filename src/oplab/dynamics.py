@@ -2,31 +2,19 @@
 
 Each evolved measure is split against the initial one: the mass that stays
 on the initial support is the non-dissipative component, the rest has
-escaped.  The split coefficient per time, the kernel transporting functions
-along the surviving part, and entropy/affinity diagnostics live here.
+escaped.  The split coefficient per time and the kernel transporting
+functions along the surviving part live here; the Koopman transport and the
+entropy and affinity checks are in `oplab.diagnostics`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ._base import record
-from .errors import GridMismatch, NoAbsolutelyContinuousPart
 from .information import shannon_entropy
-from .measures import (
-    BorelSet,
-    DiscreteMeasure,
-    Partition,
-    _image,
-    lebesgue_decompose,
-    measures_close,
-    mixture,
-    to_scalar,
-)
-
-ENTROPY_SLACK = 1e-12
-AFFINE_TOL = 1e-12
+from .measures import BorelSet, DiscreteMeasure, Partition, lebesgue_decompose
 
 
 class EvolutionTrace:
@@ -177,105 +165,3 @@ def decompose_evolution(trace: EvolutionTrace) -> DissipationReport:
             escaped=escaped, kernel=kernel,
         ))
     return DissipationReport(trace, tuple(slices))
-
-
-def koopman_apply(report: DissipationReport, f: Callable, time: float):
-    """Transport a function along the non-dissipative component.
-
-    Integrates f against the kernel row and the initial measure; positive
-    functions transport to positive values, and the constant one transports
-    to one.  A call of ``f`` that raises, or a value that is not a scalar,
-    raises DomainError, as in `DiscreteMeasure.pushforward`.
-    """
-    entry = report.at(time)
-    if entry.surviving is None:
-        raise NoAbsolutelyContinuousPart(f"no surviving mass at time {time}")
-    initial = report.trace.initial
-    mode = initial.mode
-    total = to_scalar(0, mode)
-    for s, w in initial.atoms:
-        total += _image(f, (s,), s, mode) * entry.kernel[s] * w
-    return total
-
-
-@record
-class EntropyEvolutionReport:
-    monotone: bool
-    dissipation_free: bool
-    table: tuple
-    """Triples (time, partition index, entropy bits)."""
-    violations: tuple
-
-
-def entropy_checks(
-    trace: EvolutionTrace, partitions: Sequence[Partition], slack: float = ENTROPY_SLACK
-) -> EntropyEvolutionReport:
-    """Entropy never below the initial value = monotone; always equal =
-    dissipation-free."""
-    table = []
-    violations = []
-    monotone = True
-    free = True
-    base = [shannon_entropy(trace.initial, p).bits for p in partitions]
-    for t, measure in zip(trace.times, trace.measures):
-        for k, partition in enumerate(partitions):
-            bits = shannon_entropy(measure, partition).bits
-            table.append((t, k, bits))
-            if bits < base[k] - slack:
-                monotone = False
-                violations.append((t, k, bits, base[k]))
-            if abs(bits - base[k]) > slack:
-                free = False
-    return EntropyEvolutionReport(
-        monotone=monotone,
-        dissipation_free=free,
-        table=tuple(table),
-        violations=tuple(violations),
-    )
-
-
-@record
-class AffineReport:
-    affine: bool
-    max_gap: float
-    gaps: tuple
-    mixture_split: Optional[DissipationReport]
-    """Dissipation decomposition of the mixed trace when the evolution is
-    affine; the non-dissipative and escaped components then split with the
-    same coefficients."""
-
-
-def affine_split_check(
-    first: EvolutionTrace,
-    second: EvolutionTrace,
-    mixed: EvolutionTrace,
-    ratio,
-    tol: float = AFFINE_TOL,
-) -> AffineReport:
-    """Does the evolved mixture equal the mixture of the evolved parts?
-
-    Compares atom by atom at every time on a shared grid; exact equality is
-    required in rational mode.
-    """
-    if not (first.times == second.times == mixed.times):
-        raise GridMismatch("time grids differ")
-    gaps = []
-    affine = True
-    max_gap = 0.0
-    for t, m1, m2, mx in zip(first.times, first.measures, second.measures, mixed.measures):
-        combined = mixture([(ratio, m1), (1 - to_scalar(ratio, m1.mode), m2)])
-        # Exact in rational mode, where equal atoms leave every gap 0.0.
-        same = measures_close(combined, mx, weight_tol=tol)
-        gap = 0.0
-        if not same:
-            gap = 1.0
-        else:
-            for (p, w), (q, v) in zip(combined.atoms, mx.atoms):
-                gap = max(gap, abs(float(w) - float(v)))
-        gaps.append((t, gap))
-        max_gap = max(max_gap, gap)
-        if not same:
-            affine = False
-    split = decompose_evolution(mixed) if affine else None
-    return AffineReport(affine=affine, max_gap=max_gap, gaps=tuple(gaps),
-                        mixture_split=split)

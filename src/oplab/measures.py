@@ -1,4 +1,6 @@
-"""Exact finite-support measure calculus on the real line and the plane.
+"""Exact finite-support measure calculus on the real line: Borel sets,
+measures, the Lebesgue decomposition and partitions.  The atom canonicalizer
+here serves the plane measures of `oplab.joint` too.
 
 Measures are finite lists of weighted atoms.  Two arithmetic modes exist:
 ``rational`` (exact, `fractions.Fraction` everywhere, identities are
@@ -30,15 +32,12 @@ from ._base import (  # noqa: F401  re-exported: the scalar coercion lives in _b
 from .errors import (
     ConditioningOnNull,
     DomainError,
-    KernelDomainError,
     ModeMismatch,
     NotProbability,
 )
 
 FLOAT_MERGE_TOL = 1e-9
 FLOAT_MASS_TOL = 1e-12
-# Default weight tolerance of `measures_close`.
-CLOSE_WEIGHT_TOL = 1e-9
 _start = itemgetter(0)  # the left end of a piece, the point of an atom
 
 
@@ -165,13 +164,25 @@ class BorelSet:
         """Membership test.
 
         ``singleton_tol`` widens singleton atoms to ``|x - s| <= tol``; it is
-        meant for inexact spectra matched against exact sets, and tests every
-        piece.  Interval membership is always exact.
+        meant for inexact spectra matched against exact sets.  Interval
+        membership is always exact.  Both are bisections: the piece that may
+        hold ``x``, and the pieces whose start ``s`` has ``s - x`` within
+        ``±tol``.  ``s - x`` never falls as ``s`` grows, even rounded, so
+        those pieces are one run and hold every singleton within ``tol``.
         """
         pieces = _index(self, isinstance(x, float))
-        if singleton_tol:
-            return any(abs(x - a) <= singleton_tol if a == b else a <= x < b for a, b in pieces)
-        return _find(pieces, x) >= 0
+        i = _find(pieces, x)
+        if not singleton_tol:
+            return i >= 0
+        if i >= 0 and pieces[i][0] != pieces[i][1]:
+            return True
+
+        def offset(piece):  # no arithmetic on -inf: an exact x may be beyond a double
+            return piece[0] - x if piece[0] != -math.inf else -math.inf
+
+        lo = bisect_left(pieces, -singleton_tol, key=offset)
+        hi = bisect_right(pieces, singleton_tol, lo, key=offset)
+        return any(abs(x - a) <= singleton_tol for a, b in pieces[lo:hi] if a == b)
 
     def __contains__(self, x) -> bool:
         return self.contains(x)
@@ -385,7 +396,7 @@ class DiscreteMeasure(_FiniteMeasure):
         atoms, whose points strictly increase; in float mode against the
         endpoints' `_float_key`, built once per set.  A nonzero
         ``singleton_tol`` (see ``BorelSet.contains``) is not an interval
-        query, so it tests every atom.
+        query, so it asks the set about every atom.
         """
         atoms = self.atoms
         if singleton_tol:
@@ -488,49 +499,6 @@ class DiscreteMeasure(_FiniteMeasure):
         return f"DiscreteMeasure({{{inner}}}, mode={self.mode})"
 
 
-def measures_close(
-    a: DiscreteMeasure,
-    b: DiscreteMeasure,
-    point_tol: float = FLOAT_MERGE_TOL,
-    weight_tol: float = CLOSE_WEIGHT_TOL,
-) -> bool:
-    """Atomwise comparison with tolerances; exact equality in rational mode."""
-    if a.mode == RATIONAL and b.mode == RATIONAL:
-        return a.atoms == b.atoms
-    if len(a) != len(b):
-        return False
-    return all(
-        abs(p - q) <= point_tol and abs(w - v) <= weight_tol
-        for (p, w), (q, v) in zip(a.atoms, b.atoms)
-    )
-
-
-def mixture(components: Sequence, mode: str = None) -> DiscreteMeasure:
-    """Weighted sum ``sum_i c_i * m_i`` of measures on a common mode."""
-    if not components:
-        raise ValueError("empty mixture")
-    measures = [m for _, m in components]
-    the_mode = _same_mode(*measures) if mode is None else mode
-    atoms = []
-    for coeff, m in components:
-        c = to_scalar(coeff, the_mode)
-        atoms.extend((p, c * w) for p, w in m.atoms)
-    return DiscreteMeasure(atoms, mode=the_mode)
-
-
-def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """Distribution of the sum of two independent outcomes.
-
-    The mean of the result is the sum of the two means, which is the
-    additivity law for jointly measured quantities.
-    """
-    mode = _same_mode(mu, nu)
-    mu.require_probability("left operand")
-    nu.require_probability("right operand")
-    atoms = [(p + q, w * v) for p, w in mu.atoms for q, v in nu.atoms]
-    return DiscreteMeasure(atoms, mode=mode)
-
-
 # ---------------------------------------------------------------------------
 # Lebesgue decomposition
 # ---------------------------------------------------------------------------
@@ -580,114 +548,6 @@ def lebesgue_decompose(nu: DiscreteMeasure, mu: DiscreteMeasure) -> LebesgueDeco
         continuous_mass=ac_measure.mass,
         density=density,
     )
-
-
-# ---------------------------------------------------------------------------
-# Joint measures and Markov kernels
-# ---------------------------------------------------------------------------
-
-
-class JointMeasure(_FiniteMeasure):
-    """Finite-support measure on the plane, used for paired measurements."""
-
-    __slots__ = ()
-    _what = "joint measure"
-
-    def __init__(self, atoms: Iterable, mode: str = RATIONAL):
-        _check_mode(mode)
-        rows = [
-            (to_scalar(s, mode), to_scalar(t, mode), to_scalar(w, mode))
-            for (s, t), w in atoms
-        ]
-        self.atoms = tuple(((s, t), w) for s, t, w in _canonical_atoms(rows, mode))
-        self.mode = mode
-
-    def measure_of(self, delta_s: BorelSet, delta_t: BorelSet, singleton_tol=0) -> Scalar:
-        return _sum((w for (s, t), w in self.atoms
-                     if delta_s.contains(s, singleton_tol) and delta_t.contains(t, singleton_tol)),
-                    self.mode)
-
-    def marginals(self):
-        """Pair of coordinate projections."""
-        first = DiscreteMeasure([(s, w) for (s, _), w in self.atoms], mode=self.mode)
-        second = DiscreteMeasure([(t, w) for (_, t), w in self.atoms], mode=self.mode)
-        return first, second
-
-    def pushforward(self, f: Callable) -> DiscreteMeasure:
-        """Image measure on the line under ``f(s, t)``."""
-        return DiscreteMeasure([(_image(f, p, p, self.mode), w) for p, w in self.atoms],
-                               mode=self.mode)
-
-    def means(self):
-        """Coordinatewise expectation pair."""
-        self.require_probability()
-        return (_sum((s * w for (s, _), w in self.atoms), self.mode),
-                _sum((t * w for (_, t), w in self.atoms), self.mode))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"({s},{t}):{w}" for (s, t), w in self.atoms)
-        return f"JointMeasure({{{inner}}}, mode={self.mode})"
-
-
-class MarkovKernel:
-    """Family of conditional probability measures indexed by marginal points."""
-
-    __slots__ = ("rows", "mode")
-
-    def __init__(self, rows: Mapping):
-        if not rows:
-            raise ValueError("kernel needs at least one row")
-        measures = list(rows.values())
-        mode = _same_mode(*measures)
-        converted = {}
-        for point, row in rows.items():
-            row.require_probability(f"kernel row at {point}")
-            converted[to_scalar(point, mode)] = row
-        self.rows = converted
-        self.mode = mode
-
-    def row(self, point) -> DiscreteMeasure:
-        key = to_scalar(point, self.mode)
-        if key not in self.rows:
-            raise KernelDomainError(f"kernel has no row at {point}")
-        return self.rows[key]
-
-    def __contains__(self, point) -> bool:
-        return to_scalar(point, self.mode) in self.rows
-
-    def __repr__(self) -> str:
-        return f"MarkovKernel(points={sorted(self.rows)}, mode={self.mode})"
-
-
-def product_measure(marginal: DiscreteMeasure, kernel: MarkovKernel) -> JointMeasure:
-    """Integrate the kernel rows against the marginal.
-
-    The first marginal of the result reproduces ``marginal`` exactly; rows
-    are required only where the marginal puts positive weight.
-    """
-    _same_mode(marginal, kernel)
-    atoms = []
-    for s, w in marginal.atoms:
-        row = kernel.row(s)
-        atoms.extend(((s, t), w * v) for t, v in row.atoms)
-    return JointMeasure(atoms, mode=marginal.mode)
-
-
-def disintegrate(joint: JointMeasure):
-    """Split a joint probability into first marginal and conditional rows.
-
-    ``product_measure`` of the output reproduces the input atom by atom, and
-    integrating any row set against the marginal gives back the second
-    marginal.
-    """
-    joint.require_probability()
-    by_point: dict = {}
-    for (s, t), w in joint.atoms:
-        by_point.setdefault(s, []).append((t, w))
-    totals = {s: _sum((w for _, w in entries), joint.mode) for s, entries in by_point.items()}
-    rows = {s: DiscreteMeasure([(t, w / totals[s]) for t, w in entries], mode=joint.mode)
-            for s, entries in by_point.items()}
-    return DiscreteMeasure(totals.items(), mode=joint.mode), MarkovKernel(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,20 @@ Observables are Hermitian matrices with a cached eigendecomposition; states
 are density matrices.  The outcome statistics of an observable in a state is
 a finite spectral measure, produced here in float mode.  Everything is
 immutable after construction; eigendecompositions happen once.
+
+`oplab.measures` and `oplab.joint` are read as module attributes when a
+measure or a Borel set is built, so a job that builds none runs neither.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import _np as np
-from ._base import record
+from . import joint, measures
+from ._base import FLOAT, record
 from .errors import (
     DimMismatch,
     DomainError,
@@ -22,7 +26,6 @@ from .errors import (
     NotHermitian,
     OutOfSpectralRange,
 )
-from .measures import FLOAT, BorelSet, DiscreteMeasure, JointMeasure
 
 HERMITIAN_TOL = 1e-10
 IDEMPOTENT_TOL = 1e-9
@@ -130,7 +133,7 @@ class HermitianObservable:
         """Projector onto the eigenspace of the deduped spectral point."""
         return self._projector(self._group(point))
 
-    def spectral_projector(self, delta: BorelSet) -> np.ndarray:
+    def spectral_projector(self, delta: measures.BorelSet) -> np.ndarray:
         """Projection-valued measure evaluated on a Borel set."""
         mask = np.zeros(self.dim, dtype=bool)
         for rep, group in zip(self.spectrum, self._groups):
@@ -242,7 +245,8 @@ class DensityState:
 # ---------------------------------------------------------------------------
 
 
-def spectral_measure(observable: HermitianObservable, state: DensityState) -> DiscreteMeasure:
+def spectral_measure(observable: HermitianObservable,
+                     state: DensityState) -> measures.DiscreteMeasure:
     """Outcome distribution of the observable in the state.
 
     Atoms sit at the deduped spectral points; the weight at ``s`` is the
@@ -255,7 +259,7 @@ def spectral_measure(observable: HermitianObservable, state: DensityState) -> Di
         (rep, max(float(np.sum(diagonal[group])), 0.0))
         for rep, group in zip(observable.spectrum, observable._groups)
     ]
-    return DiscreteMeasure(atoms, mode=FLOAT)
+    return measures.DiscreteMeasure(atoms, mode=FLOAT)
 
 
 def _value_at(f: Callable, lam: float) -> float:
@@ -349,7 +353,8 @@ def question_ops(q: Question) -> QuestionReport:
     )
 
 
-def question_times(q: Question, observable: HermitianObservable, state: DensityState) -> DiscreteMeasure:
+def question_times(q: Question, observable: HermitianObservable,
+                   state: DensityState) -> measures.DiscreteMeasure:
     """Outcome distribution of the product of a question with a compatible
     observable: mass ``<1-q>`` collapses onto zero, the rest follows the
     conditioned statistics."""
@@ -415,7 +420,7 @@ def _joint_frame(a: HermitianObservable, b: HermitianObservable):
 
 def joint_spectral_measure(
     a: HermitianObservable, b: HermitianObservable, state: DensityState
-) -> JointMeasure:
+) -> joint.JointMeasure:
     """Two-variable outcome distribution for a commuting pair.
 
     Incompatible pairs (nonzero commutator) are rejected: no joint
@@ -431,7 +436,7 @@ def joint_spectral_measure(
         ((a.spectrum[i], b.spectrum[j]), w)
         for (i, j), w in sorted(totals.items()) if w > 0.0
     ]
-    return JointMeasure(atoms, mode=FLOAT)
+    return joint.JointMeasure(atoms, mode=FLOAT)
 
 
 def joint_spectrum(a: HermitianObservable, b: HermitianObservable):
@@ -496,24 +501,26 @@ def epsilon_decomposition(
     if not resolution > 0:
         raise ValueError("resolution must be positive")
     values = {s: _value_at(f, s) for s in observable.spectrum}
-    ordered = sorted(observable.spectrum, key=lambda s: values[s])
-    cells = []
-    samples = []
-    group: list = []
-    for s in ordered:
-        if group and values[s] - values[group[0]] >= resolution:
-            cells.append(BorelSet.points(group))
-            samples.append(group[0])
-            group = []
-        group.append(s)
-    if group:
-        cells.append(BorelSet.points(group))
-        samples.append(group[0])
+    groups: list = []
+    for s in sorted(observable.spectrum, key=lambda s: values[s]):
+        if not groups or values[s] - values[groups[-1][0]] >= resolution:
+            groups.append([])
+        groups[-1].append(s)
+    samples = tuple(group[0] for group in groups)
+    # A cell's members are the spectral points within dedup_tol of one of its
+    # points, as `BorelSet.contains` matches them.  Two group means can lie
+    # closer than that, so a member may belong to another cell.  For each
+    # point p they are one run of the ascending spectrum: s - p never falls
+    # as s grows.
+    spectrum, tol = observable.spectrum, observable.dedup_tol
     bound = 0.0
-    for cell, t in zip(cells, samples):
-        members = [s for s in observable.spectrum if cell.contains(s, observable.dedup_tol)]
-        bound = max(bound, max(abs(values[s] - values[t]) for s in members))
-    return ResolutionDecomposition(tuple(cells), tuple(samples), bound)
+    for group, t in zip(groups, samples):
+        for p in group:
+            lo = bisect_left(spectrum, -tol, key=lambda s: s - p)
+            hi = bisect_right(spectrum, tol, lo, key=lambda s: s - p)
+            bound = max(bound, max(abs(values[s] - values[t]) for s in spectrum[lo:hi]))
+    cells = tuple(measures.BorelSet.points(group) for group in groups)
+    return ResolutionDecomposition(cells, samples, bound)
 
 
 def variance_and_uncertainty(

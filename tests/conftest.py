@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oplab.measures import DiscreteMeasure, JointMeasure
+from oplab.joint import JointMeasure
+from oplab.measures import DiscreteMeasure
 from oplab.spectral import DensityState, HermitianObservable
 
 # The step ensembles were once generated in; sizes at its edges stay among the

@@ -27,12 +27,8 @@ from oplab.ensembles import (
     natural_density,
     run_ensemble,
 )
-from oplab.information import (
-    entropy_bits,
-    khinchin_validate,
-    partition_density_matrix,
-    vn_entropy_and_purity,
-)
+from oplab.diagnostics import entropy_checks, khinchin_validate
+from oplab.information import entropy_bits, partition_density_matrix, vn_entropy_and_purity
 from oplab.kolmogorov import (
     CorrelationConstraint,
     JointConstraint,
@@ -40,16 +36,8 @@ from oplab.kolmogorov import (
     verify_farkas,
     verify_joint,
 )
-from oplab.measures import (
-    BorelSet,
-    DiscreteMeasure,
-    Partition,
-    convolve,
-    disintegrate,
-    lebesgue_decompose,
-    mixture,
-    product_measure,
-)
+from oplab.joint import convolve, disintegrate, mixture, product_measure
+from oplab.measures import BorelSet, DiscreteMeasure, Partition, lebesgue_decompose
 from oplab.spectral import (
     DensityState,
     HermitianObservable,
@@ -61,7 +49,7 @@ from oplab.spectral import (
     spectral_measure,
     variance_and_uncertainty,
 )
-from oplab.dynamics import EvolutionTrace, decompose_evolution, entropy_checks
+from oplab.dynamics import EvolutionTrace, decompose_evolution
 
 from conftest import (
     random_commuting_pair,

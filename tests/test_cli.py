@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oplab
 from oplab import errors as oplab_errors
-from oplab import cli, trialcsv
+from oplab import cli, commands, trialcsv
 from oplab.cli import main
 from oplab.ensembles import MAX_TRIALS, PIECE
 
@@ -416,7 +416,8 @@ _PARSER = cli.build_parser()
 def _run_corrupted(tmp_path, name, payload):
     """(exit code, stderr) of the command of ``CONFIGS[name]`` on ``payload``;
     an exception that escapes ``main`` stands in for the exit code.  Every run
-    shares one argument parser: building it is most of a run's time."""
+    shares one argument parser: building it is about a fifth of a small
+    run's time, and these tests make thousands of runs."""
     config = write_config(tmp_path, payload)
     err = io.StringIO()
     try:
@@ -728,11 +729,11 @@ class TestCell:
         (-0.0, "-0.0"),
     ])
     def test_a_number_is_written_exactly_or_as_the_shortest_repr(self, value, written):
-        assert cli._cell(value) == written
+        assert commands._cell(value) == written
 
     @pytest.mark.parametrize("value", [None, True, 3])
     def test_anything_else_is_left_to_csv(self, value):
-        assert cli._cell(value) is value
+        assert commands._cell(value) is value
 
 
 class TestReport:

@@ -2,15 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from oplab.dynamics import (
-    EvolutionTrace,
-    affine_split_check,
-    decompose_evolution,
-    entropy_checks,
-    koopman_apply,
-)
+from oplab.diagnostics import affine_split_check, entropy_checks, koopman_apply
+from oplab.dynamics import EvolutionTrace, decompose_evolution
 from oplab.errors import GridMismatch, NoAbsolutelyContinuousPart
-from oplab.measures import DiscreteMeasure, Partition, mixture
+from oplab.joint import mixture
+from oplab.measures import DiscreteMeasure, Partition
 
 from conftest import random_rational_probability
 

@@ -31,11 +31,12 @@ def _imports_numpy(node) -> bool:
 
 def test_only_the_shim_imports_numpy():
     offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "_np.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _imports_numpy(node)]
+        name = path.relative_to(PACKAGE)
+        offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree) if _imports_numpy(node)]
     assert offenders == []
 
 
@@ -45,23 +46,23 @@ def test_shim_hands_out_numpys_own_objects():
     assert not hasattr(oplab._np, "__path__")
 
 
-# The public names of the package, as its ``__init__.py`` listed them when it
-# imported each one from its layer.
+# The public names of the package, in the order of its ``__init__.py``: by
+# layer, and sorted within each layer.
 PUBLIC = [
-    "BorelSet", "DiscreteMeasure", "JointMeasure", "MarkovKernel", "Partition", "convolve",
-    "disintegrate", "lebesgue_decompose", "measures_close", "mixture", "product_measure",
-    "DensityState", "HermitianObservable", "LabSystem", "Question", "epsilon_decomposition",
-    "functional_calc", "joint_operator", "joint_spectral_measure", "joint_spectrum",
-    "jordan_product", "positive_parts", "question_ops", "question_times", "spectral_measure",
-    "spectrum_and_norm", "sps_witness", "variance_and_uncertainty", "FrequencyTrace",
-    "NaturalSubset", "TrialLog", "estimate_probability", "kvn_equivalence", "min_trials",
-    "natural_density", "place_selection_check", "run_ensemble", "EntropyBridge",
-    "Informativity", "Schema", "dirac_detect", "entropy_bits", "informativity_compare",
-    "khinchin_validate", "partition_density_matrix", "shannon_entropy",
-    "vn_entropy_and_purity", "DissipationReport", "EvolutionTrace", "affine_split_check",
-    "decompose_evolution", "entropy_checks", "koopman_apply", "Algebraization",
-    "DeclaredRelations", "ReconstructionProblem", "arba_validate", "center_check",
-    "commuting_eigenframe", "embedding_check", "purity_preservation_check",
+    "BorelSet", "DiscreteMeasure", "Partition", "lebesgue_decompose", "JointMeasure",
+    "MarkovKernel", "convolve", "disintegrate", "measures_close", "mixture",
+    "product_measure", "DensityState", "HermitianObservable", "LabSystem", "Question",
+    "epsilon_decomposition", "functional_calc", "joint_operator", "joint_spectral_measure",
+    "joint_spectrum", "jordan_product", "positive_parts", "question_ops", "question_times",
+    "spectral_measure", "spectrum_and_norm", "sps_witness", "variance_and_uncertainty",
+    "FrequencyTrace", "NaturalSubset", "TrialLog", "estimate_probability",
+    "kvn_equivalence", "min_trials", "natural_density", "place_selection_check",
+    "run_ensemble", "EntropyBridge", "Schema", "entropy_bits", "partition_density_matrix",
+    "shannon_entropy", "vn_entropy_and_purity", "DissipationReport", "EvolutionTrace",
+    "decompose_evolution", "Informativity", "affine_split_check", "dirac_detect",
+    "entropy_checks", "informativity_compare", "khinchin_validate", "koopman_apply",
+    "Algebraization", "DeclaredRelations", "ReconstructionProblem", "arba_validate",
+    "center_check", "commuting_eigenframe", "embedding_check", "purity_preservation_check",
     "purity_selection", "tomography_reconstruct", "ConditionalConstraint",
     "CorrelationConstraint", "ExpectationConstraint", "JointConstraint", "KolmogorovResult",
     "MarginalConstraint", "kolmogorov_check", "verify_farkas", "verify_joint",
@@ -106,11 +107,16 @@ KIND_LAYERS = {
     "simulate": ["ensembles", "measures"],
     "estimate": ["ensembles", "measures"],
     "spectral": ["measures", "spectral"],
-    "validate": ["algebra", "information", "measures", "spectral"],
+    "validate": ["algebra", "spectral"],
     "tomography": ["algebra", "information", "measures", "spectral"],
     "report": [],
 }
+# A golden case that runs less than its kind: a tomography that finds no
+# state takes no purity, so it runs neither information nor measures.
+CASE_LAYERS = {"tomography_unrealizable": ["algebra", "spectral"]}
 BASE = ["errors", "serialization"]
+# The layers that only library callers run.
+LIBRARY_ONLY = ["diagnostics", "joint"]
 
 
 def _run(*argv) -> tuple:
@@ -126,13 +132,20 @@ def _layers_run(*argv) -> list:
     return _run(*argv)[1]
 
 
+def _command_modules(modules) -> list:
+    return [name for name in modules if name.startswith("oplab.commands.")]
+
+
 def test_import_runs_no_layer_but_what_the_cli_reads():
     assert _layers_run("oplab") == []
-    assert _layers_run("oplab.cli") == BASE
+    modules, layers = _run("oplab.cli")
+    assert layers == BASE
+    assert _command_modules(modules) == []
 
 
 def test_each_kind_runs_only_its_layers(tmp_path):
-    """Every golden config, in a fresh interpreter: exactly its kind's layers run."""
+    """Every golden config, in a fresh interpreter: exactly its kind's layers
+    run, and never a library-only one."""
     kinds = set()
     for config in configs():
         local = tmp_path / config.name
@@ -140,8 +153,50 @@ def test_each_kind_runs_only_its_layers(tmp_path):
         kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
         kinds.add(kind)
         got = _layers_run("oplab.cli", kind, "--config", str(local), "--out", str(tmp_path))
-        assert got == sorted(BASE + KIND_LAYERS[kind]), config.name
+        assert got == sorted(BASE + CASE_LAYERS.get(config.stem, KIND_LAYERS[kind])), config.name
+        assert not set(got) & set(LIBRARY_ONLY), config.name
     assert kinds == set(KIND_LAYERS) == set(oplab.cli._COMMANDS)
+
+
+# Loaded first by a fresh interpreter, from ``PYTHONPATH``: at exit it writes
+# the names of the loaded modules and the file that ran as ``__main__``.
+_SITECUSTOMIZE = """
+import atexit, json, os, sys
+def _dump():
+    with open(os.environ["OPLAB_TEST_MODULES"], "w", encoding="utf-8") as fh:
+        json.dump([sorted(sys.modules), sys.modules["__main__"].__file__], fh)
+atexit.register(_dump)
+"""
+
+
+def _loaded_by_main(tmp_path, *argv) -> tuple:
+    """The modules loaded by ``python -m oplab.cli *argv`` in a fresh
+    interpreter, and the file it ran as ``__main__``."""
+    hook = tmp_path / "hook"
+    hook.mkdir(exist_ok=True)
+    (hook / "sitecustomize.py").write_text(_SITECUSTOMIZE, encoding="utf-8")
+    dump = hook / "modules.json"
+    proc = subprocess.run([sys.executable, "-m", "oplab.cli", *argv], capture_output=True,
+                          text=True, check=False,
+                          env={**os.environ, "OPLAB_TEST_MODULES": str(dump),
+                               "PYTHONPATH": os.pathsep.join([str(hook), str(PACKAGE.parent)])})
+    assert proc.returncode in (0, 2), proc.stderr
+    return tuple(json.loads(dump.read_text(encoding="utf-8")))
+
+
+def test_each_kind_loads_only_its_command_module(tmp_path):
+    """Every golden config, as ``python -m oplab.cli`` in a fresh interpreter:
+    the job imports its own command module and no other, and never imports
+    ``oplab.cli`` as a module beside ``__main__``, which would run it twice."""
+    for config in configs():
+        local = tmp_path / config.name
+        shutil.copyfile(config, local)
+        kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
+        modules, main = _loaded_by_main(tmp_path, kind, "--config", str(local),
+                                        "--out", str(tmp_path))
+        assert Path(main).resolve() == PACKAGE / "cli.py", config.name
+        assert _command_modules(modules) == [f"oplab.commands.{kind}"], config.name
+        assert "oplab.cli" not in modules, config.name
 
 
 # The classical kinds, and what none of their jobs needs: ``dataclasses``

@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 
 from oplab.errors import PartitionDoesNotCover, ZeroCell
+from oplab.diagnostics import Informativity, dirac_detect, informativity_compare, khinchin_validate
 from oplab.information import (
-    Informativity,
     Schema,
-    dirac_detect,
     entropy_bits,
-    informativity_compare,
-    khinchin_validate,
     partition_density_matrix,
     shannon_entropy,
     vn_entropy_and_purity,
 )
-from oplab.measures import BorelSet, DiscreteMeasure, Partition, mixture
+from oplab.joint import mixture
+from oplab.measures import BorelSet, DiscreteMeasure, Partition
 from oplab.spectral import DensityState
 
 from conftest import random_density, random_rational_probability

@@ -20,22 +20,25 @@ from oplab.errors import (
     NotProbability,
     PartitionDoesNotCover,
 )
-from oplab.dynamics import EvolutionTrace, decompose_evolution, koopman_apply
+from oplab.diagnostics import koopman_apply
+from oplab.dynamics import EvolutionTrace, decompose_evolution
 from oplab.information import shannon_entropy
+from oplab.joint import (
+    JointMeasure,
+    MarkovKernel,
+    convolve,
+    disintegrate,
+    measures_close,
+    mixture,
+    product_measure,
+)
 from oplab.measures import (
     FLOAT_MERGE_TOL,
     MAX_SCALAR_EXPONENT,
     BorelSet,
     DiscreteMeasure,
-    JointMeasure,
-    MarkovKernel,
     Partition,
-    convolve,
-    disintegrate,
     lebesgue_decompose,
-    measures_close,
-    mixture,
-    product_measure,
     _float_key,
     to_scalar,
 )
@@ -62,6 +65,30 @@ def reference_canonical(pairs, points):
             merged.append((lo, hi))
     kept = tuple(p for p in sorted(set(points)) if not any(lo <= p < hi for lo, hi in merged))
     return tuple(merged), kept
+
+
+# Endpoints, singletons and queries for the tolerance lookup: exact
+# quarters, thirds and a point closer to 1 than any float, unbounded ends,
+# and queries at a tolerance's distance from a point, on both sides.
+TOL_POINTS = st.sampled_from([F(k, 4) for k in range(-8, 9)] + [F(1, 3), F(-2, 3), NEAR_ONE[4]])
+tol_ends = TOL_POINTS | st.sampled_from([-math.inf, math.inf])
+TOLERANCES = st.sampled_from([0, 0.0, 1e-9, 0.25, 0.5, 1.0, 2.5, F(1, 3), F(1, 4), math.inf, -1.0])
+tol_queries = st.one_of(
+    TOL_POINTS, TOL_POINTS.map(float), st.integers(-3, 3), st.floats(-3, 3),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.builds(lambda p, k, t: float(p) + k * t, TOL_POINTS, st.integers(-2, 2),
+              st.sampled_from([1e-9, 0.25, 0.5, 1 / 3])),
+    st.builds(lambda p, k: p + k * F(1, 3), TOL_POINTS, st.integers(-2, 2)),
+)
+
+
+def scan_contains(delta, x, singleton_tol):
+    """`BorelSet.contains` as a scan of every piece, in the float copy of the
+    pieces for a float query; a tolerance of 0 asks for ``x == s``."""
+    pieces = measures._index(delta, isinstance(x, float))
+    if singleton_tol:
+        return any(abs(x - a) <= singleton_tol if a == b else a <= x < b for a, b in pieces)
+    return any(x == a if a == b else a <= x < b for a, b in pieces)
 
 
 class TestBorelSet:
@@ -133,6 +160,30 @@ class TestBorelSet:
         for x in s.singletons:
             assert not any(lo <= x < hi for lo, hi in s.intervals)
         assert (s.intervals, s.singletons) == reference_canonical(pairs, points)
+
+    @settings(max_examples=400, deadline=None)
+    @given(pairs=st.lists(st.tuples(tol_ends, tol_ends).filter(lambda p: p[0] < p[1]),
+                          max_size=4),
+           points=st.lists(TOL_POINTS, max_size=6), x=tol_queries, tol=TOLERANCES)
+    def test_tolerance_lookup_answers_as_a_scan_of_every_piece(self, pairs, points, x, tol):
+        s = BorelSet(pairs, points)
+        assert s.contains(x, tol) == scan_contains(s, x, tol) == reference_contains(s, x, tol)
+
+    def test_tolerance_lookup_beyond_a_double_stays_exact(self):
+        huge = F(10) ** 400
+        s = BorelSet([(-math.inf, 0)], [huge])
+        assert s.contains(huge + 1, 1) and not s.contains(huge + 2, 1)
+        assert s.contains(-huge, 1) and s.contains(-huge, 0)
+
+    def test_tolerance_lookups_grow_as_n_log_n(self):
+        # Every point of a set asked for with a tolerance: on a 2-core VM a
+        # scan of every piece took 2.8 s, and the bisections take 0.15 s.
+        points = [F(k, 8) for k in range(8192)]
+        s = BorelSet.points(points)
+        start = time.perf_counter()
+        hits = sum(s.contains(float(p), 1e-9) for p in points)
+        assert time.perf_counter() - start < 1.0
+        assert hits == len(points)
 
     def test_thousands_of_intervals_and_points_build_fast(self):
         start = time.perf_counter()

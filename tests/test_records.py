@@ -28,10 +28,12 @@ PACKAGE = Path(oplab.__file__).resolve().parent
 
 RECORDS = {
     "algebra": ["ConditionReport", "DeclaredRelations", "EmbeddingEntry", "TomographyResult"],
-    "dynamics": ["AffineReport", "ContinuityReport", "EntropyEvolutionReport", "TimeSlice"],
+    "diagnostics": ["AffineReport", "AxiomResult", "EntropyEvolutionReport",
+                    "InformativityVerdict"],
+    "dynamics": ["ContinuityReport", "TimeSlice"],
     "ensembles": ["CesaroReport", "DensityReport", "EstimateReport", "MinTrialsReport",
                   "PlaceSelectionReport", "TrialLog"],
-    "information": ["AxiomResult", "EntropyBridge", "EntropyReport", "InformativityVerdict"],
+    "information": ["EntropyBridge", "EntropyReport"],
     "kolmogorov": ["ConditionalConstraint", "CorrelationConstraint", "ExpectationConstraint",
                    "JointConstraint", "KolmogorovResult", "MarginalConstraint"],
     "measures": ["LebesgueDecomposition"],
@@ -82,12 +84,13 @@ def test_every_layer_record_is_found_and_none_is_a_dataclass():
             for layer in RECORDS} == RECORDS
     assert len(ALL) == 28
     imports = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            imports += [f"{path.name}: {n}" for n in names if n in ("dataclasses", "inspect")]
+            imports += [f"{path.relative_to(PACKAGE)}: {n}" for n in names
+                        if n in ("dataclasses", "inspect")]
     assert imports == []
 
 

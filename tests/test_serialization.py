@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplab import _blocks, serialization
-from oplab.cli import format_scalar
+from oplab.commands import format_scalar
 from oplab.measures import BorelSet, DiscreteMeasure, Partition, to_scalar
 from oplab.serialization import (
     ConfigError,
@@ -39,7 +39,7 @@ from conftest import assert_no_child_left
 
 
 class TestScalars:
-    """The exact strings of rational scalars: `oplab.cli.format_scalar`
+    """The exact strings of rational scalars: `oplab.commands.format_scalar`
     writes them and `to_scalar` reads them back."""
 
     @pytest.mark.parametrize("value,expected", [
