@@ -121,7 +121,9 @@ def record(cls):
     """Make ``cls`` a frozen value record, as ``dataclass(frozen=True)`` does.
 
     The fields are the class's own annotations, in order; a class attribute
-    of the same name is the field's default and stays readable on the class.
+    of the same name is the field's default and stays readable on the class,
+    except a property, which is no default but the field's reader: the class
+    then takes the given value in its ``__post_init__``.
     The record gets an ``__init__`` taking the fields by position or keyword
     and then calling ``__post_init__`` if the class has one, the dataclass
     ``repr`` (``Name(field=value, ...)``), equality with instances of the
@@ -132,7 +134,8 @@ def record(cls):
     """
     names = tuple(cls.__annotations__)
     own = vars(cls)
-    defaults = {name: own[name] for name in names if name in own}
+    defaults = {name: own[name] for name in names
+                if name in own and not isinstance(own[name], property)}
     post_init = hasattr(cls, "__post_init__")
     qualname = cls.__qualname__
 

@@ -6,12 +6,14 @@ adding a copy to the ensemble never rewrites history.  All estimators are
 pure functions of the recorded trace; limits are never asserted from finite
 data, only diagnosed.  Generation and every reduction run over chunks with
 their running sums carried from chunk to chunk.  An estimate makes two passes
-(``min_trials``, then the Cesaro scan), keeps 1⅛ bytes per trial (outcome and
-membership bit) and equals the whole-vector computation bit for bit.
+(``min_trials``, then the Cesaro scan), keeps ¼ byte per trial (the packed
+outcome bit and the membership bit) and equals the whole-vector computation
+bit for bit.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -28,7 +30,7 @@ _WORD = 2 ** 64
 
 # Largest ensemble run_ensemble allocates.  Generation works in steps of STEP
 # trials and the estimators in pieces of at most PIECE, so an estimate keeps
-# 1⅛ bytes per trial: the outcomes and the min_trials membership bits.
+# ¼ byte per trial: the packed outcomes and the min_trials membership bits.
 MAX_TRIALS = 10 ** 8
 # Most entries of one piece of the frequency stream.  A piece of float64 is at
 # most 128 KiB, glibc malloc's initial mmap threshold, so its temporaries are
@@ -43,8 +45,13 @@ PIECE = 1 << 14
 # step.  At 4e6 trials (same machine, 5 fresh processes) run_ensemble took
 # 1 045 minor page faults and 0.027-0.035 s at 1 << 13, against 32 229 and
 # 0.064-0.096 s at 1 << 14, 15 101 and 0.056-0.062 s at 1 << 16, and 1 005
-# and 0.037-0.050 s at 1 << 12.  Every step edge is also a PIECE edge.
+# and 0.037-0.050 s at 1 << 12.  Every step edge is also a PIECE edge, and
+# both are multiples of 8, so each step and piece but the last fills whole
+# bytes of a packed log.
 STEP = PIECE // 2
+# Most rows TrialLog.rows turns into Python objects at a time: four lists of a
+# whole piece's objects take about 2.5 MB.
+ROW_BATCH = 1024
 # Rounding slack of float frequencies and running averages: how far they may
 # stray below 0 or above 1, and below the harmonic lower bound.
 FREQUENCY_TOL = 1e-12
@@ -89,46 +96,79 @@ def _cumsum_into(part: np.ndarray, carry):
     return part[-1]
 
 
-def _frequency_chunks(n: int, outcomes=None, frequencies=None, averages: bool = True):
-    """The relative frequencies f and their running averages w, chunk by
-    chunk: (s, e, idx, counts, f, w) for consecutive ranges [s, e) covering
-    0 .. n-1, with ``idx`` the 1-based indices s+1 .. e as floats.
+def _unpack(bits: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Outcomes s .. e-1 of the packed ``bits`` as a 0/1 uint8 array; ``s``
+    is a multiple of 8."""
+    return np.unpackbits(bits[s // 8:-(-e // 8)], count=e - s, bitorder="little")
 
-    The sequence is given by its 0/1 ``outcomes``, whose running success
-    counts are ``counts``, or by its ``frequencies`` (``counts`` is then
-    None).  The success count and the running sum are carried from chunk to
-    chunk; without ``averages``, w is None.  The chunks hold PIECE entries
-    each, the last one the rest, in buffers the next chunk overwrites.
+
+def _frequency_chunks(n: int, bits=None, frequencies=None, averages: bool = True):
+    """The relative frequencies f and their running averages w, chunk by
+    chunk: (s, e, idx, f, w) for consecutive ranges [s, e) covering 0 .. n-1,
+    with ``idx`` the 1-based indices s+1 .. e as floats.
+
+    The sequence is given by its 0/1 outcomes packed in ``bits``, unpacked
+    one chunk at a time, or by its ``frequencies``.  The success count and
+    the running sum are carried from chunk to chunk; without ``averages``, w
+    is None.  The chunks hold PIECE entries each, the last one the rest, in
+    buffers the next chunk overwrites.  A consumer may overwrite w, which
+    the next chunk recomputes from its f and the carried running sum.
     """
     count = running = None
-    tallies, freqs, means = (np.empty(min(n, PIECE), t) for t in (np.int64, float, float))
+    size = min(n, PIECE)
+    indices = np.arange(1, size + 1, dtype=np.float64)
+    freqs, means = (np.empty(size) if used else None for used in (bits is not None, averages))
     for s, e in _chunks(n, PIECE):
-        idx = np.arange(s + 1, e + 1, dtype=np.float64)
-        counts, f, w = tallies[:e - s], freqs[:e - s], means[:e - s] if averages else None
-        if outcomes is None:
-            counts, f = None, frequencies[s:e]
+        if s:
+            indices += PIECE  # exact: the indices stay below 2**53
+        idx = indices[:e - s]
+        w = means[:e - s] if averages else None
+        if bits is None:
+            f = frequencies[s:e]
         else:
-            np.copyto(counts, outcomes[s:e])
-            count = _cumsum_into(counts, count)
-            np.divide(counts, idx, out=f)
+            # The success counts, summed as floats: exact below 2**53, so f
+            # is the count divided by the index as an int64 count would give.
+            f = freqs[:e - s]
+            np.copyto(f, _unpack(bits, s, e))
+            count = _cumsum_into(f, count)
+            f /= idx
         if averages:
             np.copyto(w, f)
             running = _cumsum_into(w, running)
             w /= idx
-        yield s, e, idx, counts, f, w
+        yield s, e, idx, f, w
 
 
-def _frozen(array: np.ndarray) -> bool:
-    """Whether neither ``array`` nor the array whose data it views can be
-    written."""
-    base = array.base
-    return not array.flags.writeable and (
-        base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
+def _packed(given) -> Tuple[np.ndarray, int]:
+    """The outcomes ``given``, a 1-D sequence of 0/1, packed one bit per
+    trial, and their number; ValueError names the first entry that is not 0
+    or 1."""
+    try:
+        outcomes = np.asarray(given)
+    except ValueError:  # a ragged nesting
+        raise ValueError("outcomes must be a 1-D sequence of 0/1") from None
+    if outcomes.ndim == 0:
+        raise ValueError(f"outcomes must be a 1-D sequence of 0/1, not {given!r}")
+    if outcomes.ndim > 1:
+        raise ValueError("outcomes[0] is a sequence, not 0 or 1")
+    ones = outcomes == 1
+    bad = np.flatnonzero(~ones & (outcomes != 0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"outcomes[{i}] is {outcomes[i:i + 1].tolist()[0]!r}, not 0 or 1")
+    return np.packbits(ones, bitorder="little"), outcomes.size
 
 
 @record
 class TrialLog:
-    """Bit sequence of successes for one simulated ensemble."""
+    """Bit sequence of successes for one simulated ensemble.
+
+    The log keeps its outcomes packed, one bit per trial: ⌈n/8⌉ read-only
+    bytes, outcome i in bit i % 8 of byte i // 8 as in
+    `MinTrialsReport.packed_membership`, with the bits past n zero.  A prefix
+    views its log's bytes, so its bits past n are its log's, which nothing
+    reads.  ``outcomes`` unpacks a fresh read-only uint8 array on each read.
+    """
 
     seed: int
     truth: DiscreteMeasure
@@ -137,24 +177,34 @@ class TrialLog:
     success_probability: Fraction
 
     def __post_init__(self):
-        # The log compares and hashes by its outcomes, so it keeps them
-        # read-only: a given array is copied unless no one can write it.
-        given = self.outcomes
-        outcomes = np.asarray(given, dtype=np.uint8)
-        if (outcomes is given or outcomes.base is not None) and not _frozen(outcomes):
-            outcomes = outcomes.copy()
-        outcomes.flags.writeable = False
-        object.__setattr__(self, "outcomes", outcomes)
+        bits, n = _packed(self.__dict__.pop("outcomes"))
+        bits.flags.writeable = False
+        self.__dict__.update(_bits=bits, n=n)
 
-    def _key(self) -> tuple:
-        """The field tuple with the outcomes as their bytes, so that logs
-        compare and hash by value."""
-        return (self.seed, self.truth, self.target, self.outcomes.tobytes(),
-                self.success_probability)
+    @classmethod
+    def _of_bits(cls, seed, truth, target, bits: np.ndarray, n: int,
+                 success_probability) -> "TrialLog":
+        """The log of the n outcomes packed in the read-only ``bits``, which
+        it keeps without a copy."""
+        log = cls.__new__(cls)
+        log.__dict__.update(seed=seed, truth=truth, target=target,
+                            success_probability=success_probability, _bits=bits, n=n)
+        return log
 
     @property
-    def n(self) -> int:
-        return int(self.outcomes.size)
+    def outcomes(self) -> np.ndarray:
+        outcomes = np.unpackbits(self._bits, count=self.n, bitorder="little")
+        outcomes.flags.writeable = False
+        return outcomes
+
+    def _key(self) -> tuple:
+        """The field tuple with the outcomes as n and their packed bytes, the
+        bits past n cleared, so that logs compare and hash by value."""
+        packed = self._bits.tobytes()
+        if self.n % 8:
+            packed = packed[:-1] + bytes([packed[-1] & (1 << self.n % 8) - 1])
+        return (self.seed, self.truth, self.target, self.n, packed,
+                self.success_probability)
 
     @property
     def successes(self) -> np.ndarray:
@@ -162,32 +212,39 @@ class TrialLog:
         return np.cumsum(self.outcomes, dtype=np.int64)
 
     def prefix(self, m: int) -> "TrialLog":
-        """The log of the first m trials; identical to a fresh run of size m."""
+        """The log of the first m trials; identical to a fresh run of size m,
+        and a view of this log's bytes."""
         if not 1 <= m <= self.n:
             raise ValueError(f"prefix length {m} outside 1..{self.n}")
-        return TrialLog(self.seed, self.truth, self.target,
-                        self.outcomes[:m], self.success_probability)
+        return TrialLog._of_bits(self.seed, self.truth, self.target,
+                                 self._bits[:-(-m // 8)], m, self.success_probability)
 
     def trace(self) -> "FrequencyTrace":
-        """The frequency trace of the log, backed by its outcomes."""
-        return FrequencyTrace._of_outcomes(self.outcomes)
+        """The frequency trace of the log, backed by its packed outcomes."""
+        return FrequencyTrace._of_bits(self._bits, self.n)
 
     def rows(self, start: int = 0, stop: Optional[int] = None):
         """CSV rows (i, X_i, xi_i, f_i, w_i), the range [start, stop) of all
         n rows with slice semantics.
 
         The running sums still run from the first trial, so each row equals
-        the same row of ``rows()`` bit for bit; tuples are built only for the
-        rows yielded, one piece at a time.
+        the same row of ``rows()`` bit for bit; the success counts xi_i are
+        summed here as integers, and tuples are built only for the rows
+        yielded, at most ROW_BATCH at a time.
         """
         start, stop, _ = slice(start, stop).indices(self.n)
-        for s, e, _, counts, f, w in _frequency_chunks(self.n, outcomes=self.outcomes):
+        count = None
+        for s, e, _, f, w in _frequency_chunks(self.n, self._bits):
             if s >= stop:
                 return
-            a, b = max(start, s), min(stop, e)
-            part = slice(a - s, b - s)
-            yield from zip(range(a + 1, b + 1), self.outcomes[a:b].tolist(),
-                           counts[part].tolist(), f[part].tolist(), w[part].tolist())
+            x = _unpack(self._bits, s, e)
+            counts = x.astype(np.int64)
+            count = _cumsum_into(counts, count)
+            for a in range(max(start, s), min(stop, e), ROW_BATCH):
+                b = min(a + ROW_BATCH, stop, e)
+                part = slice(a - s, b - s)
+                yield from zip(range(a + 1, b + 1), x[part].tolist(), counts[part].tolist(),
+                               f[part].tolist(), w[part].tolist())
 
 
 def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) -> TrialLog:
@@ -195,7 +252,7 @@ def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) ->
 
     Success is decided by an exact integer threshold comparison on the raw
     generator words, so rational-mode truth probabilities are honored without
-    rounding.
+    rounding.  Each step of outcomes is packed as it is generated.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -206,32 +263,35 @@ def run_ensemble(truth: DiscreteMeasure, target: BorelSet, n: int, seed: int) ->
     p = truth.measure_of(target)
     p_exact = to_scalar(p, RATIONAL)
     threshold = (p_exact.numerator * _WORD) // p_exact.denominator
+    size = -(-n // 8)
     if threshold >= _WORD:
-        outcomes = np.ones(n, dtype=np.uint8)
+        bits = np.full(size, 0xFF, dtype=np.uint8)
+        bits[-1] >>= -n % 8
     elif threshold <= 0:
-        outcomes = np.zeros(n, dtype=np.uint8)
+        bits = np.zeros(size, dtype=np.uint8)
     else:
-        outcomes = np.empty(n, dtype=np.uint8)
+        bits = np.empty(size, dtype=np.uint8)
         cut = np.uint64(threshold)
         for s, e in _chunks(n):
-            np.less(counter_words(seed, s + 1, e - s), cut, out=outcomes[s:e])
-    outcomes.flags.writeable = False  # the log keeps it without a copy
-    return TrialLog(seed=seed, truth=truth, target=target,
-                    outcomes=outcomes, success_probability=p_exact)
+            bits[s // 8:-(-e // 8)] = np.packbits(counter_words(seed, s + 1, e - s) < cut,
+                                                  bitorder="little")
+    bits.flags.writeable = False
+    return TrialLog._of_bits(seed, truth, target, bits, n, p_exact)
 
 
 class FrequencyTrace:
     """The sequence f_n of relative frequencies and its running average w_n.
 
     Frequencies must lie in [0, 1].  A trace from ``TrialLog.trace`` is backed
-    by the log's outcomes, and the estimators stream f and w from them; the
-    vectors ``f`` and ``w`` are built on first access and then kept, and so is
-    w_n once an averaged pass has reached the horizon.  Traces built from a
-    TrialLog satisfy (n+1) f_{n+1} >= n f_n, the success-count monotonicity;
-    synthetic traces may not, which `is_count_monotone` reports.
+    by the log's packed outcomes, and the estimators stream f and w from them,
+    unpacking one piece at a time; the vectors ``f`` and ``w`` are built on
+    first access and then kept, and so is w_n once an averaged pass has
+    reached the horizon.  Traces built from a TrialLog satisfy
+    (n+1) f_{n+1} >= n f_n, the success-count monotonicity; synthetic traces
+    may not, which `is_count_monotone` reports.
     """
 
-    __slots__ = ("n", "_outcomes", "_f", "_w", "_w_n")
+    __slots__ = ("n", "_bits", "_f", "_w", "_w_n")
 
     def __init__(self, frequencies: Sequence[float]):
         f = np.array(frequencies, dtype=np.float64)
@@ -244,41 +304,42 @@ class FrequencyTrace:
             np.clip(f, 0.0, 1.0, out=f)
 
     @classmethod
-    def _of_outcomes(cls, outcomes: np.ndarray) -> "FrequencyTrace":
-        """The trace of the 0/1 ``outcomes``, which it reads without a copy."""
+    def _of_bits(cls, bits: np.ndarray, n: int) -> "FrequencyTrace":
+        """The trace of the n 0/1 outcomes packed in ``bits``, which it reads
+        without a copy."""
         trace = cls.__new__(cls)
-        trace._back(outcomes.size, outcomes, None)
+        trace._back(n, bits, None)
         return trace
 
-    def _back(self, n: int, outcomes, f) -> None:
+    def _back(self, n: int, bits, f) -> None:
         if n == 0:
             raise ValueError("frequency trace must be a nonempty vector")
-        self.n, self._outcomes, self._f, self._w, self._w_n = int(n), outcomes, f, None, None
+        self.n, self._bits, self._f, self._w, self._w_n = int(n), bits, f, None, None
 
     def _chunks(self, averages: bool = True):
-        """(s, e, idx, counts, f, w) chunk by chunk; see ``_frequency_chunks``."""
-        for chunk in _frequency_chunks(self.n, self._outcomes, self._f, averages):
+        """(s, e, idx, f, w) chunk by chunk; see ``_frequency_chunks``."""
+        for chunk in _frequency_chunks(self.n, self._bits, self._f, averages):
             if averages and chunk[1] == self.n:
-                self._w_n = float(chunk[5][-1])
+                self._w_n = float(chunk[4][-1])
             yield chunk
 
     def _gather(self, k: int) -> np.ndarray:
-        """Field k (4 for f, 5 for w) of every chunk, as one vector."""
+        """Field k (3 for f, 4 for w) of every chunk, as one vector."""
         out = np.empty(self.n, dtype=np.float64)
-        for chunk in self._chunks(averages=k == 5):
+        for chunk in self._chunks(averages=k == 4):
             out[chunk[0]:chunk[1]] = chunk[k]
         return out
 
     @property
     def f(self) -> np.ndarray:
         if self._f is None:
-            self._f = self._gather(4)
+            self._f = self._gather(3)
         return self._f
 
     @property
     def w(self) -> np.ndarray:
         if self._w is None:
-            self._w = self._gather(5)
+            self._w = self._gather(4)
         return self._w
 
     def is_count_monotone(self, tol: float = COUNT_MONOTONE_TOL) -> bool:
@@ -286,10 +347,10 @@ class FrequencyTrace:
         A trace backed by a log needs no pass, since its counts are running
         sums of 0/1 outcomes; the float products k f_k, which only a synthetic
         trace is checked on, fell by 1.86e-9 on a log of 1.7e7 trials."""
-        if self._outcomes is not None:
+        if self._bits is not None:
             return True
         last = 0.0  # no trials, no successes
-        for _, _, idx, _, f, _ in self._chunks(averages=False):
+        for _, _, idx, f, _ in self._chunks(averages=False):
             counts = f * idx
             if not (np.diff(counts, prepend=last) >= -tol).all():
                 return False
@@ -540,7 +601,8 @@ def estimate_probability(
         for _ in trace._chunks():
             pass
     p_hat = w_bar = trace._w_n
-    deviations = (np.abs(f - p_hat) for _, _, _, _, f, _ in trace._chunks(averages=False))
+    deviations = (np.abs(d, out=d) for d in (
+        f - p_hat for _, _, _, f, _ in trace._chunks(averages=False)))
     kvn = _cesaro_scan(deviations, n, DEFAULT_ALPHA_GRID, _REPORT_LEVEL, _REPORT_LEVEL)
     # Stage k puts mass f_k at outcome 1 and 1 - f_k at outcome 0.
     if probes is None:
@@ -625,19 +687,23 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and positive")
     n = trace.n
-    packed = np.empty(-(-n // 8), dtype=np.uint8)
+    # The membership bytes are appended piece by piece, and getvalue hands
+    # over the buffer they were written to rather than a copy of it.
+    packed = io.BytesIO()
+    gaps = np.empty(min(n, PIECE))
     # w_0 does not exist: NaN fails the first gap, which is then set to pass.
     before = np.nan
     first_success = f_at = None
     first_candidate = 1
     holds, harmonic = True, 0.0
-    for s, e, idx, _, f, w in trace._chunks():
-        gap = np.concatenate(([before], w[:-1]))
+    for s, e, idx, f, w in trace._chunks():
+        gap = gaps[:e - s]
+        gap[0], gap[1:] = before, w[:-1]
         np.abs(np.subtract(f, gap, out=gap), out=gap)
         member = np.divide(gap, idx, out=gap) < 2.0 * alpha
         member[0] |= s == 0
         # PIECE is a multiple of 8, so each piece fills whole bytes.
-        packed[s // 8:-(-e // 8)] = np.packbits(member, bitorder="little")
+        packed.write(np.packbits(member, bitorder="little"))
         missed = np.flatnonzero(~member)
         if missed.size:
             first_candidate = s + int(missed[-1]) + 2
@@ -657,12 +723,13 @@ def min_trials(trace: FrequencyTrace, alpha: float) -> MinTrialsReport:
             terms = np.subtract(idx[cut:], first_success, out=gap[cut:])
             harmonic = _cumsum_into(np.divide(1.0, terms, out=terms), harmonic)
             bounds = np.divide(np.multiply(f_at, terms, out=terms), idx[cut:], out=terms)
-            holds = holds and bool((w[cut:] + FREQUENCY_TOL >= bounds).all())
+            slack = np.add(w[cut:], FREQUENCY_TOL, out=w[cut:])  # w is spent
+            holds = holds and bool((slack >= bounds).all())
     bound = 0.0 if first_success is None else float(f_at * harmonic / n)
     return MinTrialsReport(
         alpha=float(alpha),
         horizon=n,
-        packed_membership=packed.tobytes(),
+        packed_membership=packed.getvalue(),
         first_candidate=first_candidate,
         first_success_index=first_success,
         lower_bound_at_horizon=bound,

@@ -5,6 +5,10 @@ and purity of density matrices (nats), and the bridge between the two: the
 density matrix a partition induces has von Neumann entropy equal to the
 partition entropy times ln 2.  The Khinchin axiom suite and the
 informativity order built on this entropy live in `oplab.diagnostics`.
+
+`oplab.measures` is named in annotations only: the partition entropies take
+its measures and partitions as arguments, so a job that takes only a state's
+entropy and purity does not run it.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from . import _np as np
-from . import spectral
-from ._base import record
+from . import measures, spectral
+from ._base import FLOAT, RATIONAL, record, to_scalar
 from .errors import PartitionDoesNotCover, ZeroCell
-from .measures import FLOAT, RATIONAL, DiscreteMeasure, Partition, to_scalar
 
 LN2 = math.log(2.0)
 # How far from 1 a schema's total mass may be once any weight is a float.
@@ -77,7 +80,7 @@ class Schema:
 
 @record
 class EntropyReport:
-    partition: Partition
+    partition: measures.Partition
     cell_probabilities: tuple
     bits: float
 
@@ -88,7 +91,8 @@ class EntropyReport:
             yield (k, cell.describe(), p, contribution)
 
 
-def shannon_entropy(measure: DiscreteMeasure, partition: Partition) -> EntropyReport:
+def shannon_entropy(measure: measures.DiscreteMeasure,
+                    partition: measures.Partition) -> EntropyReport:
     """Entropy of the cell-probability vector of the measure, in bits."""
     measure.require_probability()
     uncovered = [p for p in measure.support if partition.locate(p) < 0]
@@ -123,7 +127,8 @@ class EntropyBridge:
         return abs(self.vn_nats - self.shannon_bits * LN2)
 
 
-def partition_density_matrix(measure: DiscreteMeasure, partition: Partition) -> EntropyBridge:
+def partition_density_matrix(measure: measures.DiscreteMeasure,
+                             partition: measures.Partition) -> EntropyBridge:
     """Diagonal density matrix carrying the cell probabilities.
 
     Its von Neumann entropy in nats equals the measurement entropy in bits

@@ -178,11 +178,11 @@ class BorelSet:
             return True
 
         def offset(piece):  # no arithmetic on -inf: an exact x may be beyond a double
-            return piece[0] - x if piece[0] != -math.inf else -math.inf
+            return _minus(piece[0], x) if piece[0] != -math.inf else -math.inf
 
         lo = bisect_left(pieces, -singleton_tol, key=offset)
         hi = bisect_right(pieces, singleton_tol, lo, key=offset)
-        return any(abs(x - a) <= singleton_tol for a, b in pieces[lo:hi] if a == b)
+        return any(abs(_minus(a, x)) <= singleton_tol for a, b in pieces[lo:hi] if a == b)
 
     def __contains__(self, x) -> bool:
         return self.contains(x)
@@ -226,6 +226,19 @@ class BorelSet:
 
     def __repr__(self) -> str:
         return f"BorelSet({self.describe()})"
+
+
+def _minus(endpoint, x):
+    """``endpoint - x`` for a float ``x``, rounded as floats round: an
+    endpoint beyond a double, which ``float`` cannot convert, rounds to the
+    infinity of its sign, as the nearest double would.  An exact difference
+    there would break the order of the keys, since a smaller endpoint's
+    rounded difference may already be an infinity.  An exact ``x`` is
+    looked up among the exact endpoints, whose differences never overflow."""
+    try:
+        return endpoint - x
+    except OverflowError:
+        return (math.inf if endpoint > 0 else -math.inf) - x
 
 
 def _float_key(endpoint):

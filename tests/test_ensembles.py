@@ -22,6 +22,7 @@ from oplab.ensembles import (
     MAX_TRIALS,
     NOT_CONVERGENT,
     PIECE,
+    ROW_BATCH,
     STEP,
     FrequencyTrace,
     NaturalSubset,
@@ -576,6 +577,48 @@ class TestChunkedPipeline:
         assert report.p_hat.hex() == float(w[-1]).hex()
         assert np.array_equal(stabilization.membership, _ref_min_trials(f, w, alpha)[0])
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([1, 7, 9, STEP + 3, PIECE - 1, PIECE + 1, 2 * PIECE + 5])
+           | st.integers(1, 2 * PIECE + 7).filter(lambda n: n % 8),
+           p=PROBABILITIES, seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+    @example(n=2 * PIECE + 5, p=F(3, 10), seed=5, data=None)
+    def test_packed_log_answers_as_its_unpacked_outcomes(self, n, p, seed, data):
+        """A log keeps one bit per trial and answers as the one-byte-per-trial
+        reference: its outcomes, rows, trace and estimators, its equality and
+        hash with a log built from the reference, and a prefix equal to a
+        fresh run that views the log's bytes."""
+        truth = _coin(p)
+        log = run_ensemble(truth, TARGET, n, seed)
+        outcomes = _ref_outcomes(p, n, seed)
+        packed = np.packbits(outcomes, bitorder="little")
+        assert log._bits.tobytes() == packed.tobytes() and log.n == n
+        assert np.array_equal(log.outcomes, outcomes) and log.outcomes.dtype == np.uint8
+        assert repr(list(log.rows())) == repr(_ref_rows(outcomes))
+        counts = np.cumsum(outcomes, dtype=np.int64)
+        assert np.array_equal(log.successes, counts)
+        if n >= 4:
+            report = place_selection_check(log)
+            evens = outcomes[1::2]
+            assert (repr(report.full_frequency), repr(report.selected_frequency)) == (
+                repr(float(counts[-1] / n)), repr(float(np.mean(evens))))
+        _assert_matches_reference(log.trace(), counts / np.arange(1, n + 1, dtype=np.float64),
+                                  0.01)
+        unpacked = TrialLog(seed, truth, TARGET, outcomes, log.success_probability)
+        assert unpacked == log and hash(unpacked) == hash(log)
+        assert unpacked._bits.tobytes() == packed.tobytes()
+        m = n - 1 if data is None else data.draw(st.integers(1, n), label="m")
+        if m:
+            prefix, fresh = log.prefix(m), run_ensemble(truth, TARGET, m, seed)
+            assert prefix == fresh and hash(prefix) == hash(fresh)
+            assert prefix._bits.base is log._bits
+            assert np.array_equal(prefix.outcomes, outcomes[:m])
+            assert repr(list(prefix.rows())) == repr(list(fresh.rows()))
+            assert m == n or prefix != log
+            if m >= 100:
+                assert (estimate_probability(prefix.trace())
+                        == estimate_probability(fresh.trace()))
+            assert min_trials(prefix.trace(), 0.01) == min_trials(fresh.trace(), 0.01)
+
     def test_cli_estimate_makes_two_passes(self, monkeypatch, tmp_path):
         """``oplab estimate`` streams the log twice: ``min_trials``, then
         the Cesaro scan."""
@@ -666,20 +709,44 @@ class TestChunkedPipeline:
             tracemalloc.stop()
         assert peak < 24 * n + 4 * 2 ** 20
 
-    def test_estimate_keeps_about_two_bytes_per_trial(self):
-        """Beyond the outcomes (1 byte per trial) and the min_trials
-        membership (1 bit), the estimators hold only chunks: no f or w as long
-        as the log."""
-        n = 2 ** 20 + 1
-        tracemalloc.start()
-        try:
-            log = run_ensemble(TRUTH, TARGET, n, seed=1)
-            estimate_probability(log.trace())
-            min_trials(log.trace(), 0.01)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n + n // 8 + 2 * 2 ** 20
+    def test_estimate_grows_by_under_half_a_byte_per_trial(self):
+        """The estimate pipeline, in the order ``oplab estimate`` runs it,
+        peaks at most 0.5 byte per added trial above a 10**4-trial run at
+        10**6 trials: the outcome bit and the membership bit make 1/4, and
+        the estimators hold no f or w as long as the log, only pieces of
+        PIECE entries, which a 10**4-trial run holds 10**4 long.  One byte
+        per outcome made about 1.5."""
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                trace = run_ensemble(TRUTH, TARGET, n, seed=1).trace()
+                stabilization = min_trials(trace, 0.01)
+                estimate_probability(trace)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert stabilization.horizon == n
+            return top
+
+        peak(10 ** 4)  # whatever a first run allocates once stays out of the baseline
+        base = peak(10 ** 4)
+        assert peak(10 ** 6) - base <= 0.5 * (10 ** 6 - 10 ** 4)
+
+    def test_rows_build_objects_a_batch_at_a_time(self):
+        """Iterating the rows of a log built beforehand peaks under 1 MiB: four
+        piece buffers of 128 KiB and ROW_BATCH rows of Python objects.  Turning
+        a whole piece into objects at once peaked at 2.4 MB."""
+        log = run_ensemble(TRUTH, TARGET, 3 * PIECE + 5, seed=1)
+        assert ROW_BATCH < PIECE
+        for start in (0, PIECE + 3):
+            tracemalloc.start()
+            try:
+                rows = sum(1 for _ in log.rows(start))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rows == log.n - start and peak < 2 ** 20, peak
 
     def test_min_trials_keeps_one_bit_per_trial(self):
         """On a log built beforehand, min_trials allocates its packed

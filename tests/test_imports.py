@@ -108,11 +108,11 @@ KIND_LAYERS = {
     "estimate": ["ensembles", "measures"],
     "spectral": ["measures", "spectral"],
     "validate": ["algebra", "spectral"],
-    "tomography": ["algebra", "information", "measures", "spectral"],
+    "tomography": ["algebra", "information", "spectral"],
     "report": [],
 }
 # A golden case that runs less than its kind: a tomography that finds no
-# state takes no purity, so it runs neither information nor measures.
+# state takes no purity, so it does not run information.
 CASE_LAYERS = {"tomography_unrealizable": ["algebra", "spectral"]}
 BASE = ["errors", "serialization"]
 # The layers that only library callers run.

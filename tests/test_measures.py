@@ -174,6 +174,25 @@ class TestBorelSet:
         s = BorelSet([(-math.inf, 0)], [huge])
         assert s.contains(huge + 1, 1) and not s.contains(huge + 2, 1)
         assert s.contains(-huge, 1) and s.contains(-huge, 0)
+        # A float query near such an endpoint: the endpoint rounds to the
+        # infinity of its sign, as the nearest double would, and the
+        # singletons a double can hold are found as before.
+        far = BorelSet.points([10 ** 400, 0])
+        assert not far.contains(5.0, 0.5) and far.contains(0.2, 0.5)
+        assert not far.contains(math.inf, 0.5) and not far.contains(1e308, 1e300)
+        assert far.contains(1e308, 1e308) and far.contains(5.0, math.inf)
+        assert not far.contains(math.nan, 0.5)
+        below = BorelSet.points([-(10 ** 400), 0])
+        assert not below.contains(-5.0, 0.5) and below.contains(-0.2, 0.5)
+        assert not below.contains(-math.inf, 1.0)
+        inside = BorelSet([(-(10 ** 400), 10 ** 400)], [10 ** 401])
+        assert inside.contains(1e308, 0.5) and inside.contains(-1e308, 0.5)
+        # An exact query beyond a double meets exact endpoints, a float
+        # one among them too.
+        small = BorelSet.points([1.5, 10 ** 400])
+        assert not small.contains(10 ** 400 + 2, 1) and small.contains(10 ** 400 + 1, 1)
+        assert not small.contains(-(10 ** 400), 0.5) and small.contains(F(5, 2), 1)
+        assert not BorelSet.points([1.5]).contains(10 ** 400, 0.5)
 
     def test_tolerance_lookups_grow_as_n_log_n(self):
         # Every point of a set asked for with a tolerance: on a 2-core VM a

@@ -63,20 +63,29 @@ def _fields(cls) -> tuple:
 
 
 def _values(cls) -> tuple:
-    """A label per field, except TrialLog's outcomes: a read-only uint8
-    array, which the log keeps as it is given."""
+    """A label per field, except TrialLog's outcomes: a uint8 array of 0/1,
+    which the log reads back as an equal array."""
     values = tuple(f"{cls.__name__}.{name}" for name in _fields(cls))
     if cls is TrialLog:
-        outcomes = np.array([0, 1, 1], dtype=np.uint8)
-        outcomes.flags.writeable = False
-        return values[:3] + (outcomes,) + values[4:]
+        return values[:3] + (np.array([0, 1, 1], dtype=np.uint8),) + values[4:]
     return values
 
 
-def _key(values: tuple) -> tuple:
-    """``values`` with each array as its bytes, which is what equality and
-    hashing compare."""
-    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+def _plain(values: tuple) -> tuple:
+    """``values`` with each array as its dtype and bytes, so that tuples of
+    them compare by value."""
+    return tuple((v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
+
+
+def _key(cls, values: tuple) -> tuple:
+    """What equality and hashing compare: the field tuple, except that
+    TrialLog takes its outcomes as their number and their bits, packed
+    little-endian within each byte."""
+    if cls is TrialLog:
+        outcomes = values[3]
+        packed = np.packbits(outcomes, bitorder="little").tobytes()
+        return values[:3] + (outcomes.size, packed) + values[4:]
+    return values
 
 
 def test_every_layer_record_is_found_and_none_is_a_dataclass():
@@ -106,7 +115,7 @@ class TestEveryRecord:
     def test_construction_by_position_and_keyword(self, cls):
         names, values = _fields(cls), _values(cls)
         by_position = cls(*values)
-        assert tuple(getattr(by_position, name) for name in names) == values
+        assert _plain(tuple(getattr(by_position, name) for name in names)) == _plain(values)
         assert cls(**dict(zip(names, values))) == by_position
         assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == by_position
 
@@ -118,7 +127,9 @@ class TestEveryRecord:
             cls(*values, "extra")
         with pytest.raises(TypeError, match="multiple values"):
             cls(*values, **{names[0]: values[0]})
-        required = [name for name in names if name not in vars(cls)]
+        # A property named like a field reads it and gives it no default.
+        required = [name for name in names
+                    if not (name in vars(cls) and not isinstance(vars(cls)[name], property))]
         for name in required:
             with pytest.raises(TypeError, match=f"missing required arguments: .*{name}"):
                 cls(**{n: v for n, v in zip(names, values) if n != name})
@@ -137,7 +148,7 @@ class TestEveryRecord:
     def test_equality_and_hash_follow_the_field_tuple(self, cls):
         values = _values(cls)
         a, b = cls(*values), cls(*values)
-        assert a == b and hash(a) == hash(b) == hash(_key(values))
+        assert a == b and hash(a) == hash(b) == hash(_key(cls, values))
         assert a != cls(*values[:-1], "other")
         assert a != values and values != a
 
@@ -150,6 +161,8 @@ def test_records_of_different_classes_are_never_equal():
     for first, second in itertools.combinations(ALL, 2):
         if len(_fields(first)) == len(_fields(second)):
             values = tuple(range(len(_fields(first))))
+            if TrialLog in (first, second):  # its outcomes must be a sequence of 0/1
+                values = values[:3] + ((1, 0),) + values[4:]
             assert first(*values) != second(*values), (first.__name__, second.__name__)
     assert ExpectationConstraint("x", 1) != CorrelationConstraint("x", 1)
     assert MarginalConstraint("x", 1, 0) != ("x", 1, 0)
@@ -233,10 +246,43 @@ class TestTrialLog:
             log.outcomes[0] = 1
         view = given.view()
         view.flags.writeable = False  # read-only, but its base is not
-        assert self._log(view).outcomes is not view
+        from_view = self._log(view)
+        given[:] = 0
+        assert from_view.outcomes.tolist() == [1, 1]
 
-    def test_a_run_and_its_prefixes_share_their_outcomes(self):
+    def test_a_run_and_its_prefixes_share_their_packed_bits(self):
+        """A log keeps ceil(n / 8) read-only bytes, outcome i in bit i % 8 of
+        byte i // 8 and zeros past n; a prefix views them without a copy, and
+        each read of ``outcomes`` unpacks a fresh read-only array."""
         truth = DiscreteMeasure([(0, F(1, 2)), (1, F(1, 2))])
         log = run_ensemble(truth, BorelSet.point(1), 100, 1)
-        assert not log.outcomes.flags.writeable
-        assert log.prefix(10).outcomes.base is log.outcomes
+        bits = log._bits
+        assert bits.dtype == np.uint8 and bits.size == 13 and not bits.flags.writeable
+        assert bits.tobytes() == np.packbits(log.outcomes, bitorder="little").tobytes()
+        assert bits[-1] >> 4 == 0
+        for m in (1, 10, 16, 99, 100):
+            part = log.prefix(m)._bits
+            assert part.base is bits and part.size == -(-m // 8), m
+        first, again = log.outcomes, log.outcomes
+        assert first is not again and not np.shares_memory(first, again)
+        assert not first.flags.writeable and first.dtype == np.uint8
+        given = self._log([1, 0, 1])
+        assert given._bits.tobytes() == b"\x05" and not given._bits.flags.writeable
+
+    def test_only_a_vector_of_zeros_and_ones_is_taken(self):
+        for given in ([], [True, False], np.array([0.0, 1.0]), (1, 0), np.zeros(9, np.int64)):
+            assert self._log(given).outcomes.tolist() == [int(x) for x in given]
+        for given, message in [
+            ([2, 0, 1], r"outcomes\[0\] is 2, not 0 or 1"),
+            ([0, 1, 256], r"outcomes\[2\] is 256, not 0 or 1"),
+            ([0, 1, -1], r"outcomes\[2\] is -1"),
+            ([0, 0.5], r"outcomes\[1\] is 0.5"),
+            ([1, float("nan")], r"outcomes\[1\] is nan"),
+            ([0, None], r"outcomes\[1\] is None"),
+            (["1", "0"], r"outcomes\[0\] is '1'"),
+            (np.array([[0, 1], [1, 0]]), r"outcomes\[0\] is a sequence, not 0 or 1"),
+            (300, r"a 1-D sequence of 0/1, not 300"),
+            ([[0, 1], [1]], r"a 1-D sequence of 0/1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                self._log(given)
