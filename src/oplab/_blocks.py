@@ -25,7 +25,7 @@ import mmap
 from array import array
 
 from . import _np as np
-from ._fork import available_cpus, beside
+from ._fork import beside
 
 # Fewest characters of blocks for which ``read`` forks a worker.  Forking
 # costs about 3 ms with a 6 MB config loaded.  On a 2-core VM, reading one
@@ -76,7 +76,7 @@ def read(text: str, blocks: list, piece: int) -> None:
         _take(text, pieces, reversed(range(len(pieces))), doubles, flags)
 
     chars = sum(block.end - block.start for block in blocks)
-    if chars < FORK_MIN_CHARS or available_cpus() < 2 or not beside(work, own):
+    if chars < FORK_MIN_CHARS or not beside(work, own):
         flags[stop:] = bytes(len(pieces) - stop)  # a failed worker's pieces are read again
         own()
     for block, (first, last, start) in zip(blocks, spans):

@@ -1,5 +1,5 @@
-"""One forked worker beside the command: the fork plumbing that
-`oplab.trialcsv` and `oplab._blocks` share.
+"""One forked worker beside the command, and whether one may start: the
+fork plumbing that `oplab.commands.simulate` and `oplab._blocks` share.
 
 Each caller splits its work in two, runs one part here and gives the other
 to a worker that ``fork`` copies from this process, so nothing is pickled and
@@ -57,8 +57,8 @@ def beside(work, own) -> bool:
 
 
 def _fork():
-    """``os.fork()``, or None where no worker can start."""
-    if not hasattr(os, "fork"):
+    """``os.fork()``, or None without ``os.fork`` or with fewer than 2 CPUs."""
+    if not hasattr(os, "fork") or available_cpus() < 2:
         return None
     try:
         with warnings.catch_warnings():

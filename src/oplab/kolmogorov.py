@@ -91,13 +91,17 @@ class KolmogorovResult:
 
 def _system(outcome_spaces: Mapping[str, Sequence], constraints, bound: int):
     """Names, cells, and the rows and right-hand sides of total mass one and
-    of each constraint, each row built once from the outcome positions."""
+    of each constraint, each row built once from the outcome positions.  A
+    repeated outcome value is refused: it would repeat cells."""
     names = tuple(outcome_spaces.keys())
     spaces = [tuple(to_scalar(v, RATIONAL) for v in outcome_spaces[name]) for name in names]
     size = 1
-    for space in spaces:
+    for name, space in zip(names, spaces):
         if not space:
             raise ValueError("empty outcome list")
+        if len(set(space)) < len(space):
+            value = next(v for k, v in enumerate(space) if v in space[:k])
+            raise ValueError(f"outcome list of {name!r} repeats the value {value}")
         size *= len(space)
         if size > bound:
             raise CapacityError(f"product outcome space exceeds {bound} cells")

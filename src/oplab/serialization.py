@@ -147,15 +147,18 @@ def _value(text: str, at: int, members: list) -> tuple:
 def _block(text: str, at: int):
     """The `_Block` of the member value at ``at`` and its end, or None.  A
     block holds no string and no object, so it ends at the last ']' before
-    the next '"' or '}'."""
+    the next '"' or '}'; the quote is found first, since the next '}' may lie
+    past every later block of the object."""
     second = _skip(text, at + 1)
     if not (text.startswith("[", at) and text.startswith("[", second)
             and text.startswith("[", _skip(text, second + 1))):
         return None
-    stop = text.find("}", at)
-    quote = text.find('"', at, stop)
-    end = text.rfind("]", at, stop if quote < 0 else quote) + 1
-    if stop < 0 or end <= at:
+    quote = text.find('"', at)
+    if quote < 0:
+        quote = len(text)
+    stop = text.find("}", at, quote)
+    end = text.rfind("]", at, quote if stop < 0 else stop) + 1
+    if end <= at or stop < 0 and text.rfind("}", quote) < 0:
         return None
     try:
         return _Block(text, at, end), end
@@ -471,12 +474,16 @@ def validation_of(payload: Mapping, where: str = "inputs"):
 
 def outcomes_of(payload: Mapping, where: str = "inputs") -> dict:
     """The ``outcomes`` object of ``payload``: each observable's non-empty
-    list of outcome values, exact rationals."""
+    list of distinct outcome values, exact rationals."""
     outcomes = field(payload, "outcomes", where, dict, items=list)
     for name, values in outcomes.items():
+        path, first = f"{where}.outcomes.{name}", {}
         if not values:
-            raise ConfigError(f"{where}.outcomes.{name} must be a non-empty list")
-        _check(values, [_rational], f"{where}.outcomes.{name}")
+            raise ConfigError(f"{path} must be a non-empty list")
+        _check(values, [_rational], path)
+        for k, value in enumerate(map(_rational, values)):
+            if first.setdefault(value, k) != k:
+                raise ConfigError(f"{path}[{k}] repeats the value {value} of {path}[{first[value]}]")
     return outcomes
 
 

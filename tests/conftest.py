@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oplab import _fork
 from oplab.joint import JointMeasure
 from oplab.measures import DiscreteMeasure
 from oplab.spectral import DensityState, HermitianObservable
@@ -86,6 +87,15 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return pids
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)``: from then on `oplab._fork`, which alone decides whether a
+    worker starts, sees n CPUs."""
+    def see(n):
+        monkeypatch.setattr(_fork, "available_cpus", lambda: n)
+    return see
 
 
 @pytest.fixture

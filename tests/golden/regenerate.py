@@ -4,7 +4,7 @@
 infeasible, ``entropy`` and ``dissipation`` in each mode, ``entropy`` on a
 float chain of atoms across a cell boundary, ``report`` on the
 two ``dissipation`` tables, ``simulate`` just below and just above
-``oplab.trialcsv.FORK_MIN_TRIALS``, ``estimate``, ``spectral``,
+``oplab.commands.simulate.FORK_MIN_TRIALS``, ``estimate``, ``spectral``,
 ``tomography`` reconstructed and unrealizable, and ``validate`` with and
 without an ``algebraization``.  Each config's ``output`` field names its
 output; ``validate`` writes its JSON report there and a CSV beside it.

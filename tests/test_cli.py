@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 import oplab
 from oplab import errors as oplab_errors
-from oplab import cli, commands, trialcsv
+from oplab import cli, commands
 from oplab.cli import main
+from oplab.commands import simulate
 from oplab.ensembles import MAX_TRIALS, PIECE
 
 from conftest import CHUNK, assert_no_child_left
@@ -516,6 +517,10 @@ class TestConfigCorruption:
         ("tomography", ("inputs", "problem", "expectations", 0), "x",
          "inputs.problem.expectations[0] must be a finite number"),
         ("kolmogorov_ok", ("inputs", "outcomes", "b"), [], "inputs.outcomes.b must be a non-empty list"),
+        ("kolmogorov_ok", ("inputs", "outcomes", "a"), [-1, 1, "2/2"],
+         "inputs.outcomes.a[2] repeats the value 1 of inputs.outcomes.a[1]"),
+        ("kolmogorov_ok", ("inputs", "outcomes", "b", 1), "-1.0",
+         "inputs.outcomes.b[1] repeats the value -1 of inputs.outcomes.b[0]"),
         ("kolmogorov_ok", ("inputs", "constraints", 0, "observable"), "x",
          "inputs.constraints[0].observable: unknown observable label 'x'"),
         ("kolmogorov_bad", ("inputs", "constraints", 1, "observables", 1), "d",
@@ -888,39 +893,40 @@ class TestSimulateWorker:
     its worker never outlives the call or returns into the caller."""
 
     @pytest.mark.parametrize("p", ["0", "3/10", "1"])
-    @pytest.mark.parametrize("trials", [1, trialcsv.FORK_MIN_TRIALS - 1, trialcsv.FORK_MIN_TRIALS,
+    @pytest.mark.parametrize("trials", [1, simulate.FORK_MIN_TRIALS - 1, simulate.FORK_MIN_TRIALS,
                                         PIECE - 1, PIECE, PIECE + 1, CHUNK - 1, CHUNK, CHUNK + 1,
                                         2 * CHUNK + 1, 200_000])
-    def test_two_processes_equal_serial(self, tmp_path, monkeypatch, forks, parent, trials, p):
-        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 1)
+    def test_two_processes_equal_serial(self, tmp_path, cpus, forks, parent, trials, p):
+        cpus(1)
         serial = _simulate(tmp_path, trials, p, "serial")
         assert forks == []
-        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 2)
+        cpus(2)
         forked = _simulate(tmp_path, trials, p, "forked")
-        assert len(forks) == (1 if trials >= trialcsv.FORK_MIN_TRIALS else 0)
+        assert len(forks) == (1 if trials >= simulate.FORK_MIN_TRIALS else 0)
         assert forked == serial
         assert serial.count(b"\n") == 1 + trials + 3  # header, rows, footer
         assert_no_child_left()
 
-    def test_failing_worker_is_replaced_by_the_parent(self, tmp_path, monkeypatch, forks, parent):
-        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 1)
+    def test_failing_worker_is_replaced_by_the_parent(self, tmp_path, monkeypatch, cpus, forks,
+                                                      parent):
+        cpus(1)
         serial = _simulate(tmp_path, CHUNK + 1, name="serial")
-        real = trialcsv.format_rows
+        real = simulate.format_rows
 
         def fails_in_worker(log, start=0, stop=None):
             if os.getpid() != parent:
                 raise RuntimeError("worker fails")
             return real(log, start, stop)
 
-        monkeypatch.setattr(trialcsv, "format_rows", fails_in_worker)
-        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "format_rows", fails_in_worker)
+        cpus(2)
         assert _simulate(tmp_path, CHUNK + 1, name="forked") == serial
         assert len(forks) == 1
         assert_no_child_left()
 
-    def test_parent_failure_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, forks,
+    def test_parent_failure_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, cpus, forks,
                                                        parent):
-        real = trialcsv.format_rows
+        real = simulate.format_rows
 
         def fails_in_parent(log, start=0, stop=None):
             if os.getpid() == parent:
@@ -935,8 +941,8 @@ class TestSimulateWorker:
             statuses.append(reaped[1])
             return reaped
 
-        monkeypatch.setattr(trialcsv, "format_rows", fails_in_parent)
-        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "format_rows", fails_in_parent)
+        cpus(2)
         monkeypatch.setattr(os, "waitpid", recording_waitpid)
         with pytest.raises(RuntimeError, match="parent fails"):
             _simulate(tmp_path, 4 * CHUNK)
@@ -949,26 +955,22 @@ class TestSimulateWorker:
         config = _simulate_config(tmp_path, CHUNK + 1)
         done = _python(tmp_path, ["-", "simulate", "--config", str(config)], (
             "import os, sys\n"
-            "from oplab import cli, trialcsv\n"
+            "from oplab import _fork, cli\n"
+            "from oplab.commands import simulate\n"
             "parent = os.getpid()\n"
-            "real = trialcsv.format_rows\n"
+            "real = simulate.format_rows\n"
             "def fails_in_worker(log, start=0, stop=None):\n"
             "    if os.getpid() != parent:\n"
             "        raise RuntimeError('worker fails')\n"
             "    return real(log, start, stop)\n"
-            "trialcsv.format_rows = fails_in_worker\n"
-            "trialcsv.available_cpus = lambda: 2\n"
+            "simulate.format_rows = fails_in_worker\n"
+            "_fork.available_cpus = lambda: 2\n"
             "code = cli.main(sys.argv[1:])\n"
             "print('returned in', 'parent' if os.getpid() == parent else 'worker', code)\n"
         ))
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         assert done.stdout.splitlines() == ["simulate.csv", "returned in parent 0"]
-
-    def test_only_simulate_imports_the_writer(self, tmp_path):
-        code = "import sys, oplab.cli; print('oplab.trialcsv' in sys.modules)"
-        done = _python(tmp_path, ["-c", code], None)
-        assert done.stdout == "False\n", done.stderr
 
     def test_runs_clean_under_warnings_as_errors(self, tmp_path):
         config = _simulate_config(tmp_path, CHUNK + 1)
@@ -979,11 +981,12 @@ class TestSimulateWorker:
         assert (tmp_path / "cli" / "simulate.csv").read_bytes() == _simulate(
             tmp_path, CHUNK + 1, name="in_process")
 
-    def test_worker_memory_does_not_grow_with_trials(self, tmp_path, monkeypatch, forks, parent):
+    def test_worker_memory_does_not_grow_with_trials(self, tmp_path, monkeypatch, cpus, forks,
+                                                     parent):
         """The worker streams its rows: its peak RSS over its own run, read
         inside it, is about the same at 8·CHUNK trials as at 2·CHUNK."""
         resource = pytest.importorskip("resource")
-        real = trialcsv.format_rows
+        real = simulate.format_rows
 
         def measured_in_worker(log, start=0, stop=None):
             if os.getpid() == parent:
@@ -993,8 +996,8 @@ class TestSimulateWorker:
             grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
             (tmp_path / f"grown_{log.n}").write_text(str(grown))
 
-        monkeypatch.setattr(trialcsv, "format_rows", measured_in_worker)
-        monkeypatch.setattr(trialcsv, "available_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "format_rows", measured_in_worker)
+        cpus(2)
         grown = {}
         for trials in (2 * CHUNK, 8 * CHUNK):
             _simulate(tmp_path, trials, name=f"n{trials}")

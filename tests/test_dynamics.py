@@ -39,6 +39,13 @@ class TestEvolutionTrace:
         with pytest.raises(ValueError):
             EvolutionTrace([0], [DiscreteMeasure([(0, F(1, 2))])])
 
+    def test_at_a_recorded_time(self):
+        trace, r, leak = dirac_start_trace()
+        assert trace.at(2) == DiscreteMeasure([(r, 1 - 2 * leak), (r + 1, 2 * leak)])
+        assert trace.at(0.0) is trace.initial
+        with pytest.raises(KeyError, match="no measure recorded at time 1.5"):
+            trace.at(1.5)
+
     def test_continuity_report(self):
         trace, _, leak = dirac_start_trace()
         report = trace.continuity_report()

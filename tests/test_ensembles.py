@@ -62,6 +62,12 @@ class TestRunEnsemble:
         assert np.array_equal(long.outcomes[:1000], short.outcomes)
         assert np.array_equal(long.prefix(1000).outcomes, short.outcomes)
 
+    @pytest.mark.parametrize("m", [0, -1, 101])
+    def test_prefix_out_of_range(self, m):
+        log = run_ensemble(TRUTH, TARGET, 100, seed=11)
+        with pytest.raises(ValueError, match=f"^prefix length {m} outside 1..100$"):
+            log.prefix(m)
+
     def test_certain_and_impossible_events(self):
         ones = run_ensemble(DiscreteMeasure.dirac(1), TARGET, 64, seed=3)
         zeros = run_ensemble(DiscreteMeasure.dirac(0), TARGET, 64, seed=3)
@@ -189,6 +195,22 @@ class TestNaturalDensity:
         sub = NaturalSubset(4096, rule="evens")
         report = natural_density(sub, 4096)
         assert report.lower_estimate <= report.density <= report.upper_estimate
+
+    def test_odds(self):
+        sub = NaturalSubset(11, rule="odds")
+        assert sub.label == "odds"
+        assert np.array_equal(sub.indicator(6), [1, 0, 1, 0, 1, 0])
+        assert sub.count_upto(11) == 6
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(horizon=0, rule="odds"), "horizon must be positive"),
+        (dict(horizon=10), "give exactly one of members, rule, progression"),
+        (dict(horizon=10, rule="odds", members=[1]), "give exactly one of"),
+        (dict(horizon=10, rule="odd"), "unknown rule 'odd'"),
+    ])
+    def test_refusals(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            NaturalSubset(**kwargs)
 
     def test_progression(self):
         sub = NaturalSubset(1000, progression=(3, 7))

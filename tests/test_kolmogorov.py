@@ -137,6 +137,24 @@ def test_capacity_bound():
         kolmogorov_check(spaces, [])
 
 
+@pytest.mark.parametrize("values", [[2, 1, 1], [2, 1, "1"], [2, "2/2", 1], [1, 2, "1.0"]])
+def test_a_repeated_outcome_value_is_refused(values):
+    # The LP once found {(2,): 2/3, (1,): 1/3} for [2, 1, 1], and verify_joint,
+    # which counted the repeated cell twice, rejected that joint.
+    spaces = {"y": [0, 1], "x": values}
+    constraints = [MarginalConstraint("x", 1, F(1, 3))]
+    for call in (lambda: kolmogorov_check(spaces, constraints),
+                 lambda: verify_joint({(0, 1): 1}, spaces, constraints),
+                 lambda: verify_farkas([1, 0], spaces, constraints)):
+        with pytest.raises(ValueError, match="^outcome list of 'x' repeats the value 1$"):
+            call()
+
+
+def test_ragged_rows_are_refused():
+    with pytest.raises(ValueError, match="^ragged constraint matrix$"):
+        find_feasible_point([[1, 1], [1]], [1, 0])
+
+
 def test_feasible_solution_is_exact():
     constraints = [
         CorrelationConstraint(("a", "b"), F(1, 7)),

@@ -255,6 +255,11 @@ class TestPushforward:
             m = random_rational_probability(rng)
             assert m.pushforward(f).pushforward(g) == m.pushforward(lambda t: g(f(t)))
 
+    def test_complete_lookup_table(self):
+        m = DiscreteMeasure([(-1, F(1, 4)), (0, F(1, 4)), (1, F(1, 2))])
+        image = m.pushforward({-1: 1, 0: 0, 1: 1, 5: 7})
+        assert image == DiscreteMeasure([(0, F(1, 4)), (1, F(3, 4))])
+
     def test_lookup_table_domain_error(self):
         m = DiscreteMeasure([(0, 1)])
         with pytest.raises(DomainError):
@@ -451,6 +456,17 @@ class TestKernelAndJoint:
             _, second = joint.marginals()
             total = mixture([(w, kernel.row(s)) for s, w in marginal.atoms])
             assert total == second
+
+    def test_kernel_contains_its_row_points(self):
+        kernel = MarkovKernel({0: DiscreteMeasure.dirac(0), "1/2": DiscreteMeasure.dirac(1)})
+        assert 0 in kernel and F(1, 2) in kernel and "0.5" in kernel
+        assert 1 not in kernel
+
+    def test_joint_means(self):
+        joint = JointMeasure([((0, 1), F(1, 4)), ((2, -3), F(3, 4))])
+        assert joint.means() == (F(3, 2), F(-2))
+        with pytest.raises(NotProbability):
+            JointMeasure([((0, 1), F(1, 2))]).means()
 
     def test_joint_pushforward_sum(self):
         joint = JointMeasure([((0, 1), F(1, 2)), ((2, 3), F(1, 2))])

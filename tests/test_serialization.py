@@ -12,10 +12,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oplab import _blocks, serialization
+from oplab import _blocks, _fork, serialization
 from oplab.commands import format_scalar
 from oplab.measures import BorelSet, DiscreteMeasure, Partition, to_scalar
 from oplab.serialization import (
@@ -251,6 +251,25 @@ class TestConfigDecoder:
             else:
                 assert repr(_as_loaded(decode_config(text))) == repr(expected)
 
+    @settings(max_examples=300, deadline=None)
+    @given(tail=st.text(alphabet='[]{}", 1.5', max_size=40))
+    @example(tail='1.5, 2.5]]], "n": [[[1.5, 2.5]]]}')
+    @example(tail='1.5, 2.5]]]}, "n": "}"}')
+    @example(tail='1.5, 2.5]]] "n"')
+    @example(tail='1.5, 2.5]]]')
+    def test_a_block_ends_at_the_last_bracket_before_the_next_brace_or_quote(self, tail):
+        text = "[[[" + tail
+        stop = text.find("}")
+        quote = text.find('"', 0, stop)
+        end = text.rfind("]", 0, stop if quote < 0 else quote) + 1
+        try:
+            block = serialization._Block(text, 0, end) if stop >= 0 and end > 0 else None
+        except ValueError:
+            block = None
+        found = serialization._block(text, 0)
+        assert (found and (found[0].start, found[0].end, found[1])) == (
+            block and (block.start, block.end, end))
+
     def test_large_block_is_read_bit_for_bit_across_pieces(self):
         rng = np.random.default_rng(5)
         matrix = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
@@ -340,11 +359,11 @@ def _blocks_payload(d: int, seed: int) -> dict:
                    for _ in range(d)] for name in ("a", "b", "c")}
 
 
-# Runs the CLI in argv[2:] with `oplab._blocks` seeing argv[1] CPUs, and
+# Runs the CLI in argv[2:] with `oplab._fork` seeing argv[1] CPUs, and
 # prints its exit code and the number of workers it forked.
 _COUNTED_CLI = """
 import os, sys
-from oplab import _blocks, cli
+from oplab import _fork, cli
 forks, real_fork = [], os.fork
 def counting_fork():
     pid = real_fork()
@@ -352,7 +371,7 @@ def counting_fork():
         forks.append(pid)
     return pid
 os.fork = counting_fork
-_blocks.available_cpus = lambda: int(sys.argv[1])
+_fork.available_cpus = lambda: int(sys.argv[1])
 print(cli.main(sys.argv[2:]), len(forks))
 """
 
@@ -369,16 +388,16 @@ class TestTwoProcessRead:
         text = _config_text(first, second, style, edit)
         with mock.patch.object(serialization, "_PIECE", piece), \
                 mock.patch.object(_blocks, "FORK_MIN_CHARS", 0):
-            with mock.patch.object(_blocks, "available_cpus", lambda: 1):
+            with mock.patch.object(_fork, "available_cpus", lambda: 1):
                 alone = _decoded(text)
-            with mock.patch.object(_blocks, "available_cpus", lambda: 2):
+            with mock.patch.object(_fork, "available_cpus", lambda: 2):
                 assert _decoded(text) == alone
         assert_no_child_left()
 
     @pytest.fixture
-    def two_cpus(self, monkeypatch):
+    def two_cpus(self, monkeypatch, cpus):
         monkeypatch.setattr(_blocks, "FORK_MIN_CHARS", 0)
-        monkeypatch.setattr(_blocks, "available_cpus", lambda: 2)
+        cpus(2)
         monkeypatch.setattr(serialization, "_PIECE", 64)
 
     def test_a_failing_worker_is_replaced_by_the_command(self, two_cpus, monkeypatch, forks,

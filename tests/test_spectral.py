@@ -91,6 +91,16 @@ class TestConstruction:
             assert [point.hex() for point in obs.spectrum] == means
         assert len(degenerate.spectrum) == 4
 
+    def test_mix_is_the_convex_combination(self):
+        up, down = DensityState.pure([1, 0]), DensityState.pure([0, 1])
+        mixed = DensityState.mix([(0.25, up), (0.75, down)])
+        assert isinstance(mixed, DensityState)
+        assert np.allclose(mixed.matrix, np.diag([0.25, 0.75]))
+        with pytest.raises(ValueError, match="^mixture weights must sum to one$"):
+            DensityState.mix([(0.5, up), (0.25, down)])
+        with pytest.raises(ValueError, match="^negative mixture weight$"):
+            DensityState.mix([(1.5, up), (-0.5, down)])
+
     def test_density_state_validation(self):
         with pytest.raises(ValueError):
             DensityState(np.diag([0.5, 0.6]))
@@ -301,6 +311,15 @@ class TestProjectors:
         obs = random_hermitian(nprng, 6)
         total = sum(obs.eigenprojector(s) for s in obs.spectrum)
         assert np.max(np.abs(total - np.eye(6))) < 1e-9
+
+    def test_a_point_off_the_spectrum_has_no_eigenspace(self):
+        obs = HermitianObservable(np.diag([1.0, 1.0, -1.0]))
+        assert (obs.multiplicity(1.0), obs.multiplicity(-1.0)) == (2, 1)
+        assert np.allclose(obs.eigenprojector(1.0), np.diag([1.0, 1.0, 0.0]))
+        for point in (0.0, 2.0, 1.0 + 1e-3):
+            for query in (obs.eigenprojector, obs.multiplicity):
+                with pytest.raises(DomainError, match=f"^{point} is not a spectral point$"):
+                    query(point)
 
     def test_projector_idempotent_hermitian(self, nprng):
         obs = random_hermitian(nprng, 4)
@@ -638,6 +657,7 @@ class TestLabSystem:
             LabSystem(obs, states, [("up", "z")])  # "down" never used
         system = LabSystem(obs, states, [("up", "z"), ("down", "z")])
         assert system.expectation("up", "z") == pytest.approx(1.0)
+        assert system.dim == 2
         with pytest.raises(KeyError):
             LabSystem(obs, states, [("ghost", "z"), ("down", "z")])
 
