@@ -13,8 +13,9 @@ output; ``validate`` writes its JSON report there and a CSV beside it.
 checks them.  All kinds but those in ``NUMPY_KINDS`` use neither LAPACK nor a
 numpy float reduction, so their outputs must be the same bytes on every
 Python, numpy and BLAS build.  A case of ``NUMPY_KINDS`` also pins the numpy
-version, the BLAS build and the values of its output: where both builds
-match, its hash must match; elsewhere its values, within ``VALUE_TOL``.
+version, the BLAS build with the kernel it ran (`blas`) and the values of its
+output: where numpy, build and kernel match, its hash must match; elsewhere
+its values, within ``VALUE_TOL``.
 
 A change that alters an output on purpose bumps ``oplab.__version__``
 (every footer carries it) and regenerates the pins:
@@ -25,6 +26,7 @@ A change that alters an output on purpose bumps ``oplab.__version__``
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -41,24 +43,51 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent.parent / "src"
 EXPECTED = HERE / "expected.json"
 # Kinds whose output goes through LAPACK, whose last bits may differ between
-# numpy releases and BLAS builds.  ``estimate`` is not one of them: its sums
-# are sequential running sums and the rest of its path is elementwise, which
-# every numpy rounds the same way.
+# numpy releases, BLAS builds and the kernels of one build.  ``estimate`` is
+# not one of them: its sums are sequential running sums and the rest of its
+# path is elementwise, which every numpy rounds the same way.
 NUMPY_KINDS = ("spectral", "tomography", "validate")
 # How far a number in the output of a NUMPY_KINDS case may stray from its pin,
 # relative and absolute, under another numpy or BLAS: eigenvalues and residuals
 # move in their last few bits.
 VALUE_TOL = 1e-12
+# OpenBLAS's kernel-name function, as numpy's bundled library exports it:
+# scipy-openblas (numpy 2) with 64-bit and with 32-bit integers, then the
+# OpenBLAS of earlier wheels, likewise.
+CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                    "openblas_get_corename64_", "openblas_get_corename")
 
 
 def blas() -> str:
-    """The BLAS that numpy was built against, as ``name version``, or
-    ``unknown`` where numpy cannot say (before numpy 1.26)."""
+    """The BLAS that numpy was built against and the kernel it runs, as
+    ``name version kernel``, or ``unknown`` where numpy cannot say (before
+    numpy 1.26).  One OpenBLAS build picks its kernel by the CPU when it
+    loads, and kernels round ``eigh`` differently in its last bits."""
     try:
         info = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         return "unknown"
-    return f"{info.get('name')} {info.get('version')}"
+    return f"{info.get('name')} {info.get('version')} {kernel()}"
+
+
+def kernel() -> str:
+    """The name of the kernel that numpy's bundled OpenBLAS runs in this
+    process (``OPENBLAS_CORETYPE`` forces one), or ``unknown`` where numpy
+    bundles no OpenBLAS that names it."""
+    package = Path(numpy.__file__).resolve().parent
+    for library in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                           *package.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(library))  # numpy loaded it: the same handle
+        except OSError:
+            continue
+        for symbol in CORENAME_SYMBOLS:
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes = []
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
 
 
 def configs() -> list:
@@ -96,7 +125,8 @@ def run(out_dir: Path) -> dict:
 def result_of(kind: str, code: int, output: Path) -> dict:
     """What a case pins: the exit code and the SHA-256 of the output (None if
     there is none), for ``validate`` that of its CSV too, and for
-    ``NUMPY_KINDS`` the numpy version, the BLAS build and the values."""
+    ``NUMPY_KINDS`` the numpy version, the BLAS build and kernel (`blas`) and
+    the values."""
     found = {"exit": code, "sha256": _sha256(output)}
     if kind == "validate":
         found["csv_sha256"] = _sha256(output.with_suffix(".csv"))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -150,6 +151,22 @@ class TestDeterminism:
         assert "# config_hash=sha256:" in text
         assert "# seed=42" in text
         assert "# version=oplab-" in text
+
+
+class TestConfigDigest:
+    """`cli.config_digest` is the SHA-256 of the config on either side of
+    `cli.OPENSSL_MIN_BYTES`, and with the built-in modules hidden, so that
+    ``hashlib`` hashes every size."""
+
+    SIZES = (0, 1, cli.OPENSSL_MIN_BYTES - 1, cli.OPENSSL_MIN_BYTES, cli.OPENSSL_MIN_BYTES + 1)
+
+    @pytest.mark.parametrize("hidden", [(), ("_sha2", "_sha256")], ids=["builtin", "hidden"])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_digest_is_sha256(self, monkeypatch, size, hidden):
+        for name in hidden:
+            monkeypatch.setitem(sys.modules, name, None)
+        raw = (b'[[0.5, -0.25], "1/3"], ' * (size // 23 + 1))[:size]
+        assert cli.config_digest(raw) == hashlib.sha256(raw).hexdigest()
 
 
 class TestSeedResolution:

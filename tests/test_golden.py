@@ -1,15 +1,21 @@
 """The byte contract across commits: every golden config (``tests/golden``)
 gives its pinned exit code and output bytes.  A case that pins a numpy
-version or a BLAS build other than the installed one gives its pinned exit
-code and values."""
+version, a BLAS build or a BLAS kernel other than the running one gives its
+pinned exit code and values."""
 
 import json
+import os
+import platform
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy
 import pytest
 
-from golden.regenerate import EXPECTED, blas, case_of, configs, result_of, run, values_close
+from golden.regenerate import (EXPECTED, blas, case_of, configs, kernel, result_of, run,
+                               values_close)
 
 BUILD = {"numpy": numpy.__version__, "blas": blas()}
 # A build no pin records: its cases are compared by their values.
@@ -83,3 +89,23 @@ def test_a_one_character_change_to_the_format_fails(corpus, tmp_path):
                 result = result_of(kind, got[case]["exit"], edited / name)
                 for build in builds:
                     assert not matches(result, pin, build), (case, target.name, edit, build)
+
+
+# Prints `blas()` as a fresh interpreter sees it, with the tests directory
+# (argv[1]) on its path.
+_BLAS = "import sys; sys.path.insert(0, sys.argv[1]); from golden.regenerate import blas; print(blas())"
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or kernel() == "unknown",
+                    reason="needs a bundled OpenBLAS that names its x86-64 kernel")
+def test_the_blas_pin_names_the_kernel():
+    """Two forced OpenBLAS kernels give two `blas` names, so a pin made under
+    one kernel is compared by its values under the other."""
+    names = {}
+    for core in ("Haswell", "Prescott"):
+        proc = subprocess.run([sys.executable, "-c", _BLAS, str(Path(__file__).resolve().parent)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "OPENBLAS_CORETYPE": core})
+        names[core] = proc.stdout.strip()
+    assert names["Haswell"].endswith(" Haswell")
+    assert names["Prescott"] != names["Haswell"]

@@ -2,6 +2,7 @@
 and each layer runs only when it is first used."""
 
 import ast
+import importlib.util
 import json
 import os
 import shutil
@@ -245,6 +246,29 @@ def test_classical_jobs_load_no_block_reader(tmp_path):
         loaded = [name for name in ("oplab._blocks", "mmap") if name in modules]
         assert loaded == ([] if kind in CLASSICAL else ["oplab._blocks", "mmap"]), config.name
     assert ran == set(CLASSICAL + ("spectral",))
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="this interpreter has no built-in SHA-256 module")
+def test_small_configs_hash_without_openssl(tmp_path):
+    """Every golden config is under `oplab.cli.OPENSSL_MIN_BYTES`, and its job
+    loads no ``_hashlib`` beyond what the bare interpreter loads; a config of
+    that size, the kolmogorov golden config padded with blanks, loads it."""
+    bare = subprocess.run([sys.executable, "-c", _MODULES], capture_output=True, text=True,
+                          check=True).stdout
+    preloaded = "_hashlib" in json.loads(bare)
+    for config in configs():
+        kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
+        local = tmp_path / config.name
+        shutil.copyfile(config, local)
+        assert local.stat().st_size < oplab.cli.OPENSSL_MIN_BYTES, config.name
+        modules, _ = _run("oplab.cli", kind, "--config", str(local), "--out", str(tmp_path))
+        assert preloaded or "_hashlib" not in modules, config.name
+    text = (tmp_path / "kolmogorov_feasible.json").read_text(encoding="utf-8")
+    large = tmp_path / "large.json"
+    large.write_text(text.ljust(oplab.cli.OPENSSL_MIN_BYTES), encoding="utf-8")
+    modules, _ = _run("oplab.cli", "kolmogorov", "--config", str(large), "--out", str(tmp_path))
+    assert "_hashlib" in modules
 
 
 # Reads oplab.kolmogorov_check twice, and prints the type and message of what
