@@ -28,12 +28,13 @@ SCHEMA_MASS_TOL = 1e-9
 
 
 def entropy_bits(weights: Sequence) -> float:
-    """Shannon entropy in bits with the 0 log 0 = 0 convention."""
+    """Shannon entropy in bits with the 0 log 0 = 0 convention.  A weight
+    that is negative or not finite is refused; the check fails on NaN."""
     total = 0.0
     for w in weights:
         p = float(w)
-        if p < 0:
-            raise ValueError(f"negative weight {w}")
+        if not 0 <= p < math.inf:
+            raise ValueError(f"weight {w} is negative or not finite")
         if p > 0:
             total -= p * math.log2(p)
     return max(total, 0.0)

@@ -292,10 +292,11 @@ def _weighted_mean(a: tuple, b: tuple) -> tuple:
 
 def _linked_clusters(rows: list) -> list:
     """The clusters of sorted float rows, each in sorted order, where rows
-    link when every coordinate differs by at most ``FLOAT_MERGE_TOL``.  On
-    the line they are the runs of gaps within it.  On the plane a row links
-    the rows beside its t in a window, sorted on t, of the last earlier row
-    at each t whose s links (a later row that links an earlier one links it)."""
+    link when every coordinate differs by at most ``FLOAT_MERGE_TOL``: on the
+    line, the runs of gaps within it.  On the plane, in O(n log n), a row
+    links the nearest row on each side of its t among the last earlier rows
+    at each t whose s links.  Two of those on one side within the tolerance
+    link, as float subtraction is monotone, so they already share a root."""
     parent = list(range(len(rows)))
     def root(k: int) -> int:
         while parent[k] != k:
@@ -311,13 +312,11 @@ def _linked_clusters(rows: list) -> list:
             if last.get(u := rows[first][1]) == first:
                 del last[u], ts[bisect_left(ts, u)]
             first += 1
-        lo = hi = at = bisect_left(ts, t)
-        while lo and t - ts[lo - 1] <= FLOAT_MERGE_TOL:
-            lo -= 1
-        while hi < len(ts) and ts[hi] - t <= FLOAT_MERGE_TOL:
-            hi += 1
-        for u in ts[lo:hi]:
-            parent[root(last[u])] = root(k)
+        at = bisect_left(ts, t)
+        if at and t - ts[at - 1] <= FLOAT_MERGE_TOL:
+            parent[root(last[ts[at - 1]])] = root(k)
+        if at < len(ts) and ts[at] - t <= FLOAT_MERGE_TOL:
+            parent[root(last[ts[at]])] = root(k)
         if t not in last:
             ts.insert(at, t)
         last[t] = k

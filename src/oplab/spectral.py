@@ -38,8 +38,8 @@ MEAN_RANGE_TOL = 1e-12
 
 def _square_complex(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DimMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
     return m
 
 

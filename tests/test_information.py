@@ -60,6 +60,22 @@ class TestShannon:
             assert h_mixed >= float(t) * h_a + float(1 - t) * h_b - 1e-9
 
 
+class TestEntropyBits:
+    @pytest.mark.parametrize("weights", [
+        [-0.25, 0.5, 0.75],
+        [math.nan, 0.5, 0.5],
+        [0.5, 0.5, math.inf],
+        [math.inf],
+        [0.5, -math.inf, 0.5],
+    ])
+    def test_a_negative_or_non_finite_weight_is_refused(self, weights):
+        with pytest.raises(ValueError, match="is negative or not finite$"):
+            entropy_bits(weights)
+
+    def test_finite_weights_keep_their_bits(self):
+        assert entropy_bits([0.5, 0.5, 0.0]) == entropy_bits([F(1, 2), F(1, 2)]) == 1.0
+
+
 class TestSchema:
     def test_mass_validation(self):
         with pytest.raises(ValueError):

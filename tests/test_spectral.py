@@ -107,6 +107,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DensityState(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("cls", [HermitianObservable, Question, DensityState])
+    def test_an_empty_matrix_is_a_dim_mismatch(self, cls):
+        with pytest.raises(DimMismatch, match=r"nonempty square matrix, got shape \(0, 0\)$"):
+            cls(np.zeros((0, 0)))
+
 
 class TestSpectralMeasure:
     def test_maximally_mixed_qubit(self):
