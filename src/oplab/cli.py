@@ -2,10 +2,13 @@
 
 ``oplab KIND --config PATH [--seed N] [--out DIR] [--mode MODE]``.  This
 module reads the arguments and the config, runs the body of ``KIND`` and
-turns its errors into exit codes.  Each body is its own module,
-``oplab.commands.<kind>``, imported only when that kind runs, so a job
-compiles and runs only the code its kind needs.  Every table cell and
-footer value is written by one rule, `oplab.commands._cell`.
+turns its errors into exit codes.  `read_args` reads the arguments as
+argparse did, with the same spellings, refusals and messages, without
+loading argparse, gettext and locale: about 3 ms and 0.5 MB of each job.
+Each body is its own module, ``oplab.commands.<kind>``, imported only when
+that kind runs, so a job compiles and runs only the code its kind needs.
+Every table cell and footer value is written by one rule,
+`oplab.commands._cell`.
 
 Exit codes: 0 success, 2 validation failure (reports still written),
 1 error (usage error, malformed config, missing artifact, bad dimensions).
@@ -13,12 +16,13 @@ Exit codes: 0 success, 2 validation failure (reports still written),
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from ._base import FLOAT, RATIONAL
@@ -33,10 +37,11 @@ _COMMANDS = ("simulate", "estimate", "entropy", "dissipation", "tomography", "ko
 # The thread counts that numpy's BLAS reads once, when numpy loads.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Fewest config bytes whose digest `config_digest` takes from OpenSSL
-# (``hashlib``) rather than from CPython's built-in SHA-256.  Importing
-# ``hashlib`` loads OpenSSL's ``_hashlib`` and ``libcrypto``: about 3.5 MB of
-# a job's peak memory and 3-5 ms, against 0.3-0.5 ms for the built-in module.
+# Fewest config bytes whose digest is taken from OpenSSL (``hashlib``, in
+# `oplab.serialization.text_digest`) rather than from CPython's built-in
+# SHA-256 (`config_digest`).  Importing ``hashlib`` loads OpenSSL's
+# ``_hashlib`` and ``libcrypto``: about 3.5 MB of a job's peak memory and
+# 3-5 ms, against 0.3-0.5 ms for the built-in module.
 # OpenSSL then hashes at about 0.9 ms/MiB, the built-in module at 5-8 ms/MiB.
 # On a 2-core VM (Python 3.11, fresh processes, import and hash timed, 21
 # alternated pairs each) the built-in module took 3.8 ms against 5.4 at
@@ -50,60 +55,171 @@ _BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 
 
 def config_digest(raw: bytes) -> str:
-    """The SHA-256 of ``raw``, in hex.  Below `OPENSSL_MIN_BYTES` it comes
-    from CPython's built-in module, as ``random`` takes its SHA-512, where
-    the interpreter has one; otherwise from ``hashlib``.  Both give the same
-    digest."""
-    if len(raw) < OPENSSL_MIN_BYTES:
-        try:
-            return importlib.import_module(_BUILTIN_SHA256).sha256(raw).hexdigest()
-        except ImportError:
-            pass
+    """The SHA-256 of ``raw``, in hex, from CPython's built-in module, as
+    ``random`` takes its SHA-512, where the interpreter has one; otherwise
+    from ``hashlib``.  Both give the same digest.  `_load_config` calls it
+    only below `OPENSSL_MIN_BYTES`."""
+    try:
+        return importlib.import_module(_BUILTIN_SHA256).sha256(raw).hexdigest()
+    except ImportError:
+        pass
     import hashlib
 
     return hashlib.sha256(raw).hexdigest()
 
 
 def _load_config(path: Path) -> tuple:
+    """The config at ``path`` and the SHA-256 of its bytes, in hex.  A
+    config of at least `OPENSSL_MIN_BYTES` is hashed from its decoded text,
+    whose UTF-8 encoding is its bytes, by `decode_config`: in the worker that
+    reads its blocks when one runs to its end, so this process loads no
+    ``hashlib``, and here otherwise."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    digest = config_digest(raw)
+    digest = config_digest(raw) if len(raw) < OPENSSL_MIN_BYTES else None
+    hashed = []
     try:
         text = raw.decode("utf-8")
         del raw  # the decoder needs only the text
-        config = decode_config(text)
+        config = decode_config(text, None if digest else hashed)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    return config, digest
+    return config, digest or hashed[0].hex()
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit 1 (``EXIT_ERROR``), not
-    argparse's 2, which this command keeps for validation failures."""
+# The options every kind takes, in the order the help lists them.
+_OPTIONS = ("--help", "--config", "--seed", "--out", "--mode")
+_MODES = (RATIONAL, FLOAT)
+# What argparse reads as a negative number, and so as a value, not an option.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+_USAGE = """\
+usage: oplab [-h] --config CONFIG [--seed SEED] [--out OUT]
+             [--mode {rational,float}]
+             {simulate,estimate,entropy,dissipation,tomography,kolmogorov,spectral,validate,report}
+"""
+
+_HELP = _USAGE + """
+Measurement-statistics experiment harness
+
+positional arguments:
+  {simulate,estimate,entropy,dissipation,tomography,kolmogorov,spectral,validate,report}
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON experiment config
+  --seed SEED
+  --out OUT             output directory
+  --mode {rational,float}
+"""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser for every kind: they all take the same options."""
-    parser = _Parser(
-        prog="oplab",
-        description="Measurement-statistics experiment harness",
-    )
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", required=True, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--mode", choices=(RATIONAL, FLOAT), default=None)
-    return parser
+def _fail(message: str):
+    """A usage error: the usage and the message on stderr, exit 1
+    (``EXIT_ERROR``), since exit 2 means a validation failure."""
+    sys.stderr.write(f"{_USAGE}oplab: error: {message}\n")
+    raise SystemExit(EXIT_ERROR)
+
+
+def _option(arg: str):
+    """What ``arg``, met before any ``--``, names: (option, its value in
+    ``arg`` or None); (None, ``arg``) for a value; ("", ``arg``) for an
+    unknown option.  An option may be shortened to any prefix that names one
+    option, and takes its value after an ``=`` too; ``-hX`` is ``-h`` with
+    the value X."""
+    if not arg.startswith("-") or arg == "-":
+        return None, arg
+    if arg in _OPTIONS or arg == "-h":
+        return arg, None
+    name, equals, value = arg.partition("=")
+    if equals and (name in _OPTIONS or name == "-h"):
+        return name, value
+    if arg.startswith("--"):
+        found = [option for option in _OPTIONS if option.startswith(name)]
+        if len(found) > 1:
+            _fail(f"ambiguous option: {arg} could match {', '.join(found)}")
+        if found:
+            return found[0], value if equals else None
+    elif arg.startswith("-h"):
+        return "-h", arg[2:]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None, arg
+    return "", arg
+
+
+def _choice(name: str, value: str, choices: tuple) -> str:
+    if value not in choices:
+        _fail(f"argument {name}: invalid choice: {value!r} (choose from "
+              f"{', '.join(map(repr, choices))})")
+    return value
+
+
+def read_args(argv) -> SimpleNamespace:
+    """The kind and the options ``--config``, ``--seed``, ``--out`` and
+    ``--mode`` in ``argv`` (``sys.argv[1:]`` when None), read as argparse
+    read them: in any order, each as ``--opt value`` or ``--opt=value``, or
+    shortened to a unique prefix; the last of a repeated option wins, a value
+    may be a negative number, and everything after a ``--`` is a value.
+    ``-h`` or ``--help`` prints the help and exits 0; any other argv that
+    argparse refused is a usage error (`_fail`), at the same argument."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    # Every argument before the "--" is read first, so an ambiguous one
+    # fails before any other error.
+    items = [_option(arg) for arg in argv[:cut]]
+    if cut < len(argv):
+        items += [("--", None)] + [(None, arg) for arg in argv[cut + 1:]]
+    args = SimpleNamespace(command=None, config=None, seed=None, out=".", mode=None)
+    extras = []
+    at = command_end = 0
+    while at < len(items):
+        name, value = items[at]
+        at += 1
+        if name is None:
+            if args.command is None:
+                args.command, command_end = _choice("command", value, _COMMANDS), at
+            else:
+                extras.append(value)
+        elif name == "--":
+            # The kind takes a "--" right after it, or the next value after it.
+            if args.command is not None and command_end != at - 1:
+                extras.append("--")
+        elif name == "":
+            extras.append(value)
+        elif name in ("-h", "--help"):
+            if value is not None:
+                rest = value.lstrip("h") if name == "-h" else value
+                if rest or not value:  # "-hh" is -h twice
+                    _fail(f"argument -h/--help: ignored explicit argument {rest!r}")
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        else:
+            if value is None:
+                if at == len(items) or items[at][0] is not None:
+                    _fail(f"argument {name}: expected one argument")
+                value = items[at][1]
+                at += 1
+            if name == "--seed":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(f"argument --seed: invalid int value: {value!r}")
+            elif name == "--mode":
+                _choice(name, value, _MODES)
+            setattr(args, name[2:], value)
+    missing = [name for name, value in (("command", args.command), ("--config", args.config))
+               if value is None]
+    if missing:
+        _fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -113,7 +229,7 @@ def main(argv=None) -> int:
         # CPUs, and the outputs must not.  Once numpy is loaded this does
         # nothing, so a caller that loaded it keeps its environment.
         os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
-    args = build_parser().parse_args(argv)
+    args = read_args(argv)
     try:
         config, digest = _load_config(Path(args.config))
         kind = field(config, "kind", "config", str, args.command)

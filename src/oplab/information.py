@@ -27,12 +27,21 @@ LN2 = math.log(2.0)
 SCHEMA_MASS_TOL = 1e-9
 
 
+def _double(w) -> float:
+    """``float(w)``; ValueError naming ``w`` when it is beyond a double."""
+    try:
+        return float(w)
+    except OverflowError:
+        raise ValueError(f"weight {w} is beyond a double") from None
+
+
 def entropy_bits(weights: Sequence) -> float:
     """Shannon entropy in bits with the 0 log 0 = 0 convention.  A weight
-    that is negative or not finite is refused; the check fails on NaN."""
+    that is negative, not finite or beyond a double is refused; the check
+    fails on NaN."""
     total = 0.0
     for w in weights:
-        p = float(w)
+        p = _double(w)
         if not 0 <= p < math.inf:
             raise ValueError(f"weight {w} is negative or not finite")
         if p > 0:
@@ -52,7 +61,12 @@ class Schema:
             raise ValueError("schema needs at least one weight")
         if any(w < 0 for w in ws):
             raise ValueError("schema weights must be nonnegative")
-        total = sum(ws)
+        try:
+            total = sum(ws)
+        except OverflowError:  # a Fraction beyond a double met a float
+            for w in ws:
+                _double(w)
+            raise ValueError("schema mass is beyond a double") from None
         exact = all(isinstance(w, Fraction) for w in ws)
         if exact:
             if total != 1:

@@ -83,7 +83,7 @@ def _plain(value):
     return value.lists() if isinstance(value, _Block) else value
 
 
-def decode_config(text: str):
+def decode_config(text: str, digest: list = None):
     """``json.loads(text)``, except that an object member whose value opens
     with three brackets and is a rows x cols block of [re, im] pairs of
     finite float tokens becomes a `_Block`, which keeps no reference to
@@ -94,21 +94,49 @@ def decode_config(text: str):
     with an integer token, a non-finite value or a token json refuses goes
     back to json, which reads its member as lists.  On any other error the
     text goes to ``json.loads``, which raises its own error.
+
+    With a list ``digest``, `text_digest` of ``text`` is appended to it.
+    The worker that reads blocks takes it before its first piece, so this
+    process loads no ``hashlib``; only when no worker ran to its end is it
+    taken here, after the decode.
     """
+    value, hashed = _decode(text, digest is not None)
+    if digest is not None:
+        digest.append(hashed or text_digest(text))
+    return value
+
+
+def _decode(text: str, hash_in_worker: bool) -> tuple:
+    """`decode_config`'s value, and the worker's `text_digest` of ``text``
+    when ``hash_in_worker`` and a worker ran to its end, else None."""
+    hashed = None
     try:
         members = []
         value, end = _value(text, _skip(text, 0), members)
         if _skip(text, end) == len(text):
             if members:
                 from . import _blocks
-                _blocks.read(text, [found[key] for found, key in members], _PIECE)
+                hashed = _blocks.read(text, [found[key] for found, key in members], _PIECE,
+                                      partial(text_digest, text) if hash_in_worker else None)
             for found, key in members:
                 if found[key].array is None:  # json ends it where the walk did
                     found[key] = _DECODER.raw_decode(text, found[key].start)[0]
-            return value
+            return value, hashed
     except Exception:  # the fallback raises json's error, or reads the text
         pass
-    return json.loads(text)
+    return json.loads(text), hashed
+
+
+def text_digest(text: str) -> bytes:
+    """The SHA-256 of ``text``'s UTF-8 encoding, from ``hashlib``, which
+    takes one encoded slice of `_PIECE` characters at a time, so no encoded
+    copy of ``text`` is held."""
+    import hashlib
+
+    sha = hashlib.sha256()
+    for at in range(0, len(text), _PIECE):
+        sha.update(text[at:at + _PIECE].encode("utf-8"))
+    return sha.digest()
 
 
 def _skip(text: str, at: int) -> int:

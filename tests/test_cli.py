@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,7 +11,6 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,6 +153,117 @@ class TestDeterminism:
         assert "# version=oplab-" in text
 
 
+# argv, then what `cli.read_args` makes of it: None and the parsed (kind,
+# config, seed, out, mode); 1 and the message of the usage error; or 0 and
+# None for the help.
+READ = ("simulate", "c.json", None, ".", None)
+OPTION_TABLE = [
+    (["simulate", "--config", "c.json"], None, READ),
+    (["simulate", "--config=c.json", "--seed=7", "--out=o", "--mode=float"], None,
+     ("simulate", "c.json", 7, "o", "float")),
+    (["--config", "c.json", "--seed", "7", "simulate"], None, ("simulate", "c.json", 7, ".", None)),
+    (["--seed", "3", "spectral", "--out", "o", "--config", "c.json"], None,
+     ("spectral", "c.json", 3, "o", None)),
+    (["simulate", "--conf", "c.json", "--se", "1", "--o", "o", "--m", "rational"], None,
+     ("simulate", "c.json", 1, "o", "rational")),
+    (["simulate", "--c=c.json"], None, READ),
+    (["simulate", "--config", "a.json", "--seed", "1", "--config", "c.json", "--seed=2"], None,
+     ("simulate", "c.json", 2, ".", None)),
+    (["simulate", "--config", "c.json", "--seed", "-5"], None, ("simulate", "c.json", -5, ".", None)),
+    (["simulate", "--config", "c.json", "--out", "-"], None, ("simulate", "c.json", None, "-", None)),
+    (["simulate", "--config", "c.json", "--out", "-x y"], None,
+     ("simulate", "c.json", None, "-x y", None)),
+    (["--config", "c.json", "--", "simulate"], None, READ),
+    (["simulate", "--", "--config"], 1, "the following arguments are required: --config"),
+    (["simulate", "--config"], 1, "argument --config: expected one argument"),
+    (["simulate", "--config", "--seed", "1"], 1, "argument --config: expected one argument"),
+    (["simulate", "--config", "c.json", "--bogus", "x"], 1, "unrecognized arguments: --bogus x"),
+    (["simulate", "--config", "c.json", "-x"], 1, "unrecognized arguments: -x"),
+    (["simulate", "estimate", "--config", "c.json"], 1, "unrecognized arguments: estimate"),
+    (["simulate", "--config=c.json", "--"], 1, "unrecognized arguments: --"),
+    (["simulate", "--config", "c.json", "--mode", "bogus"], 1,
+     "argument --mode: invalid choice: 'bogus' (choose from 'rational', 'float')"),
+    (["simulate", "--config", "c.json", "--seed", "1.5"], 1,
+     "argument --seed: invalid int value: '1.5'"),
+    (["simulate", "--config", "c.json", "--seed", "-1.5"], 1,
+     "argument --seed: invalid int value: '-1.5'"),
+    (["bogus", "--config", "c.json"], 1,
+     "argument command: invalid choice: 'bogus' (choose from 'simulate', 'estimate', 'entropy', "
+     "'dissipation', 'tomography', 'kolmogorov', 'spectral', 'validate', 'report')"),
+    ([], 1, "the following arguments are required: command, --config"),
+    (["--mode", "bogus", "-h"], 1,
+     "argument --mode: invalid choice: 'bogus' (choose from 'rational', 'float')"),
+    (["-h", "--=x"], 1,
+     "ambiguous option: --=x could match --help, --config, --seed, --out, --mode"),
+    (["simulate", "--config", "c.json", "-hx"], 1,
+     "argument -h/--help: ignored explicit argument 'x'"),
+    (["simulate", "--help=", "--config", "c.json"], 1,
+     "argument -h/--help: ignored explicit argument ''"),
+    (["-h"], 0, None),
+    (["simulate", "--help"], 0, None),
+    (["--he"], 0, None),
+    (["-hh"], 0, None),
+    (["simulate", "extra", "-x", "-h"], 0, None),
+]
+
+
+class TestOptionReader:
+    """`cli.read_args` reads the kind and its four options as argparse,
+    which read them before it, did: each spelling it took, each argv it
+    refused, with its message, and the help."""
+
+    @pytest.mark.parametrize("argv, code, expected", OPTION_TABLE)
+    def test_argv(self, capsys, argv, code, expected):
+        if code is None:
+            args = cli.read_args(argv)
+            assert (args.command, args.config, args.seed, args.out, args.mode) == expected
+            assert capsys.readouterr() == ("", "")
+            return
+        with pytest.raises(SystemExit) as exc:
+            cli.read_args(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "" and out.startswith("usage: oplab [-h] --config CONFIG")
+            for option in ("-h, --help", "--config CONFIG", "--seed SEED", "--out OUT",
+                           "--mode {rational,float}"):
+                assert f"\n  {option}" in out
+        else:
+            assert out == "" and err.startswith("usage: oplab [-h] --config CONFIG")
+            assert err.endswith(f"\noplab: error: {expected}\n")
+
+    @staticmethod
+    def _argparse():
+        """The parser `cli.read_args` replaced, with argparse's own exit code
+        for a usage error."""
+        parser = argparse.ArgumentParser(prog="oplab")
+        parser.add_argument("command", choices=cli._COMMANDS)
+        parser.add_argument("--config", required=True)
+        parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--out", default=".")
+        parser.add_argument("--mode", choices=("rational", "float"), default=None)
+        return parser
+
+    @staticmethod
+    def _outcome(read, argv):
+        """The parsed values of ``argv``, or the exit code it raised."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                args = read(argv)
+            except SystemExit as exc:
+                return {0: "help"}.get(exc.code, "refused")
+        return (args.command, args.config, args.seed, args.out, args.mode)
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=st.lists(st.sampled_from(
+        ["simulate", "spectral", "bogus", "--config", "--conf", "--config=c.json", "c.json",
+         "--seed", "--se=3", "-5", "7", "abc", "--out", "--o=o", "--mode", "float", "-x",
+         "--bogus", "-h"]), max_size=7))
+    def test_accepts_and_refuses_what_argparse_did(self, argv):
+        assert self._outcome(cli.read_args, argv) == self._outcome(self._argparse().parse_args,
+                                                                  argv)
+
+
 class TestConfigDigest:
     """`cli.config_digest` is the SHA-256 of the config on either side of
     `cli.OPENSSL_MIN_BYTES`, and with the built-in modules hidden, so that
@@ -217,7 +328,7 @@ class TestErrors:
         ["simulate", "--config", "c.json", "--seed", "abc"],
     ])
     def test_usage_errors_exit_1(self, capsys, argv):
-        # Exit 2 means a validation failure; argparse would exit 2 here.
+        # Exit 2 means a validation failure, so a usage error exits 1.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
@@ -428,19 +539,13 @@ def _names_a_path(err, paths):
     return any(re.search(re.escape(name) + r"(?![\w\[.])", err) for name in named)
 
 
-_PARSER = cli.build_parser()
-
-
 def _run_corrupted(tmp_path, name, payload):
     """(exit code, stderr) of the command of ``CONFIGS[name]`` on ``payload``;
-    an exception that escapes ``main`` stands in for the exit code.  Every run
-    shares one argument parser: building it is about a fifth of a small
-    run's time, and these tests make thousands of runs."""
+    an exception that escapes ``main`` stands in for the exit code."""
     config = write_config(tmp_path, payload)
     err = io.StringIO()
     try:
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                mock.patch.object(cli, "build_parser", lambda: _PARSER):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([CONFIGS[name]["kind"], "--config", str(config),
                          "--out", str(tmp_path / "out")])
     except Exception as exc:  # noqa: BLE001 - any escape is the failure

@@ -2,6 +2,7 @@
 and each layer runs only when it is first used."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -14,6 +15,7 @@ import numpy
 import pytest
 
 import oplab
+import oplab._blocks
 import oplab._np
 import oplab.cli
 import oplab.spectral
@@ -251,9 +253,11 @@ def test_classical_jobs_load_no_block_reader(tmp_path):
 @pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
                     reason="this interpreter has no built-in SHA-256 module")
 def test_small_configs_hash_without_openssl(tmp_path):
-    """Every golden config is under `oplab.cli.OPENSSL_MIN_BYTES`, and its job
-    loads no ``_hashlib`` beyond what the bare interpreter loads; a config of
-    that size, the kolmogorov golden config padded with blanks, loads it."""
+    """Every golden config is under `oplab.cli.OPENSSL_MIN_BYTES`: the
+    command process hashes it with the built-in module and loads no
+    ``_hashlib`` beyond what the bare interpreter loads.  A config of that
+    size with no block, the kolmogorov golden config padded with blanks,
+    starts no worker, so the command process hashes it with ``hashlib``."""
     bare = subprocess.run([sys.executable, "-c", _MODULES], capture_output=True, text=True,
                           check=True).stdout
     preloaded = "_hashlib" in json.loads(bare)
@@ -298,3 +302,68 @@ def test_a_broken_layer_raises_its_own_error(tmp_path):
     assert first.startswith("SyntaxError ") and "simplex.py" in first, first
     assert second == first
     assert measure == "DiscreteMeasure"
+
+
+# What no job loads beyond the bare interpreter's modules: argparse and the
+# gettext and locale it pulls in cost about 3 ms and 0.5 MB of each job.
+UNUSED_BY_ANY_JOB = ("argparse", "gettext", "locale")
+
+
+def test_no_job_loads_argparse_gettext_or_locale(tmp_path):
+    """Every golden config, in a fresh interpreter: the job reads its options
+    without argparse, so it loads none of `UNUSED_BY_ANY_JOB` beyond what the
+    bare interpreter loads."""
+    bare = subprocess.run([sys.executable, "-c", _MODULES], capture_output=True, text=True,
+                          check=True).stdout
+    preloaded = set(json.loads(bare))
+    for config in configs():
+        kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
+        local = tmp_path / config.name
+        shutil.copyfile(config, local)
+        modules, _ = _run("oplab.cli", kind, "--config", str(local), "--out", str(tmp_path))
+        assert [name for name in UNUSED_BY_ANY_JOB
+                if name in modules and name not in preloaded] == [], config.name
+
+
+# Runs the CLI command in argv[2:] with `oplab._fork` seeing argv[1] CPUs, and
+# prints its exit code and the names of the modules the command process loaded.
+_MODULES_ON_CPUS = """
+import json, sys
+from oplab import _fork, cli
+_fork.available_cpus = lambda: int(sys.argv[1])
+print(cli.main(sys.argv[2:]), json.dumps(sorted(sys.modules)))
+"""
+
+
+def _spectral_config(path: Path, d: int, seed: int) -> None:
+    """A seeded d x d ``spectral`` config: a random observable and state."""
+    rng = numpy.random.default_rng(seed)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = m @ m.conj().T
+    pairs = lambda a: [[[z.real, z.imag] for z in row] for row in a.tolist()]  # noqa: E731
+    path.write_text(json.dumps({"kind": "spectral", "inputs": {
+        "observable": pairs((m + m.conj().T) / 2), "state": pairs(rho / numpy.trace(rho).real)}}),
+        encoding="utf-8")
+
+
+def test_the_block_worker_hashes_a_large_config(tmp_path):
+    """A d = 128 ``spectral`` config is above `oplab.cli.OPENSSL_MIN_BYTES`
+    and its blocks above `oplab._blocks.FORK_MIN_CHARS`.  With two CPUs the
+    worker that reads its blocks hashes it, so the command process loads no
+    ``_hashlib``; with one, the command hashes it and loads ``_hashlib``.
+    Either way the footer is the SHA-256 of the file."""
+    config = tmp_path / "spectral.json"
+    _spectral_config(config, 128, 128)
+    raw = config.read_bytes()
+    assert len(raw) >= max(oplab.cli.OPENSSL_MIN_BYTES, oplab._blocks.FORK_MIN_CHARS)
+    footer = f"# config_hash=sha256:{hashlib.sha256(raw).hexdigest()}\n"
+    for cpus, hashes_here in ((2, False), (1, True)):
+        out = tmp_path / str(cpus)
+        proc = subprocess.run([sys.executable, "-c", _MODULES_ON_CPUS, str(cpus), "spectral",
+                               "--config", str(config), "--out", str(out)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+        code, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0", proc.stderr
+        assert ("_hashlib" in json.loads(modules)) == hashes_here, cpus
+        assert footer in (out / "spectral.csv").read_text(encoding="utf-8"), cpus

@@ -72,6 +72,11 @@ class TestEntropyBits:
         with pytest.raises(ValueError, match="is negative or not finite$"):
             entropy_bits(weights)
 
+    @pytest.mark.parametrize("weights", [[F(10 ** 400)], [10 ** 400], [0.5, F(-10 ** 400, 3)]])
+    def test_a_weight_beyond_a_double_is_refused(self, weights):
+        with pytest.raises(ValueError, match=r"^weight -?10+(/3)? is beyond a double$"):
+            entropy_bits(weights)
+
     def test_finite_weights_keep_their_bits(self):
         assert entropy_bits([0.5, 0.5, 0.0]) == entropy_bits([F(1, 2), F(1, 2)]) == 1.0
 
@@ -90,6 +95,13 @@ class TestSchema:
     def test_unreadable_weight_is_a_value_error(self, weights):
         with pytest.raises(ValueError):
             Schema(weights)
+
+    def test_a_weight_beyond_a_double_is_named(self):
+        with pytest.raises(ValueError, match=r"^weight 10{400} is beyond a double$"):
+            Schema([F(10 ** 400), 0.5])
+        # No single weight is beyond a double, only their sum.
+        with pytest.raises(ValueError, match=r"^schema mass is beyond a double$"):
+            Schema([F(10 ** 308), F(10 ** 308), 0.5])
 
     def test_dirac_detection(self):
         assert Schema([0, 1, 0]).is_dirac()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -376,6 +377,23 @@ print(cli.main(sys.argv[2:]), len(forks))
 """
 
 
+def _hashed_by_command(monkeypatch, parent, in_worker=None) -> list:
+    """Patches `serialization.text_digest` to list the texts that the command
+    process hashes; a worker's call returns ``in_worker`` instead, when given.
+    Returns the list."""
+    real = serialization.text_digest
+    hashed = []
+
+    def digest(text):
+        if os.getpid() != parent:
+            return real(text) if in_worker is None else in_worker
+        hashed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(serialization, "text_digest", digest)
+    return hashed
+
+
 class TestTwoProcessRead:
     """With two CPUs and enough text, `decode_config` reads the numbers of
     its blocks in this process and a forked worker; every value, error and
@@ -419,11 +437,32 @@ class TestTwoProcessRead:
             return real(text, pieces, order, doubles, flags)
 
         monkeypatch.setattr(_blocks, "_take", fails_in_worker)
-        decoded = decode_config(text)
+        # Its digest is wrong, so the caller must not take it.
+        hashed_here = _hashed_by_command(monkeypatch, parent, in_worker=bytes(32))
+        digest = []
+        decoded = decode_config(text, digest)
         assert len(forks) == 1
         for name, rows in json.loads(text).items():
             assert isinstance(decoded[name], serialization._Block)
             assert matrix_from_json(decoded[name]).tobytes() == matrix_from_json(rows).tobytes()
+        # The worker left its digest and then failed: the command hashes.
+        assert digest == [hashlib.sha256(text.encode()).digest()] and hashed_here == [text]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus_seen, worker_hashes", [(2, True), (1, False)])
+    def test_the_worker_hashes_the_text_when_it_runs(self, two_cpus, cpus, monkeypatch, forks,
+                                                    parent, cpus_seen, worker_hashes):
+        """With a list to take it, `decode_config` hands back the worker's
+        digest; with no worker the command takes it, after the decode."""
+        cpus(cpus_seen)
+        text = json.dumps(_blocks_payload(8, 4))
+        hashed_here = _hashed_by_command(monkeypatch, parent)
+        digest = []
+        decoded = decode_config(text, digest)
+        assert len(forks) == worker_hashes
+        assert digest == [hashlib.sha256(text.encode()).digest()]
+        assert hashed_here == ([] if worker_hashes else [text])
+        assert isinstance(decoded["a"], serialization._Block)
         assert_no_child_left()
 
     def test_a_failing_command_kills_and_reaps_the_worker(self, two_cpus, monkeypatch, forks,
