@@ -17,10 +17,11 @@ same doubles twice; no piece is skipped.  Both write through
 array is then a view of the mapping.  Only a config with a block imports
 this module.
 
-For a config of at least `oplab.cli.OPENSSL_MIN_BYTES`, the worker also
-takes the config's SHA-256 before its first piece and leaves the 32 bytes
-after the flags.  ``hashlib`` then loads only in the worker, forked before
-numpy loads, and not in this process, whose peak is the job's.
+The worker also takes the config's SHA-256 before its first piece and
+leaves the 32 bytes after the flags.  For a config of at least
+`oplab.serialization.OPENSSL_MIN_BYTES`, ``hashlib`` then loads only in the
+worker, forked before numpy loads, and not in this process, whose peak is
+the job's.
 """
 
 from __future__ import annotations
@@ -52,16 +53,16 @@ def _integer(token):
 _NUMBERS = json.JSONDecoder(parse_int=_integer)
 
 
-def read(text: str, blocks: list, piece: int, digest=None):
+def read(text: str, blocks: list, piece: int, digest):
     """Set the ``array`` of each of ``blocks`` whose numbers are all finite
     float tokens that json reads, cutting them into pieces of about ``piece``
     characters; leave the others' None, for json to read.
 
-    ``digest``, when given, is a function of no argument that returns 32
-    bytes.  A worker calls it before it takes any piece and leaves its
-    result at the end of the mapping; ``read`` returns that result when the
-    worker ran to its end, and None otherwise, when no worker started or it
-    failed, so the caller's own process never runs ``digest``."""
+    ``digest`` is a function of no argument that returns 32 bytes.  A
+    worker calls it before it takes any piece and leaves its result at the
+    end of the mapping; ``read`` returns that result when the worker ran to
+    its end, and None otherwise, when no worker started or it failed, so the
+    caller's own process never runs ``digest``."""
     pieces, spans = [], []  # (at, cut, offset, count); (first piece, stop, offset)
     offset = 0
     for block in blocks:
@@ -74,7 +75,7 @@ def read(text: str, blocks: list, piece: int, digest=None):
             pieces.append((at, cut, offset, count))
             offset, at = offset + count, cut + 1
         spans.append((first, len(pieces), start))
-    mapping = mmap.mmap(-1, 8 * offset + len(pieces) + (digest is not None) * _DIGEST_BYTES)
+    mapping = mmap.mmap(-1, 8 * offset + len(pieces) + _DIGEST_BYTES)
     doubles = memoryview(mapping)[:8 * offset].cast("d")
     flags = memoryview(mapping)[8 * offset:8 * offset + len(pieces)]
     parts, stop = None, 0
@@ -85,8 +86,7 @@ def read(text: str, blocks: list, piece: int, digest=None):
         stop = _take(text, pieces, range(stop, len(pieces)), doubles, flags)
 
     def work():
-        if digest is not None:
-            mapping[-_DIGEST_BYTES:] = digest()
+        mapping[-_DIGEST_BYTES:] = digest()
         _take(text, pieces, reversed(range(len(pieces))), doubles, flags)
 
     chars = sum(block.end - block.start for block in blocks)
@@ -99,7 +99,7 @@ def read(text: str, blocks: list, piece: int, digest=None):
         values = parts[start:start + 2 * rows * cols]
         if set(flags[first:last]) == {_READ} and np.isfinite(values).all():
             block.array = values.view(np.complex128).reshape(rows, cols)
-    return mapping[-_DIGEST_BYTES:] if worker_done and digest is not None else None
+    return mapping[-_DIGEST_BYTES:] if worker_done else None
 
 
 def _take(text: str, pieces: list, order, doubles, flags) -> int:

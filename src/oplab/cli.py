@@ -1,8 +1,9 @@
 """Batch experiment harness: JSON configs in, deterministic CSV tables out.
 
 ``oplab KIND --config PATH [--seed N] [--out DIR] [--mode MODE]``.  This
-module reads the arguments and the config, runs the body of ``KIND`` and
-turns its errors into exit codes.  `read_args` reads the arguments as
+module reads the arguments and the config, whose SHA-256 comes with it from
+`oplab.serialization.decode_config`, runs the body of ``KIND`` and turns its
+errors into exit codes.  `read_args` reads the arguments as
 argparse did, with the same spellings, refusals and messages, without
 loading argparse, gettext and locale: about 3 ms and 0.5 MB of each job.
 Each body is its own module, ``oplab.commands.<kind>``, imported only when
@@ -37,60 +38,20 @@ _COMMANDS = ("simulate", "estimate", "entropy", "dissipation", "tomography", "ko
 # The thread counts that numpy's BLAS reads once, when numpy loads.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Fewest config bytes whose digest is taken from OpenSSL (``hashlib``, in
-# `oplab.serialization.text_digest`) rather than from CPython's built-in
-# SHA-256 (`config_digest`).  Importing ``hashlib`` loads OpenSSL's
-# ``_hashlib`` and ``libcrypto``: about 3.5 MB of a job's peak memory and
-# 3-5 ms, against 0.3-0.5 ms for the built-in module.
-# OpenSSL then hashes at about 0.9 ms/MiB, the built-in module at 5-8 ms/MiB.
-# On a 2-core VM (Python 3.11, fresh processes, import and hash timed, 21
-# alternated pairs each) the built-in module took 3.8 ms against 5.4 at
-# 512 KiB, 3.8 against 3.9 at 768 KiB (faster in 16 of 21 pairs) and 4.5
-# against 4.3 at 896 KiB (faster in 3 of 21).
-OPENSSL_MIN_BYTES = 3 << 18
-
-# CPython's built-in SHA-256 module, ``_sha2`` since 3.12 and ``_sha256``
-# before.  Trying the other name first would cost a failed import, 0.2 ms.
-_BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
-
-
-def config_digest(raw: bytes) -> str:
-    """The SHA-256 of ``raw``, in hex, from CPython's built-in module, as
-    ``random`` takes its SHA-512, where the interpreter has one; otherwise
-    from ``hashlib``.  Both give the same digest.  `_load_config` calls it
-    only below `OPENSSL_MIN_BYTES`."""
-    try:
-        return importlib.import_module(_BUILTIN_SHA256).sha256(raw).hexdigest()
-    except ImportError:
-        pass
-    import hashlib
-
-    return hashlib.sha256(raw).hexdigest()
-
-
 def _load_config(path: Path) -> tuple:
-    """The config at ``path`` and the SHA-256 of its bytes, in hex.  A
-    config of at least `OPENSSL_MIN_BYTES` is hashed from its decoded text,
-    whose UTF-8 encoding is its bytes, by `decode_config`: in the worker that
-    reads its blocks when one runs to its end, so this process loads no
-    ``hashlib``, and here otherwise."""
+    """The config at ``path`` and the SHA-256 of its bytes, in hex, from
+    `decode_config`: the bytes are the UTF-8 encoding of the text it reads."""
     try:
-        raw = path.read_bytes()
+        config, digest = decode_config(path.read_bytes().decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    digest = config_digest(raw) if len(raw) < OPENSSL_MIN_BYTES else None
-    hashed = []
-    try:
-        text = raw.decode("utf-8")
-        del raw  # the decoder needs only the text
-        config = decode_config(text, None if digest else hashed)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    return config, digest or hashed[0].hex()
+    return config, digest.hex()
 
 
 # The options every kind takes, in the order the help lists them.

@@ -30,13 +30,18 @@ bracket skeleton; `oplab._blocks` parses the numbers of all blocks with
 json's own number parser, in this process and a forked worker.  A d x d
 matrix then costs its 16 bytes per entry, not a Python list and two floats
 per entry (about 120 bytes).  `matrix_from_json` takes such a block as it
-is; every other reader sees the lists that ``json.loads`` gives.
+is; every other reader sees the lists that ``json.loads`` gives.  With the
+config comes its SHA-256 for the footer, from `text_digest`, which alone
+picks the module that hashes; the block worker calls it when one runs.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import re
+import sys
 from functools import partial
 from json.decoder import WHITESPACE, scanstring
 from typing import Mapping
@@ -83,11 +88,11 @@ def _plain(value):
     return value.lists() if isinstance(value, _Block) else value
 
 
-def decode_config(text: str, digest: list = None):
+def decode_config(text: str) -> tuple:
     """``json.loads(text)``, except that an object member whose value opens
     with three brackets and is a rows x cols block of [re, im] pairs of
     finite float tokens becomes a `_Block`, which keeps no reference to
-    ``text``.
+    ``text``; and `text_digest` of ``text``.
 
     The walk checks each block's bracket skeleton and parses no number.
     `oplab._blocks` then reads the numbers of every block at once; a block
@@ -95,48 +100,78 @@ def decode_config(text: str, digest: list = None):
     back to json, which reads its member as lists.  On any other error the
     text goes to ``json.loads``, which raises its own error.
 
-    With a list ``digest``, `text_digest` of ``text`` is appended to it.
-    The worker that reads blocks takes it before its first piece, so this
-    process loads no ``hashlib``; only when no worker ran to its end is it
-    taken here, after the decode.
+    The worker that reads blocks takes the digest before its first piece, so
+    this process need not hash; only when no worker ran to its end is it
+    taken here, after the decode.  A key or string that holds a lone
+    surrogate, which no output can encode, is a ConfigError naming its path.
     """
-    value, hashed = _decode(text, digest is not None)
-    if digest is not None:
-        digest.append(hashed or text_digest(text))
-    return value
-
-
-def _decode(text: str, hash_in_worker: bool) -> tuple:
-    """`decode_config`'s value, and the worker's `text_digest` of ``text``
-    when ``hash_in_worker`` and a worker ran to its end, else None."""
     hashed = None
     try:
         members = []
         value, end = _value(text, _skip(text, 0), members)
-        if _skip(text, end) == len(text):
-            if members:
-                from . import _blocks
-                hashed = _blocks.read(text, [found[key] for found, key in members], _PIECE,
-                                      partial(text_digest, text) if hash_in_worker else None)
-            for found, key in members:
-                if found[key].array is None:  # json ends it where the walk did
-                    found[key] = _DECODER.raw_decode(text, found[key].start)[0]
-            return value, hashed
+        if _skip(text, end) < len(text):
+            raise ValueError("extra data")
+        if members:
+            from . import _blocks
+            hashed = _blocks.read(text, [found[key] for found, key in members], _PIECE,
+                                  partial(text_digest, text))
+        for found, key in members:
+            if found[key].array is None:  # json ends it where the walk did
+                found[key] = _DECODER.raw_decode(text, found[key].start)[0]
     except Exception:  # the fallback raises json's error, or reads the text
-        pass
-    return json.loads(text), hashed
+        value = json.loads(text)
+    # Only an escape makes a lone surrogate.  Looking for one character runs
+    # at memchr's speed, 0.13 ms on a 4 MB config, and for "\\u" 4.2 ms.
+    if "\\" in text:
+        _refuse_lone_surrogates(value, "config")
+    return value, hashed or text_digest(text)
+
+
+# Fewest characters of config text whose digest is taken from OpenSSL
+# (``hashlib``) rather than from CPython's built-in SHA-256; an ASCII config
+# has as many bytes.  Importing ``hashlib`` loads OpenSSL's
+# ``_hashlib`` and ``libcrypto``: about 3.5 MB of a job's peak memory and
+# 3-5 ms, against 0.3-0.5 ms for the built-in module.
+# OpenSSL then hashes at about 0.9 ms/MiB, the built-in module at 5-8 ms/MiB.
+# On a 2-core VM (Python 3.11, fresh processes, import and hash timed, 21
+# alternated pairs each) the built-in module took 3.8 ms against 5.4 at
+# 512 KiB, 3.8 against 3.9 at 768 KiB (faster in 16 of 21 pairs) and 4.5
+# against 4.3 at 896 KiB (faster in 3 of 21).
+OPENSSL_MIN_BYTES = 3 << 18
+
+# CPython's built-in SHA-256 module, ``_sha2`` since 3.12 and ``_sha256``
+# before.  Trying the other name first would cost a failed import, 0.2 ms.
+_BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 
 
 def text_digest(text: str) -> bytes:
-    """The SHA-256 of ``text``'s UTF-8 encoding, from ``hashlib``, which
-    takes one encoded slice of `_PIECE` characters at a time, so no encoded
-    copy of ``text`` is held."""
-    import hashlib
-
-    sha = hashlib.sha256()
+    """The SHA-256 of ``text``'s UTF-8 encoding, which takes one encoded
+    slice of `_PIECE` characters at a time, so no encoded copy of ``text`` is
+    held: from CPython's built-in module below `OPENSSL_MIN_BYTES`
+    characters, where the interpreter has one, else from ``hashlib``."""
+    name = _BUILTIN_SHA256 if len(text) < OPENSSL_MIN_BYTES else "hashlib"
+    try:
+        sha = importlib.import_module(name).sha256()
+    except ImportError:  # an interpreter with no built-in module
+        sha = importlib.import_module("hashlib").sha256()
     for at in range(0, len(text), _PIECE):
         sha.update(text[at:at + _PIECE].encode("utf-8"))
     return sha.digest()
+
+
+def _refuse_lone_surrogates(value, where: str) -> None:
+    """ConfigError naming the first string or key of ``value``, the JSON
+    value at ``where``, that holds a lone surrogate; no `_Block` is walked."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _refuse_lone_surrogates(key, where)
+            inputs = (where, key) == ("config", "inputs")  # named as `field` names it
+            _refuse_lone_surrogates(item, "inputs" if inputs else f"{where}.{key}")
+    elif isinstance(value, list):
+        for at, item in enumerate(value):
+            _refuse_lone_surrogates(item, f"{where}[{at}]")
+    elif isinstance(value, str) and re.search("[\ud800-\udfff]", value):
+        raise ConfigError(f"{where}: {value!r} holds a lone surrogate")
 
 
 def _skip(text: str, at: int) -> int:

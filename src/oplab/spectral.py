@@ -564,6 +564,8 @@ class LabSystem:
     ):
         observables = dict(observables)
         states = dict(states)
+        if not observables or not states:
+            raise ValueError("a lab system needs at least one observable and one state")
         pairs = set()
         for state_label, obs_label in suitability:
             if state_label not in states:

@@ -11,18 +11,20 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oplab
 from oplab import errors as oplab_errors
-from oplab import cli, commands
+from oplab import cli, commands, serialization
 from oplab.cli import main
 from oplab.commands import simulate
 from oplab.ensembles import MAX_TRIALS, PIECE
+from oplab.serialization import OPENSSL_MIN_BYTES
 
 from conftest import CHUNK, assert_no_child_left
 
@@ -265,19 +267,48 @@ class TestOptionReader:
 
 
 class TestConfigDigest:
-    """`cli.config_digest` is the SHA-256 of the config on either side of
-    `cli.OPENSSL_MIN_BYTES`, and with the built-in modules hidden, so that
-    ``hashlib`` hashes every size."""
+    """`serialization.text_digest`, the footer's digest, is the SHA-256 of
+    the config's UTF-8 encoding on either side of
+    `serialization.OPENSSL_MIN_BYTES`, and with the built-in modules hidden,
+    so that ``hashlib`` hashes every size."""
 
-    SIZES = (0, 1, cli.OPENSSL_MIN_BYTES - 1, cli.OPENSSL_MIN_BYTES, cli.OPENSSL_MIN_BYTES + 1)
+    SIZES = (0, 1, OPENSSL_MIN_BYTES - 1, OPENSSL_MIN_BYTES, OPENSSL_MIN_BYTES + 1)
+    HIDDEN = pytest.mark.parametrize("hidden", [(), ("_sha2", "_sha256")],
+                                     ids=["builtin", "hidden"])
 
-    @pytest.mark.parametrize("hidden", [(), ("_sha2", "_sha256")], ids=["builtin", "hidden"])
+    @HIDDEN
     @pytest.mark.parametrize("size", SIZES)
     def test_digest_is_sha256(self, monkeypatch, size, hidden):
         for name in hidden:
             monkeypatch.setitem(sys.modules, name, None)
-        raw = (b'[[0.5, -0.25], "1/3"], ' * (size // 23 + 1))[:size]
-        assert cli.config_digest(raw) == hashlib.sha256(raw).hexdigest()
+        text = ('[[0.5, -0.25], "1/3"], ' * (size // 23 + 1))[:size]
+        assert serialization.text_digest(text) == hashlib.sha256(text.encode()).digest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.characters(codec="utf-8"), max_size=40), piece=st.integers(1, 5))
+    @example(text="a\u00e9\u20ac\U0001f600\U0010ffff", piece=1)
+    @example(text="\U0001f600" * 7, piece=3)
+    def test_digest_of_any_text_is_sha256(self, text, piece):
+        # Pieces of a few characters put a slice edge at every character,
+        # inside and beside the multi-byte ones.
+        with mock.patch.object(serialization, "_PIECE", piece):
+            assert serialization.text_digest(text) == hashlib.sha256(text.encode()).digest()
+
+    @HIDDEN
+    def test_the_threshold_counts_characters(self, monkeypatch, hidden):
+        """A text under the constant in characters but over it in UTF-8
+        bytes is hashed by the built-in module, where there is one."""
+        for name in hidden:
+            monkeypatch.setitem(sys.modules, name, None)
+        text = "\u00e9" * (OPENSSL_MIN_BYTES // 2 + 1)
+        assert len(text) < OPENSSL_MIN_BYTES < len(text.encode())
+        imported = []
+        real = serialization.importlib.import_module
+        monkeypatch.setattr(serialization.importlib, "import_module",
+                            lambda name: imported.append(name) or real(name))
+        assert serialization.text_digest(text) == hashlib.sha256(text.encode()).digest()
+        assert imported[0] == serialization._BUILTIN_SHA256
+        assert imported[1:] == (["hashlib"] if hidden else [])
 
 
 class TestSeedResolution:
@@ -660,6 +691,8 @@ class TestConfigCorruption:
          "inputs.embedding_families.z[0]: unknown state label 'z'"),
         ("validate", ("inputs", "embedding_families"), {"z": []},
          "inputs.embedding_families.z must be a non-empty list"),
+        ("validate", ("inputs", "system"), {"observables": {}, "states": {}, "suitability": []},
+         "inputs.system: a lab system needs at least one observable and one state"),
     ])
     def test_scalar_names_its_path(self, tmp_path, capsys, name, path, value, message):
         payload = _replaced(CONFIGS[name], path, value)
@@ -667,6 +700,33 @@ class TestConfigCorruption:
         assert main([CONFIGS[name]["kind"], "--config", str(config), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("kolmogorov_ok", ("inputs", "outcomes"), {"\ud800": [1]},
+         "inputs.outcomes: '\\ud800' holds a lone surrogate"),
+        ("kolmogorov_ok", ("inputs", "constraints", 0, "observable"), "a\udc00",
+         "inputs.constraints[0].observable: 'a\\udc00' holds a lone surrogate"),
+        ("validate", ("inputs", "center"), ["z2", "\udbff"],
+         "inputs.center[1]: '\\udbff' holds a lone surrogate"),
+        ("simulate", ("note",), "\ud83d", "config.note: '\\ud83d' holds a lone surrogate"),
+    ], ids=["key", "string", "list-entry", "top-level"])
+    def test_a_lone_surrogate_names_its_path(self, tmp_path, capsys, name, path, value, message):
+        """A lone surrogate escape is valid JSON, but no output can encode
+        the string it makes: the config is refused before any table opens."""
+        config = write_config(tmp_path, _replaced(CONFIGS[name], path, value))
+        assert "\\ud" in config.read_text(encoding="utf-8")
+        assert main([CONFIGS[name]["kind"], "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_a_surrogate_pair_is_one_character_and_reads(self, tmp_path, capsys):
+        payload = _replaced(KOLMOGOROV_OK, ("inputs", "outcomes"), {"\U0001f600": [-1, 1],
+                                                                    "b": [-1, 1]})
+        payload["inputs"]["constraints"][0]["observable"] = "\U0001f600"
+        config = write_config(tmp_path, payload)
+        assert "\\ud83d\\ude00" in config.read_text(encoding="utf-8")
+        assert main(["kolmogorov", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert "\U0001f600" in (tmp_path / "kolmogorov.csv").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_each_list_replaced_by_a_string_exits_1(self, tmp_path, capsys, name):

@@ -18,6 +18,7 @@ import oplab
 import oplab._blocks
 import oplab._np
 import oplab.cli
+import oplab.serialization
 import oplab.spectral
 from golden.regenerate import configs
 
@@ -253,8 +254,8 @@ def test_classical_jobs_load_no_block_reader(tmp_path):
 @pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
                     reason="this interpreter has no built-in SHA-256 module")
 def test_small_configs_hash_without_openssl(tmp_path):
-    """Every golden config is under `oplab.cli.OPENSSL_MIN_BYTES`: the
-    command process hashes it with the built-in module and loads no
+    """Every golden config is under `oplab.serialization.OPENSSL_MIN_BYTES`:
+    the command process hashes it with the built-in module and loads no
     ``_hashlib`` beyond what the bare interpreter loads.  A config of that
     size with no block, the kolmogorov golden config padded with blanks,
     starts no worker, so the command process hashes it with ``hashlib``."""
@@ -265,12 +266,12 @@ def test_small_configs_hash_without_openssl(tmp_path):
         kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
         local = tmp_path / config.name
         shutil.copyfile(config, local)
-        assert local.stat().st_size < oplab.cli.OPENSSL_MIN_BYTES, config.name
+        assert local.stat().st_size < oplab.serialization.OPENSSL_MIN_BYTES, config.name
         modules, _ = _run("oplab.cli", kind, "--config", str(local), "--out", str(tmp_path))
         assert preloaded or "_hashlib" not in modules, config.name
     text = (tmp_path / "kolmogorov_feasible.json").read_text(encoding="utf-8")
     large = tmp_path / "large.json"
-    large.write_text(text.ljust(oplab.cli.OPENSSL_MIN_BYTES), encoding="utf-8")
+    large.write_text(text.ljust(oplab.serialization.OPENSSL_MIN_BYTES), encoding="utf-8")
     modules, _ = _run("oplab.cli", "kolmogorov", "--config", str(large), "--out", str(tmp_path))
     assert "_hashlib" in modules
 
@@ -346,24 +347,54 @@ def _spectral_config(path: Path, d: int, seed: int) -> None:
         encoding="utf-8")
 
 
+def _spectral_job(config: Path, cpus: int, out: Path) -> tuple:
+    """The modules the command process loaded for the ``spectral`` job on
+    ``config`` with `oplab._fork` seeing ``cpus`` CPUs, and its table."""
+    proc = subprocess.run([sys.executable, "-c", _MODULES_ON_CPUS, str(cpus), "spectral",
+                           "--config", str(config), "--out", str(out)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    code, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0", proc.stderr
+    return json.loads(modules), (out / "spectral.csv").read_text(encoding="utf-8")
+
+
 def test_the_block_worker_hashes_a_large_config(tmp_path):
-    """A d = 128 ``spectral`` config is above `oplab.cli.OPENSSL_MIN_BYTES`
-    and its blocks above `oplab._blocks.FORK_MIN_CHARS`.  With two CPUs the
-    worker that reads its blocks hashes it, so the command process loads no
-    ``_hashlib``; with one, the command hashes it and loads ``_hashlib``.
-    Either way the footer is the SHA-256 of the file."""
+    """A d = 128 ``spectral`` config is above
+    `oplab.serialization.OPENSSL_MIN_BYTES` and its blocks above
+    `oplab._blocks.FORK_MIN_CHARS`.  With two CPUs the worker that reads its
+    blocks hashes it, so the command process loads no ``_hashlib``; with one,
+    the command hashes it and loads ``_hashlib``.  Either way the footer is
+    the SHA-256 of the file."""
     config = tmp_path / "spectral.json"
     _spectral_config(config, 128, 128)
     raw = config.read_bytes()
-    assert len(raw) >= max(oplab.cli.OPENSSL_MIN_BYTES, oplab._blocks.FORK_MIN_CHARS)
+    assert len(raw) >= max(oplab.serialization.OPENSSL_MIN_BYTES, oplab._blocks.FORK_MIN_CHARS)
     footer = f"# config_hash=sha256:{hashlib.sha256(raw).hexdigest()}\n"
     for cpus, hashes_here in ((2, False), (1, True)):
-        out = tmp_path / str(cpus)
-        proc = subprocess.run([sys.executable, "-c", _MODULES_ON_CPUS, str(cpus), "spectral",
-                               "--config", str(config), "--out", str(out)],
-                              capture_output=True, text=True, check=True,
-                              env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-        code, modules = proc.stdout.splitlines()[-1].split(" ", 1)
-        assert code == "0", proc.stderr
-        assert ("_hashlib" in json.loads(modules)) == hashes_here, cpus
-        assert footer in (out / "spectral.csv").read_text(encoding="utf-8"), cpus
+        modules, table = _spectral_job(config, cpus, tmp_path / str(cpus))
+        assert ("_hashlib" in modules) == hashes_here, cpus
+        assert footer in table, cpus
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="this interpreter has no built-in SHA-256 module")
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_the_block_worker_hashes_a_small_config_without_openssl(tmp_path, cpus):
+    """A d = 64 ``spectral`` config is under
+    `oplab.serialization.OPENSSL_MIN_BYTES` but its blocks are above
+    `oplab._blocks.FORK_MIN_CHARS`.  With two CPUs the worker that reads its
+    blocks hashes it with the built-in module; with one, the command does.
+    Either way the command process loads no ``_hashlib`` and the footer is
+    the SHA-256 of the file."""
+    bare = subprocess.run([sys.executable, "-c", _MODULES], capture_output=True, text=True,
+                          check=True).stdout
+    config = tmp_path / "spectral.json"
+    _spectral_config(config, 64, 64)
+    raw = config.read_bytes()
+    assert oplab._blocks.FORK_MIN_CHARS < len(raw) < oplab.serialization.OPENSSL_MIN_BYTES
+    modules, table = _spectral_job(config, cpus, tmp_path / "out")
+    assert "_hashlib" in json.loads(bare) or "_hashlib" not in modules
+    assert f"# config_hash=sha256:{hashlib.sha256(raw).hexdigest()}\n" in table
+    if oplab.serialization._BUILTIN_SHA256 == "_sha256":  # before 3.12, nothing else loads it
+        assert ("_sha256" in modules) == (cpus == 1)

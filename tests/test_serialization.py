@@ -222,6 +222,11 @@ def _read(loads, text: str) -> list:
     return found
 
 
+def _config(text: str):
+    """The value `decode_config` reads from ``text``, without its digest."""
+    return decode_config(text)[0]
+
+
 def _as_loaded(value):
     if isinstance(value, dict):
         return {key: _as_loaded(entry) for key, entry in value.items()}
@@ -243,14 +248,14 @@ class TestConfigDecoder:
             text = text.replace(str(value), token)
         text = _mutated(text, edit)
         with mock.patch.object(serialization, "_PIECE", piece):
-            assert _read(decode_config, text) == _read(json.loads, text)
+            assert _read(_config, text) == _read(json.loads, text)
             try:
                 expected = json.loads(text)
             except Exception as exc:
                 with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
                     decode_config(text)
             else:
-                assert repr(_as_loaded(decode_config(text))) == repr(expected)
+                assert repr(_as_loaded(_config(text))) == repr(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(tail=st.text(alphabet='[]{}", 1.5', max_size=40))
@@ -278,7 +283,7 @@ class TestConfigDecoder:
         payload = [[[z.real, z.imag] for z in row] for row in matrix]
         for style in _STYLES:
             text = json.dumps({"inputs": {"observable": payload}}, **style)
-            block = decode_config(text)["inputs"]["observable"]
+            block = _config(text)["inputs"]["observable"]
             assert isinstance(block, serialization._Block)
             got = matrix_from_json(block)
             assert got.tobytes() == matrix_from_json(json.loads(text)["inputs"]["observable"]).tobytes()
@@ -307,11 +312,11 @@ class TestConfigDecoder:
             with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
                 decode_config(text)
         else:
-            assert repr(_as_loaded(decode_config(text))) == repr(expected)
+            assert repr(_as_loaded(_config(text))) == repr(expected)
 
     def test_an_integer_token_leaves_the_member_to_json(self):
         text = '{"m": [[[1.5, 2], [2.5, -0]]], "n": [[[1.5, 2.0], [2.5, 0.0]]]}'
-        decoded = decode_config(text)
+        decoded = _config(text)
         assert decoded["m"] == json.loads(text)["m"]
         assert isinstance(decoded["n"], serialization._Block)
         assert matrix_from_json(decoded["m"]).tobytes() == matrix_from_json(decoded["n"]).tobytes()
@@ -330,7 +335,7 @@ class TestConfigDecoder:
             finally:
                 tracemalloc.stop()
 
-        decoded = peak(lambda: matrix_from_json(decode_config(text)["inputs"]["observable"]))
+        decoded = peak(lambda: matrix_from_json(_config(text)["inputs"]["observable"]))
         loaded = peak(lambda: json.loads(text))
         assert decoded < loaded / 2, (decoded, loaded)
 
@@ -345,12 +350,16 @@ def _config_text(first, second, style, edit) -> str:
 
 def _decoded(text: str) -> tuple:
     """What `decode_config` and the matrix reader make of ``text``: the
-    matrices' bytes and the decoded value's ``repr``, or the error."""
+    matrices' bytes and the decoded value's ``repr``, or the error.  The
+    digest must be the text's SHA-256 whichever process took it."""
     try:
-        whole = repr(_as_loaded(decode_config(text)))
+        value, digest = decode_config(text)
     except Exception as exc:
         whole = (type(exc), str(exc))
-    return _read(decode_config, text), whole
+    else:
+        assert digest == hashlib.sha256(text.encode()).digest()
+        whole = repr(_as_loaded(value))
+    return _read(_config, text), whole
 
 
 def _blocks_payload(d: int, seed: int) -> dict:
@@ -439,28 +448,26 @@ class TestTwoProcessRead:
         monkeypatch.setattr(_blocks, "_take", fails_in_worker)
         # Its digest is wrong, so the caller must not take it.
         hashed_here = _hashed_by_command(monkeypatch, parent, in_worker=bytes(32))
-        digest = []
-        decoded = decode_config(text, digest)
+        decoded, digest = decode_config(text)
         assert len(forks) == 1
         for name, rows in json.loads(text).items():
             assert isinstance(decoded[name], serialization._Block)
             assert matrix_from_json(decoded[name]).tobytes() == matrix_from_json(rows).tobytes()
         # The worker left its digest and then failed: the command hashes.
-        assert digest == [hashlib.sha256(text.encode()).digest()] and hashed_here == [text]
+        assert digest == hashlib.sha256(text.encode()).digest() and hashed_here == [text]
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus_seen, worker_hashes", [(2, True), (1, False)])
     def test_the_worker_hashes_the_text_when_it_runs(self, two_cpus, cpus, monkeypatch, forks,
                                                     parent, cpus_seen, worker_hashes):
-        """With a list to take it, `decode_config` hands back the worker's
-        digest; with no worker the command takes it, after the decode."""
+        """`decode_config` hands back the worker's digest; with no worker
+        the command takes it, after the decode."""
         cpus(cpus_seen)
         text = json.dumps(_blocks_payload(8, 4))
         hashed_here = _hashed_by_command(monkeypatch, parent)
-        digest = []
-        decoded = decode_config(text, digest)
+        decoded, digest = decode_config(text)
         assert len(forks) == worker_hashes
-        assert digest == [hashlib.sha256(text.encode()).digest()]
+        assert digest == hashlib.sha256(text.encode()).digest()
         assert hashed_here == ([] if worker_hashes else [text])
         assert isinstance(decoded["a"], serialization._Block)
         assert_no_child_left()
@@ -485,13 +492,13 @@ class TestTwoProcessRead:
         text = json.dumps(_blocks_payload(4, 2))
         with pytest.raises(RuntimeError, match="command fails"):
             _blocks.read(text, [serialization._Block(text, text.index("[["), text.index("]]]") + 3)],
-                         64)
+                         64, lambda: bytes(32))
         assert len(forks) == 1
         # Killed, not left to sleep.
         assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
         assert_no_child_left()
         # Through the decoder, json then reads the whole config.
-        assert decode_config(text) == json.loads(text)
+        assert _config(text) == json.loads(text)
         assert len(forks) == 2 and len(statuses) == 2
         assert_no_child_left()
 
@@ -513,7 +520,7 @@ class TestTwoProcessRead:
 
         monkeypatch.setattr(_blocks, "_take", worker_first)
         expected = json.loads(text)
-        decoded = decode_config(text)
+        decoded = _config(text)
         assert len(forks) == 1 and flags
         assert decoded["c"] == expected["c"]
         for name in ("a", "b"):

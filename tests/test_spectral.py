@@ -666,6 +666,18 @@ class TestLabSystem:
         with pytest.raises(KeyError):
             LabSystem(obs, states, [("ghost", "z"), ("down", "z")])
 
+    @pytest.mark.parametrize("observables, states", [
+        ({}, {}), ({}, {"up": [1, 0]}), ({"z": PAULI_Z}, {})])
+    def test_an_empty_map_is_refused(self, observables, states):
+        """With no observable or no state there is no dimension to report:
+        refused here, not as StopIteration from ``dim`` or ``repr``."""
+        from oplab.spectral import LabSystem
+
+        observables = {label: HermitianObservable(m) for label, m in observables.items()}
+        states = {label: DensityState.pure(v) for label, v in states.items()}
+        with pytest.raises(ValueError, match="at least one observable and one state"):
+            LabSystem(observables, states, [])
+
     def test_mixed_dimensions_rejected(self):
         from oplab.spectral import LabSystem
 
