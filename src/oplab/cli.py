@@ -39,8 +39,9 @@ _COMMANDS = ("simulate", "estimate", "entropy", "dissipation", "tomography", "ko
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _load_config(path: Path) -> tuple:
-    """The config at ``path`` and the SHA-256 of its bytes, in hex, from
-    `decode_config`: the bytes are the UTF-8 encoding of the text it reads."""
+    """The JSON value at ``path``, which `main` reads with `field`, and the
+    SHA-256 of its bytes, in hex, from `decode_config`: the bytes are the
+    UTF-8 encoding of the text it reads."""
     try:
         config, digest = decode_config(path.read_bytes().decode("utf-8"))
     except OSError as exc:
@@ -49,8 +50,6 @@ def _load_config(path: Path) -> tuple:
         raise ConfigError(f"malformed config at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
     return config, digest.hex()
 
 

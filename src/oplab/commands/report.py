@@ -22,9 +22,7 @@ def _read_artifact(path: Path, where: str):
 
 
 def run(args, config, inputs, footer):
-    artifacts = field(inputs, "artifacts", "inputs", list, items=str)
-    if not artifacts:
-        raise ConfigError("inputs.artifacts must be a non-empty list")
+    artifacts = field(inputs, "artifacts", "inputs", [str, ...])
     loaded = []
     for k, name in enumerate(artifacts):
         # An absolute name replaces the config's directory.

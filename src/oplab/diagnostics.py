@@ -31,6 +31,15 @@ from .measures import (
 INFORMATIVITY_TOL = 1e-12
 ENTROPY_SLACK = 1e-12
 AFFINE_TOL = 1e-12
+# `khinchin_validate`'s tolerances: how far an entropy may miss K1, K2, K4
+# and K5 (the default ``tol``), and the K3 grouping law; how far below 1 a
+# schema's largest weight must lie for K1 to call it not one-point; and K6's
+# L1 perturbation, with the most it may move the entropy.
+KHINCHIN_TOL = 1e-9
+K3_GROUPING_TOL = 1e-7
+K1_ONE_POINT_MARGIN = 1e-6
+K6_PERTURBATION = 1e-6
+K6_MODULUS_BOUND = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +65,7 @@ def khinchin_validate(
     entropy_fn: Optional[Callable[[Sequence[float]], float]] = None,
     cases: int = 120,
     seed: int = 20240,
-    tol: float = 1e-9,
+    tol: float = KHINCHIN_TOL,
 ) -> Tuple[AxiomResult, ...]:
     """Exercise an entropy implementation against the six axioms.
 
@@ -84,7 +93,7 @@ def khinchin_validate(
         dirac[int(rng.integers(0, k))] = 1.0
         if abs(h(dirac)) > tol:
             ok = False
-        if max(xs) < 1.0 - 1e-6 and h(xs) <= tol:
+        if max(xs) < 1.0 - K1_ONE_POINT_MARGIN and h(xs) <= tol:
             ok = False
     results.append(AxiomResult("K1-positivity", ok, cases, worst))
 
@@ -103,7 +112,7 @@ def khinchin_validate(
         expected = h(xs) + xs[0] * math.log2(k)
         worst = max(worst, abs(h(split) - expected))
     results.append(AxiomResult(
-        "K3-grouping", worst <= 1e-7, cases, worst,
+        "K3-grouping", worst <= K3_GROUPING_TOL, cases, worst,
         note="equal split of the first cell adds w1*log2(k)",
     ))
 
@@ -135,7 +144,6 @@ def khinchin_validate(
 
     ok = True
     worst = 0.0
-    delta = 1e-6
     for _ in range(cases):
         k = int(rng.integers(2, 9))
         xs = np.array(_random_schema(rng, k))
@@ -143,16 +151,16 @@ def khinchin_validate(
         scale = np.sum(np.abs(bump))
         if scale == 0:
             continue
-        ys = np.clip(xs + bump * (delta / scale), 0.0, None)
+        ys = np.clip(xs + bump * (K6_PERTURBATION / scale), 0.0, None)
         ys = ys / ys.sum()
         gap = abs(h(tuple(ys)) - h(tuple(xs)))
         worst = max(worst, gap)
         # Modulus: an L1 perturbation of size d moves H by at most
-        # d * log2(k / d) + binary entropy of d, far below 1e-3 here.
-        if gap > 1e-3:
+        # d * log2(k / d) + binary entropy of d, far below the bound here.
+        if gap > K6_MODULUS_BOUND:
             ok = False
     results.append(AxiomResult("K6-continuity", ok, cases, worst,
-                               note=f"L1 perturbation {delta:g}"))
+                               note=f"L1 perturbation {K6_PERTURBATION:g}"))
     return tuple(results)
 
 

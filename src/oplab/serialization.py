@@ -2,26 +2,28 @@
 from their JSON payloads, and the one place where a config value is checked.
 Nothing here writes an output; `oplab.cli` does.
 
-Every scalar is read by `to_scalar`.  In rational mode an exact string
-(``"0.3"``, ``"1/3"``) reads as that rational, so nothing is rounded on the
-way in; in float mode a plain JSON number does as well as a string.
+A measure's, a set's or a constraint's scalar is read by `to_scalar`.  In
+rational mode an exact string (``"0.3"``, ``"1/3"``) reads as that rational,
+so nothing is rounded on the way in; in float mode a plain JSON number does
+as well as a string.  An integer or a plain number (a count, a time, a
+factor) is read by `_as`, and a matrix part by ``complex()``.
 
 Readers take the payload and, last, ``where``: the payload's path in the
 config, used only in messages.  Every bad value raises `ConfigError` naming
-its path, down to single scalars:
+its path, down to single scalars.  One shape language, `_read`'s, states
+what a value must be: JSON kinds and leaf checks (a label, an exact scalar),
+in lists, tuples and objects.  It is read two ways:
 
-- an object field is read through `field`, which checks its JSON type, or
-  reads it as an integer, a finite number or a string, and may check each
-  entry of a list or value of an object the same way
+- an object field is read through `field`, against its shape
   (``inputs.trials must be an integer``, ``inputs.measure.atoms[0] must be a
-  list``), so a string is never unpacked character by character;
+  list``, ``inputs.center[0]: unknown observable label 'mix'``), so a string
+  is never unpacked character by character, and a label that refers to
+  another part of the config is checked where it is read;
 - a payload is handed to its constructor as it is, and only when the
-  constructor refuses it is the payload walked against its shape, to name
+  constructor refuses it is the payload read against its shape, to name
   the first scalar at fault (``inputs.measures[0].atoms[2][1]: zero
   denominator``) or else the payload itself (``inputs.times: times must be
-  strictly increasing``), so a valid config pays nothing for the walk;
-- a label that refers to another part of the config, such as an observable
-  named by a constraint or a relation, is checked where it is read.
+  strictly increasing``), so a valid config pays nothing for the walk.
 
 `decode_config` reads a config's text as ``json.loads`` does, except that an
 object member whose value is a rectangular block of [re, im] pairs of float
@@ -253,15 +255,13 @@ def _as(value, kind):
     return value if kind is int or math.isfinite(value) else None
 
 
-def field(payload, name: str, where: str, kind: type = None, default=_REQUIRED, *,
-          items: type = None):
-    """``payload[name]``, where ``payload`` is the JSON object at ``where``.
+def field(payload, name: str, where: str, shape=None, default=_REQUIRED):
+    """``payload[name]``, where ``payload`` is the JSON object at ``where``,
+    read against ``shape`` (see `_read`) when that is given.
 
     Raises ConfigError when ``payload`` is not an object, when the field is
-    missing and has no ``default``, when ``kind`` is given and the value is
-    not one (see `_KINDS`; an ``int`` or ``float`` is returned as read), or
-    when ``items`` is given and an entry of the list or a value of the object
-    is not one (the entries are returned as read).
+    missing and has no ``default``, or naming the first part of the value
+    that does not fit ``shape``.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{where} must be an object")
@@ -270,69 +270,85 @@ def field(payload, name: str, where: str, kind: type = None, default=_REQUIRED, 
             raise ConfigError(f"missing field {name!r} in {where}")
         return default
     value = payload[name]
-    if kind is not None:
-        value = _as(value, kind)
-        if value is None:
-            raise ConfigError(f"{where}.{name} must be {_KINDS[kind]}")
-    if items is not None:
-        keys = list(value) if isinstance(value, dict) else range(len(value))
-        read = [_as(value[key], items) for key in keys]
-        if None in read:
-            key = keys[read.index(None)]
-            at = f".{key}" if isinstance(value, dict) else f"[{key}]"
-            raise ConfigError(f"{where}.{name}{at} must be {_KINDS[items]}")
-        value = dict(zip(keys, read)) if isinstance(value, dict) else read
-    return value
+    return value if shape is None else _read(value, shape, (where, name))
 
 
-def _fault(node, shape, where: str):
-    """The first part of ``node`` that does not fit ``shape``, as a message
-    naming its path, or None.
+def _path(where) -> str:
+    """The path ``where`` names: a string, or a (parent, key) pair whose key
+    is a list index or an object member's name."""
+    if isinstance(where, str):
+        return where
+    parent, key = where
+    return _path(parent) + (f"[{key}]" if isinstance(key, int) else f".{key}")
 
-    A shape is a leaf check, a function that raises ValueError, TypeError or
-    OverflowError on a bad scalar; ``[s]``, a list whose entries fit ``s``; a
-    tuple of shapes, a list of that many entries that fit them in turn; or a
-    dict of shapes, an object whose fields, where present, fit theirs.
+
+def _read(node, shape, where):
+    """``node``, the JSON value at ``where`` (a path for `_path`), read
+    against ``shape``, each kind as `_as` reads it; ConfigError names the
+    first part that does not fit, and only then is a path joined.
+
+    A shape is a JSON kind of `_KINDS`; a leaf check, a function that raises
+    ValueError, TypeError or OverflowError on a bad value, which is kept as
+    it is; ``[s]``, a list whose entries fit ``s``, or ``[s, ...]``, a
+    non-empty one; a tuple of shapes, a list of that many entries that fit
+    them in turn; or a dict of shapes, an object whose members, where
+    present, fit their names' shapes.  Its key ``...`` maps the shape of
+    every other member, and so does a leaf check that their names must pass.
     """
     node = _plain(node)
-    if callable(shape):
-        try:
-            shape(node)
-        except (ValueError, TypeError, OverflowError) as exc:
-            return f"{where}: {exc}"
-        return None
+    if isinstance(shape, type):
+        value = _as(node, shape)
+        if value is None:
+            raise ConfigError(f"{_path(where)} must be {_KINDS[shape]}")
+        return value
+    if isinstance(shape, (list, tuple)):
+        if not isinstance(node, list):
+            raise ConfigError(f"{_path(where)} must be a list")
+        if isinstance(shape, tuple):
+            if len(node) != len(shape):
+                raise ConfigError(f"{_path(where)} must have {len(shape)} entries")
+        elif not node and len(shape) > 1:
+            raise ConfigError(f"{_path(where)} must be a non-empty list")
+        elif isinstance(shape[0], type):  # a list of one kind, read in one pass
+            kind = shape[0]
+            read = [_as(entry, kind) for entry in node]
+            if None in read:
+                raise ConfigError(f"{_path((where, read.index(None)))} must be {_KINDS[kind]}")
+            return read
+        subs = shape if isinstance(shape, tuple) else shape[:1] * len(node)
+        return [_read(entry, sub, (where, k)) for k, (entry, sub) in enumerate(zip(node, subs))]
     if isinstance(shape, dict):
-        parts = [(node[key], sub, f"{where}.{key}") for key, sub in shape.items() if key in node]
-    elif not isinstance(node, list):
-        return f"{where} must be a list"
-    elif isinstance(shape, tuple) and len(node) != len(shape):
-        return f"{where} must have {len(shape)} entries"
-    else:
-        subs = shape if isinstance(shape, tuple) else shape * len(node)
-        parts = [(entry, sub, f"{where}[{k}]") for k, (entry, sub) in enumerate(zip(node, subs))]
-    return next(filter(None, (_fault(*part) for part in parts)), None)
-
-
-def _check(node, shape, where: str) -> None:
-    """Raise ConfigError naming the first part of ``node`` that does not fit
-    ``shape``."""
-    fault = _fault(node, shape, where)
-    if fault is not None:
-        raise ConfigError(fault)
+        if not isinstance(node, dict):
+            raise ConfigError(f"{_path(where)} must be an object")
+        other = next((key for key in shape if not isinstance(key, str)), None)
+        read = dict(node)
+        for name, value in node.items():
+            if name in shape:
+                read[name] = _read(value, shape[name], (where, name))
+            elif other is not None:
+                if other is not ...:
+                    _read(name, other, (where, name))
+                read[name] = _read(value, shape[other], (where, name))
+        return read
+    try:
+        shape(node)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{_path(where)}: {exc}") from None
+    return node
 
 
 def _built(build, where: str, node=None, shape=None):
     """``build()``, a constructor called on the payload ``node`` at ``where``.
 
     Only if it raises ValueError, TypeError, KeyError or OverflowError is
-    ``node`` walked: ConfigError names the first part of it that does not fit
-    ``shape``, or else ``where`` with the constructor's message.
+    ``node`` read against ``shape``: ConfigError names the first part of it
+    that does not fit, or else ``where`` with the constructor's message.
     """
     try:
         return build()
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         if shape is not None:
-            _check(node, shape, where)
+            _read(node, shape, where)
         reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         raise ConfigError(f"{where}: {reason}") from exc
 
@@ -349,11 +365,6 @@ def _part(value) -> None:
         finite = False
     if not finite:
         raise ValueError("not a finite number")
-
-
-def _number(value) -> None:
-    if _as(value, float) is None:
-        raise ValueError(f"not {_KINDS[float]}")
 
 
 def _exponent(value) -> None:
@@ -378,14 +389,14 @@ _ENDPOINTS = (_to_endpoint, _to_endpoint)
 
 def measure_from_json(payload: Mapping, mode: str = RATIONAL,
                       where: str = "measure") -> measures.DiscreteMeasure:
-    atoms = field(payload, "atoms", where, list, items=list)
+    atoms = field(payload, "atoms", where, [list])
     scalar = partial(to_scalar, mode=mode)
     return _built(lambda: measures.DiscreteMeasure(atoms, mode=mode), where,
                   payload, {"atoms": [(scalar, scalar)]})
 
 
 def borel_from_json(payload: Mapping, where: str = "set") -> measures.BorelSet:
-    intervals = field(payload, "intervals", where, list, [], items=list)
+    intervals = field(payload, "intervals", where, [list], [])
     singletons = field(payload, "singletons", where, list, [])
     return _built(lambda: measures.BorelSet(intervals, singletons), where,
                   payload, {"intervals": [_ENDPOINTS], "singletons": [_rational]})
@@ -413,7 +424,7 @@ def ensemble_of(payload: Mapping, mode: str, where: str = "inputs"):
 def evolution_of(payload: Mapping, mode: str, where: str = "inputs") -> dynamics.EvolutionTrace:
     """The `EvolutionTrace` of the ``times`` and ``measures`` of ``payload``;
     a measure that is not a probability raises NotProbability naming it."""
-    times = field(payload, "times", where, list, items=float)
+    times = field(payload, "times", where, [float])
     family = [measure_from_json(m, mode, f"{where}.measures[{k}]")
               .require_probability(f"{where}.measures[{k}]")
               for k, m in enumerate(field(payload, "measures", where, list))]
@@ -482,9 +493,8 @@ def _operator_maps(payload: Mapping, where: str):
 
 def labsystem_from_json(payload: Mapping, where: str = "system") -> spectral.LabSystem:
     observables, states = _operator_maps(payload, where)
-    pairs = field(payload, "suitability", where, list, items=list)
-    _check(pairs, [(_label(states, "state"), _label(observables, "observable"))],
-           f"{where}.suitability")
+    pairs = field(payload, "suitability", where,
+                  [(_label(states, "state"), _label(observables, "observable"))])
     return _built(lambda: spectral.LabSystem(observables, states, [tuple(pair) for pair in pairs]),
                   where)
 
@@ -495,16 +505,15 @@ def relations_from_json(payload: Mapping, where: str = "relations",
     that is None."""
     label = _label(labels, "observable")
     shapes = {"powers": [(label, _exponent, label)], "sums": [(label, label, label)],
-              "scalings": [(label, _number, label)], "compatible": [(label, label)],
+              "scalings": [(label, float, label)], "compatible": [(label, label)],
               "products": [(label, label, label)]}
-    entries = {name: field(payload, name, where, list, [], items=list) for name in shapes}
-    _check(entries, shapes, where)
+    entries = {name: field(payload, name, where, shape, []) for name, shape in shapes.items()}
     return algebra.DeclaredRelations(
         powers=tuple((b, int(n), p) for b, n, p in entries["powers"]),
-        sums=tuple(tuple(entry) for entry in entries["sums"]),
-        scalings=tuple((a, float(r), s) for a, r, s in entries["scalings"]),
-        compatible=tuple(tuple(entry) for entry in entries["compatible"]),
-        products=tuple(tuple(entry) for entry in entries["products"]),
+        sums=tuple(map(tuple, entries["sums"])),
+        scalings=tuple(map(tuple, entries["scalings"])),
+        compatible=tuple(map(tuple, entries["compatible"])),
+        products=tuple(map(tuple, entries["products"])),
     )
 
 
@@ -522,28 +531,18 @@ def validation_of(payload: Mapping, where: str = "inputs"):
     relations = relations_from_json(field(payload, "relations", where, default={}),
                                     f"{where}.relations", system.observables)
     observable = _label(system.observables, "observable")
-    center = field(payload, "center", where, list, None, items=str)
-    if center is not None:
-        _check(center, [observable], f"{where}.center")
-    families = field(payload, "embedding_families", where, dict, None, items=list)
-    for label, family in (families or {}).items():
-        at = f"{where}.embedding_families.{label}"
-        _check(label, observable, at)
-        if not family:
-            raise ConfigError(f"{at} must be a non-empty list")
-        _check(family, [_label(system.states, "state")], at)
+    center = field(payload, "center", where, [observable], None)
+    families = field(payload, "embedding_families", where,
+                     {observable: [_label(system.states, "state"), ...]}, None)
     return alg, relations, center, families
 
 
 def outcomes_of(payload: Mapping, where: str = "inputs") -> dict:
     """The ``outcomes`` object of ``payload``: each observable's non-empty
     list of distinct outcome values, exact rationals."""
-    outcomes = field(payload, "outcomes", where, dict, items=list)
+    outcomes = field(payload, "outcomes", where, {...: [_rational, ...]})
     for name, values in outcomes.items():
         path, first = f"{where}.outcomes.{name}", {}
-        if not values:
-            raise ConfigError(f"{path} must be a non-empty list")
-        _check(values, [_rational], path)
         for k, value in enumerate(map(_rational, values)):
             if first.setdefault(value, k) != k:
                 raise ConfigError(f"{path}[{k}] repeats the value {value} of {path}[{first[value]}]")
@@ -556,27 +555,19 @@ def constraint_of(payload: Mapping, where: str = "constraint", outcomes: Mapping
     unless that is None; values and probabilities are kept as written, so a
     certificate shows them that way."""
     observable = _label(outcomes, "observable")
+    event = {observable: _rational}
 
     def get(name, shape):
-        value = field(payload, name, where)
-        _check(value, shape, f"{where}.{name}")
-        return value
-
-    def events(name):
-        chosen = field(payload, name, where, dict)
-        for label, value in chosen.items():
-            _check(label, observable, f"{where}.{name}.{label}")
-            _check(value, _rational, f"{where}.{name}.{label}")
-        return chosen
+        return field(payload, name, where, shape)
 
     kind = field(payload, "type", where, str)
     if kind == "marginal":
         return kolmogorov.MarginalConstraint(get("observable", observable),
                                              get("value", _rational), get("prob", _rational))
     if kind == "joint":
-        return kolmogorov.JointConstraint.of(events("events"), get("prob", _rational))
+        return kolmogorov.JointConstraint.of(get("events", event), get("prob", _rational))
     if kind == "conditional":
-        return kolmogorov.ConditionalConstraint.of(events("event"), events("given"),
+        return kolmogorov.ConditionalConstraint.of(get("event", event), get("given", event),
                                                    get("prob", _rational))
     if kind == "correlation":
         return kolmogorov.CorrelationConstraint(
@@ -593,6 +584,6 @@ def reconstruction_from_json(payload: Mapping,
                    for k, m in enumerate(field(payload, "observables", where, list))]
     frame = [vector_from_json(v, f"{where}.frame[{k}]")
              for k, v in enumerate(field(payload, "frame", where, list))]
-    expectations = field(payload, "expectations", where, list, items=float)
+    expectations = field(payload, "expectations", where, [float])
     return _built(lambda: algebra.ReconstructionProblem(observables, expectations, frame), where)
 

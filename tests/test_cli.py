@@ -329,6 +329,13 @@ class TestSeedResolution:
         main(["simulate", "--config", str(config), "--seed", "7", "--out", str(tmp_path / "x")])
         assert "# seed=7" in (tmp_path / "x" / "simulate.csv").read_text()
 
+    def test_a_seed_variable_that_is_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPLAB_SEED", "x")
+        config = write_config(tmp_path, SIMULATE)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: OPLAB_SEED is not an integer: 'x'\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_seed_errors(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OPLAB_SEED", raising=False)
         payload = dict(SIMULATE)
@@ -344,6 +351,12 @@ class TestErrors:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    def test_a_config_that_is_not_an_object(self, tmp_path, capsys):
+        config = write_config(tmp_path, [SIMULATE])
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: config must be an object\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
@@ -693,6 +706,9 @@ class TestConfigCorruption:
          "inputs.embedding_families.z must be a non-empty list"),
         ("validate", ("inputs", "system"), {"observables": {}, "states": {}, "suitability": []},
          "inputs.system: a lab system needs at least one observable and one state"),
+        ("simulate", ("mode",), "bogus", "config.mode: unknown mode 'bogus'"),
+        ("validate", ("inputs", "relations", "scalings"), [["z", "x", "z2"]],
+         "inputs.relations.scalings[0][1] must be a finite number"),
     ])
     def test_scalar_names_its_path(self, tmp_path, capsys, name, path, value, message):
         payload = _replaced(CONFIGS[name], path, value)
@@ -957,6 +973,16 @@ class TestReport:
     def test_empty_artifacts_error(self, tmp_path):
         config = write_config(tmp_path, {"kind": "report", "inputs": {"artifacts": []}})
         assert main(["report", "--config", str(config), "--out", str(tmp_path)]) == 1
+
+    def test_an_empty_artifact(self, tmp_path, capsys):
+        artifact = tmp_path / "a.csv"
+        artifact.write_bytes(b"")
+        config = write_config(tmp_path, {"kind": "report", "inputs": {"artifacts": ["a.csv"]}})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 1
+        message = f"inputs.artifacts[0]: artifact {artifact} is empty"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_artifact_error(self, tmp_path):
         config = write_config(tmp_path, {

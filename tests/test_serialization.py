@@ -596,3 +596,70 @@ class TestFieldPaths:
         with pytest.raises(ConfigError) as info:
             read(payload)
         assert str(info.value) == message
+
+
+_MISSING = object()
+
+
+def _field_with_items(payload, name, where, kind=None, default=_MISSING, *, items=None):
+    """`field` as it was when it took a kind and an ``items`` kind, kept here
+    to pin the shapes that replaced them."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be an object")
+    if name not in payload:
+        if default is _MISSING:
+            raise ConfigError(f"missing field {name!r} in {where}")
+        return default
+    value = payload[name]
+    if kind is not None:
+        value = serialization._as(value, kind)
+        if value is None:
+            raise ConfigError(f"{where}.{name} must be {serialization._KINDS[kind]}")
+    if items is not None:
+        keys = list(value) if isinstance(value, dict) else range(len(value))
+        read = [serialization._as(value[key], items) for key in keys]
+        if None in read:
+            key = keys[read.index(None)]
+            at = f".{key}" if isinstance(value, dict) else f"[{key}]"
+            raise ConfigError(f"{where}.{name}{at} must be {serialization._KINDS[items]}")
+        value = dict(zip(keys, read)) if isinstance(value, dict) else read
+    return value
+
+
+# Each (kind, items) pair that a reader or a command passed, and its shape.
+_SHAPES = [
+    ((None, None), None), ((str, None), str), ((dict, None), dict), ((int, None), int),
+    ((float, None), float), ((list, None), list), ((list, list), [list]),
+    ((list, float), [float]), ((list, str), [str]), ((dict, list), {...: list}),
+]
+_JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 400, 10 ** 400),
+    st.floats(), st.sampled_from(["1", " -2 ", "0.5", "1e3", "1e400", "nan", "inf", "1/2", "x",
+                                  ""]),
+    st.text(max_size=3))
+_JSON = st.recursive(_JSON_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=2), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _outcome(read):
+    """What a call gives, comparable across calls: the repr of its value,
+    which tells 1 from 1.0 and True and shows NaN, or its message."""
+    try:
+        return "value", repr(read())
+    except ConfigError as exc:
+        return "error", str(exc)
+
+
+class TestFieldShapes:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=st.sampled_from(_SHAPES), payload=st.one_of(
+        st.dictionaries(st.sampled_from(["f", "g"]), _JSON, max_size=2), _JSON),
+        default=st.sampled_from([_MISSING, None, []]))
+    @example(pair=_SHAPES[7], payload={"f": [1, "2.5", True]}, default=_MISSING)
+    @example(pair=_SHAPES[9], payload={"f": {"a": [], "b": "01"}}, default=_MISSING)
+    def test_a_shape_reads_as_its_kind_and_items_did(self, pair, payload, default):
+        (kind, items), shape = pair
+        defaults = {} if default is _MISSING else {"default": default}
+        assert _outcome(lambda: field(payload, "f", "inputs", shape, **defaults)) == _outcome(
+            lambda: _field_with_items(payload, "f", "inputs", kind, **defaults, items=items))
